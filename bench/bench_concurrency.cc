@@ -15,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/mvcc_report.h"
-#include "bench/read_report.h"
 #include "obs/op_context.h"
 #include "obs/slow_op_log.h"
 #include "obs/trace.h"
@@ -172,29 +171,15 @@ void BM_DurableCommit(benchmark::State& state) {
   }
 }
 
-// Read-mostly mixes for the optimistic read path (DESIGN.md section 13):
-// 95/5 and 99/1 search/insert, Arg 0 = latched reads (the seed baseline
-// checked in as bench/BENCH_read.seed.json), Arg 1 = optimistic reads.
-// Narrow 10-key range scans over a fanout-64 tree keep the traversal
-// (where the latch-vs-snapshot difference lives) the dominant per-op
-// cost rather than leaf entry scanning. Thread 0 writes BENCH_read.json
-// with throughput plus the restart accounting that proves the latch-free
-// arm converges (restarts_per_search stays far below the per-op restart
-// budget of kOptimisticMaxAttempts).
-std::atomic<uint64_t> g_read_bench_t0{0};
-std::atomic<uint64_t> g_read_bench_searches0{0};
-
-void ReadMostlyLoop(benchmark::State& state, int write_pct,
-                    const char* mix_label) {
-  const bool optimistic = state.range(0) != 0;
+// Read-mostly mixes: 95/5 and 99/1 search/insert. Narrow 10-key range
+// scans over a fanout-64 tree keep the Figure 3 traversal the dominant
+// per-op cost rather than leaf entry scanning.
+void ReadMostlyLoop(benchmark::State& state, int write_pct) {
   if (state.thread_index() == 0) {
     g_env.BuildBtree("/tmp/gistcr_bench_read", ConcurrencyProtocol::kLink,
                      PredicateMode::kHybrid, NsnSource::kLsn, kPreload,
-                     /*max_entries=*/64, /*sync_commit=*/false, optimistic);
+                     /*max_entries=*/64, /*sync_commit=*/false);
     g_next_key.store(kPreload);
-    g_read_bench_searches0.store(
-        g_env.db->metrics()->GetCounter("gist.searches")->value());
-    g_read_bench_t0.store(obs::NowNanos());
   }
   Random rng(static_cast<uint64_t>(state.thread_index()) * 613 + 29);
   int64_t items = 0;
@@ -222,26 +207,13 @@ void ReadMostlyLoop(benchmark::State& state, int write_pct,
   }
   state.SetItemsProcessed(items);
   if (state.thread_index() == 0) {
-    const double elapsed_s =
-        static_cast<double>(obs::NowNanos() - g_read_bench_t0.load()) / 1e9;
-    const uint64_t searches =
-        g_env.db->metrics()->GetCounter("gist.searches")->value() -
-        g_read_bench_searches0.load();
-    WriteReadReport("BENCH_read.json", mix_label,
-                    optimistic ? "optimistic" : "latched", state.threads(),
-                    elapsed_s, searches, g_env.db.get());
     ReportRegistryMetrics(state, g_env.db.get());
-    state.SetLabel(optimistic ? "optimistic" : "latched");
   }
 }
 
-void BM_ReadMostly95_5(benchmark::State& state) {
-  ReadMostlyLoop(state, 5, "95/5");
-}
+void BM_ReadMostly95_5(benchmark::State& state) { ReadMostlyLoop(state, 5); }
 
-void BM_ReadMostly99_1(benchmark::State& state) {
-  ReadMostlyLoop(state, 1, "99/1");
-}
+void BM_ReadMostly99_1(benchmark::State& state) { ReadMostlyLoop(state, 1); }
 
 // The paper's "no latches during I/Os / no subtree locking" property shows
 // up most directly as *interference*: how long can one operation stall
@@ -502,10 +474,9 @@ BENCHMARK(BM_InsertOnly)->Arg(0)->Arg(1)->ThreadRange(1, 8)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Mixed80_20)->Arg(0)->Arg(1)->ThreadRange(1, 8)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
-// Arg 0 = latched reads (baseline), 1 = optimistic reads.
-BENCHMARK(BM_ReadMostly95_5)->Arg(0)->Arg(1)->ThreadRange(1, 8)
+BENCHMARK(BM_ReadMostly95_5)->ThreadRange(1, 8)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ReadMostly99_1)->Arg(0)->Arg(1)->ThreadRange(1, 8)
+BENCHMARK(BM_ReadMostly99_1)->ThreadRange(1, 8)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_InsertLatencyUnderScan)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);

@@ -112,9 +112,11 @@ void ClientLoop(const BenchConfig& cfg, uint16_t port, int id,
     if (is_read) {
       st = c.Search(1, BtreeExtension::MakeRange(k, k + 9)).status();
     } else {
-      st = c.Insert(1, BtreeExtension::MakeKey(k),
-                    "v" + std::to_string(k))
-               .status();
+      // Appended, not `"v" + std::to_string(k)`: GCC 12 reports a false
+      // -Wrestrict on that operator+ once inlined at -O3.
+      std::string value = "v";
+      value += std::to_string(k);
+      st = c.Insert(1, BtreeExtension::MakeKey(k), value).status();
     }
     const uint64_t dt = NowNs() - t0;
     OpStats* s = is_read ? searches : inserts;
@@ -379,9 +381,11 @@ void ObsClientLoop(const BenchConfig& cfg, uint16_t port, int id,
     if (is_read) {
       st = c.Search(1, BtreeExtension::MakeRange(k, k + 9)).status();
     } else {
-      st = c.Insert(1, BtreeExtension::MakeKey(k),
-                    "v" + std::to_string(k))
-               .status();
+      // Appended, not `"v" + std::to_string(k)`: GCC 12 reports a false
+      // -Wrestrict on that operator+ once inlined at -O3.
+      std::string value = "v";
+      value += std::to_string(k);
+      st = c.Insert(1, BtreeExtension::MakeKey(k), value).status();
     }
     if (st.ok()) {
       if (a >= 0) {

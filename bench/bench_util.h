@@ -48,12 +48,9 @@ struct BenchEnv {
   /// Fresh database with one B-tree index preloaded with \p preload keys
   /// 0..preload-1 (payload "v"). With \p sync_commit the WAL fdatasyncs on
   /// commit — the configuration the durable-commit benchmarks measure.
-  /// \p optimistic_reads toggles the latch-free read path (DESIGN.md
-  /// section 13); the read-mostly series runs both arms.
   void BuildBtree(const std::string& p, ConcurrencyProtocol protocol,
                   PredicateMode pred_mode, NsnSource nsn, int64_t preload,
-                  uint16_t max_entries = 0, bool sync_commit = false,
-                  bool optimistic_reads = true) {
+                  uint16_t max_entries = 0, bool sync_commit = false) {
     path = p;
     db.reset();
     RemoveDbFiles(path);
@@ -69,7 +66,6 @@ struct BenchEnv {
     gopts.protocol = protocol;
     gopts.pred_mode = pred_mode;
     gopts.max_entries = max_entries;
-    gopts.optimistic_reads = optimistic_reads;
     BENCH_CHECK_OK(db->CreateIndex(1, &btree, gopts));
     gist = db->GetIndex(1).value();
     if (preload > 0) {
@@ -133,9 +129,6 @@ inline void ReportRegistryMetrics(benchmark::State& state, Database* db) {
   counter("splits", "gist.splits");
   counter("predicate_waits", "gist.predicate_waits");
   counter("deadlocks", "lock.deadlocks");
-  counter("optimistic_visits", "gist.read.optimistic_visits");
-  counter("read_restarts", "gist.read.restarts");
-  counter("read_fallbacks", "gist.read.fallbacks");
 
   const double hits = static_cast<double>(reg->GetCounter("bp.hits")->value());
   const double misses =

@@ -2,9 +2,10 @@
 #define GISTCR_BENCH_MVCC_REPORT_H_
 
 // Machine-readable MVCC snapshot-read report (BENCH_mvcc.json), written by
-// the BM_Mvcc* series in bench_concurrency. Same shape as read_report.h:
-// rows accumulate across (series, arm) combinations and the file is
-// rewritten whole each time, so a partial sweep still leaves valid JSON.
+// the BM_Mvcc* series in bench_concurrency. Same shape as
+// commit_report.h: rows accumulate across (series, arm) combinations and
+// the file is rewritten whole each time, so a partial sweep still leaves
+// valid JSON.
 // The two series answer the two headline questions of DESIGN.md section
 // 14.6: does concurrent write churn slow snapshot scans (series "scan":
 // solo vs with_writers), and do long snapshot scans tax writer commit

@@ -73,8 +73,14 @@ std::string BtreeExtension::EqQuery(Slice key) const {
 
 std::string BtreeExtension::Describe(Slice pred) const {
   if (pred.empty()) return "[empty]";
-  return "[" + std::to_string(Lo(pred)) + "," + std::to_string(Hi(pred)) +
-         "]";
+  // Successive appends rather than one operator+ chain: GCC 12 inlines the
+  // chain at -O2/-O3 and reports a false -Wrestrict on it.
+  std::string out = "[";
+  out += std::to_string(Lo(pred));
+  out += ",";
+  out += std::to_string(Hi(pred));
+  out += "]";
+  return out;
 }
 
 }  // namespace gistcr

@@ -26,16 +26,6 @@ class MetaView {
 
   explicit MetaView(char* page_data) : d_(page_data) {}
 
-  /// Frame::SnapshotBoundsFn for the meta page (optimistic root lookup,
-  /// DESIGN.md section 13): the used bytes are a fixed-size prefix — page
-  /// header + magic/bitmap/heap-head words + the root table — so the
-  /// bounds are constants and nothing racy is read.
-  static void SnapshotBounds(const char* /*page*/, uint32_t* head_len,
-                             uint32_t* tail_begin) {
-    *head_len = PageView::kHeaderSize + 12 + kMaxIndexes * 8;
-    *tail_begin = kPageSize;
-  }
-
   void Format(uint32_t num_bitmap_pages) {
     PageView pv(d_);
     pv.Format(kMetaPageId, PageType::kMeta);

@@ -59,13 +59,16 @@ GistCursor::GistCursor(Gist* gist, Transaction* txn, Slice query)
       txn_id_(txn->id()),
       snapshot_(txn->is_snapshot()),
       query_(query.ToString()),
-      op_id_(txn->NextOpId()) {}
+      spec_{query_, PredKind::kSearch,
+            txn->isolation() == IsolationLevel::kRepeatableRead &&
+                gist->opts_.pred_mode == PredicateMode::kHybrid,
+            txn->NextOpId()} {}
 
 GistCursor::~GistCursor() {
   // Unvisited stacked pointers still hold their signaling locks. Release
   // by id: destroying a cursor after its transaction committed/aborted is
   // legal (end-of-transaction already dropped the locks; these are
-  // no-ops then). Snapshot cursors hold none (see Open).
+  // no-ops then). Snapshot cursors hold none (see Gist::VisitNext).
   if (snapshot_) return;
   for (const auto& e : stack_) {
     gist_->ctx_.locks->Unlock(txn_id_, LockName{LockSpace::kNode, e.page});
@@ -74,69 +77,23 @@ GistCursor::~GistCursor() {
 
 Status GistCursor::Open() {
   GISTCR_CHECK(!open_);
-  // Memorize before reading the root pointer (same ordering rule as
-  // Gist::SearchInternal): a root grow between the two steps must carry
-  // an NSN above the memorized value.
-  const Nsn root_mem = gist_->ctx_.nsn->Current();
-  auto root_or = gist_->GetRoot();
-  GISTCR_RETURN_IF_ERROR(root_or.status());
-  const PageId root = root_or.value();
-  if (root == kInvalidPageId) return Status::NotFound("index has no root");
-  // Snapshot cursors stack pointers without signaling locks: the active
-  // snapshot defers node retirement for as long as the cursor can exist
-  // (Gist::SearchSnapshot documents the ordering argument).
-  if (!snapshot_) {
-    GISTCR_RETURN_IF_ERROR(gist_->SignalLock(txn_, root));
-  }
-  stack_.push_back({root, root_mem});
+  GISTCR_RETURN_IF_ERROR(gist_->PushRoot(txn_, &stack_));
   open_ = true;
   return Status::OK();
 }
 
 Status GistCursor::FillPending() {
   obs::TreeScope tree_scope;
-  const bool hybrid_attach =
-      txn_->isolation() == IsolationLevel::kRepeatableRead &&
-      gist_->opts_.pred_mode == PredicateMode::kHybrid;
   std::vector<SearchResult> batch;
   while (pending_.empty() && !stack_.empty()) {
-    const Gist::StackEntry e = stack_.back();
-    stack_.pop_back();
-    if (gist_->hooks_.before_visit_node) {
-      gist_->hooks_.before_visit_node(e.page);
-    }
     // The coarse baseline's tree latch is taken per visited node: a cursor
     // parked between Next() calls must not pin the whole tree.
     internal::TreeLatch tree(
         &gist_->tree_latch_, /*exclusive=*/false,
         gist_->opts_.protocol == ConcurrencyProtocol::kCoarse);
     batch.clear();
-    if (snapshot_) {
-      const Lsn snap = txn_->snapshot_lsn();
-      bool fallback = !gist_->UseOptimisticReads(/*hybrid_attach=*/false);
-      if (!fallback) {
-        GISTCR_RETURN_IF_ERROR(gist_->ProcessStackEntrySnapshot(
-            txn_, e.page, e.nsn, query_, snap, &stack_, &seen_, &batch,
-            &fallback));
-      }
-      if (fallback) {
-        GISTCR_RETURN_IF_ERROR(gist_->ProcessStackEntrySnapshotLatched(
-            txn_, e.page, e.nsn, query_, snap, &stack_, &seen_, &batch));
-      }
-      for (auto& r : batch) pending_.push_back(std::move(r));
-      continue;
-    }
-    bool fallback = !gist_->UseOptimisticReads(hybrid_attach);
-    if (!fallback) {
-      GISTCR_RETURN_IF_ERROR(gist_->ProcessStackEntryOptimistic(
-          txn_, e.page, e.nsn, query_, /*lock_rids=*/true, &stack_, &seen_,
-          &batch, &fallback));
-    }
-    if (fallback) {
-      GISTCR_RETURN_IF_ERROR(gist_->ProcessStackEntry(
-          txn_, e.page, e.nsn, query_, PredKind::kSearch, hybrid_attach,
-          /*lock_rids=*/true, op_id_, &stack_, &seen_, &batch, &tree));
-    }
+    GISTCR_RETURN_IF_ERROR(
+        gist_->VisitNext(txn_, spec_, &stack_, &seen_, &batch, &tree));
     for (auto& r : batch) pending_.push_back(std::move(r));
   }
   return Status::OK();

@@ -91,7 +91,7 @@ class GistCursor {
   /// Visible() filter, takes no locks of any kind.
   const bool snapshot_;
   const std::string query_;
-  const uint64_t op_id_;
+  const Gist::ReadSpec spec_;  ///< query slice points into query_
   bool open_ = false;
   std::vector<Gist::StackEntry> stack_;
   std::unordered_set<uint64_t> seen_;

@@ -1,8 +1,5 @@
 #include "gist/gist.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "db/meta_page.h"
 #include "gist/tree_latch.h"
 #include "obs/op_context.h"
@@ -12,14 +9,6 @@
 namespace gistcr {
 
 using internal::TreeLatch;
-
-namespace {
-/// Validation failures tolerated per node visit before the optimistic
-/// reader gives up and re-runs the visit through the latched path. Bounds
-/// the restart work a write-hot node can inflict on readers (DESIGN.md
-/// section 13) and guarantees progress under sustained invalidation.
-constexpr int kOptimisticMaxAttempts = 8;
-}  // namespace
 
 GistStats::GistStats(obs::MetricsRegistry* reg)
     : searches(*reg->GetCounter("gist.searches")),
@@ -31,10 +20,7 @@ GistStats::GistStats(obs::MetricsRegistry* reg)
       predicate_waits(*reg->GetCounter("gist.predicate_waits")),
       rid_lock_waits(*reg->GetCounter("gist.rid_lock_waits")),
       gc_removed(*reg->GetCounter("gist.gc_removed")),
-      nodes_deleted(*reg->GetCounter("gist.nodes_deleted")),
-      optimistic_visits(*reg->GetCounter("gist.read.optimistic_visits")),
-      read_restarts(*reg->GetCounter("gist.read.restarts")),
-      read_fallbacks(*reg->GetCounter("gist.read.fallbacks")) {}
+      nodes_deleted(*reg->GetCounter("gist.nodes_deleted")) {}
 
 Gist::Gist(const GistContext& ctx, const GistExtension* ext, GistOptions opts)
     : ctx_(ctx),
@@ -98,29 +84,6 @@ StatusOr<PageId> Gist::GetRoot() {
   auto frame_or = ctx_.pool->Fetch(MetaView::kMetaPageId);
   GISTCR_RETURN_IF_ERROR(frame_or.status());
   PageGuard guard(ctx_.pool, frame_or.value());
-  if (UseOptimisticReads(/*hybrid_attach=*/false)) {
-    // The meta page is the hottest shared latch in the tree (every
-    // operation starts here); read the root pointer from a version-
-    // validated snapshot instead. Root caching is NOT safe — a stale
-    // ex-root could be retired and its page reallocated — but the
-    // validated snapshot carries no such hazard: it is exactly the
-    // latched read, minus the latch.
-    alignas(8) char snap[kPageSize];
-    OptimisticReadScope optimistic;
-    for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-      uint64_t version = 0;
-      if (!guard.frame()->SnapshotPage(snap, &version,
-                                       &MetaView::SnapshotBounds)) {
-        stats_.read_restarts.Add(1);
-        obs::BumpRestarts();
-        continue;
-      }
-      MetaView meta(PageView(snap).data());
-      if (!meta.valid()) return Status::Corruption("bad meta page");
-      return meta.GetRoot(opts_.index_id);
-    }
-    stats_.read_fallbacks.Add(1);
-  }
   guard.RLatch();
   MetaView meta(guard.view().data());
   if (!meta.valid()) return Status::Corruption("bad meta page");
@@ -172,207 +135,14 @@ Status Gist::Search(Transaction* txn, Slice query,
   GISTCR_TRACE_SCOPE("gist.search");
   obs::TreeScope tree_scope;
   stats_.searches.Add(1);
-  if (txn->is_snapshot()) {
-    return SearchSnapshot(txn, query, out);
-  }
   const bool attach =
       txn->isolation() == IsolationLevel::kRepeatableRead;
   return SearchInternal(txn, query, PredKind::kSearch, attach,
-                        /*lock_rids=*/true, txn->NextOpId(), out);
-}
-
-Status Gist::SearchSnapshot(Transaction* txn, Slice query,
-                            std::vector<SearchResult>* out) {
-  GISTCR_CHECK(ctx_.mvcc != nullptr);  // Begin downgrades otherwise
-  ctx_.mvcc->CountSnapshotRead();
-  const Lsn snap = txn->snapshot_lsn();
-
-  // The coarse baseline's tree latch is a latch, not a lock: snapshot
-  // readers take it shared like any other search under that protocol.
-  TreeLatch tree(&tree_latch_, /*exclusive=*/false,
-                 opts_.protocol == ConcurrencyProtocol::kCoarse);
-
-  // Same memorize-then-read ordering as SearchInternal (Figure 3 applied
-  // to the root pointer).
-  const Nsn root_mem = ctx_.nsn->Current();
-  auto root_or = GetRoot();
-  GISTCR_RETURN_IF_ERROR(root_or.status());
-  const PageId root = root_or.value();
-  if (root == kInvalidPageId) return Status::NotFound("index has no root");
-
-  // No signaling lock on the root (or on any stacked pointer below): the
-  // registered snapshot itself is what keeps every stacked pointer valid —
-  // TryDeleteChild refuses to retire nodes while MvccManager reports an
-  // active snapshot, and the snapshot was registered at Begin, strictly
-  // before this traversal read any pointer.
-  std::vector<StackEntry> stack;
-  stack.push_back({root, root_mem});
-  if (hooks_.after_root_push) hooks_.after_root_push();
-
-  std::unordered_set<uint64_t> seen;
-  const bool optimistic = UseOptimisticReads(/*hybrid_attach=*/false);
-  while (!stack.empty()) {
-    const StackEntry e = stack.back();
-    stack.pop_back();
-    if (hooks_.before_visit_node) hooks_.before_visit_node(e.page);
-    bool fallback = !optimistic;
-    if (optimistic) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntrySnapshot(
-          txn, e.page, e.nsn, query, snap, &stack, &seen, out, &fallback));
-    }
-    if (fallback) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntrySnapshotLatched(
-          txn, e.page, e.nsn, query, snap, &stack, &seen, out));
-    }
-  }
-  return Status::OK();
-}
-
-Status Gist::ProcessStackEntrySnapshot(Transaction* txn, PageId page,
-                                       Nsn memorized, Slice query, Lsn snap,
-                                       std::vector<StackEntry>* stack,
-                                       std::unordered_set<uint64_t>* seen,
-                                       std::vector<SearchResult>* out,
-                                       bool* fallback) {
-  (void)txn;
-  *fallback = false;
-  auto frame_or = ctx_.pool->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard g(ctx_.pool, frame_or.value());  // pin only — never latched
-  stats_.optimistic_visits.Add(1);
-
-  // Unlike the locking traversal's optimistic visit, pushes need no
-  // post-push revalidation here: a validated copy proves the parent held
-  // the pointer at copy time, and the active snapshot blocks retirement
-  // from then on. Dedupe within the visit so attempt restarts do not push
-  // a child twice.
-  std::unordered_set<PageId> pushed;
-  alignas(8) char snap_buf[kPageSize];
-  OptimisticReadScope optimistic;
-
-  for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-    if (attempt != 0) {
-      stats_.read_restarts.Add(1);
-      obs::BumpRestarts();
-      std::this_thread::yield();
-    }
-    const Nsn cur = ctx_.nsn->Current();  // memorize before the copy
-    uint64_t version = 0;
-    if (!g.frame()->SnapshotPage(snap_buf, &version,
-                                 &NodeView::SnapshotBounds)) {
-      continue;
-    }
-    NodeView node(PageView(snap_buf).data());
-
-    // Split detection (Figure 2) against the consistent copy.
-    if (node.nsn() > memorized && node.rightlink() != kInvalidPageId &&
-        pushed.count(node.rightlink()) == 0) {
-      bool already = false;
-      for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-      }
-      if (!already) {
-        stack->push_back({node.rightlink(), memorized});
-        pushed.insert(node.rightlink());
-        stats_.rightlink_follows.Add(1);
-      }
-    }
-
-    if (!node.is_leaf()) {
-      const uint16_t n = node.count();
-      for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
-        const PageId child = static_cast<PageId>(node.entry_value(i));
-        if (pushed.count(child) != 0) continue;
-        stack->push_back({child, cur});
-        pushed.insert(child);
-      }
-      g.Drop();
-      return Status::OK();
-    }
-
-    // Leaf: emit entries the snapshot can see. Visible() consults the
-    // *live* version store while the copy is frozen at validation time, so
-    // the verdicts are staged and the frame version re-checked before any
-    // of them publish. Store mutations that matter pair with a page write
-    // on this leaf (inserts, delete marks, abort undo retracting a record
-    // after its page undo), so an unchanged version proves the store the
-    // verdicts were computed against matches the copy; the unpaired
-    // mutations (commit stamping, pruning) are verdict-preserving for any
-    // registered snapshot.
-    GISTCR_CRASHPOINT("search.mvcc_visibility");
-    const uint16_t n = node.count();
-    std::vector<std::pair<uint64_t, SearchResult>> emit;
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (!ctx_.mvcc->Visible(rid, node.entry_del_txn(i), snap)) continue;
-      emit.emplace_back(
-          rid, SearchResult{node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (g.frame()->version() != version) continue;
-    for (auto& e2 : emit) {
-      seen->insert(e2.first);
-      out->push_back(std::move(e2.second));
-    }
-    g.Drop();
-    return Status::OK();
-  }
-
-  stats_.read_fallbacks.Add(1);
-  *fallback = true;
-  g.Drop();
-  return Status::OK();
-}
-
-Status Gist::ProcessStackEntrySnapshotLatched(
-    Transaction* txn, PageId page, Nsn memorized, Slice query, Lsn snap,
-    std::vector<StackEntry>* stack, std::unordered_set<uint64_t>* seen,
-    std::vector<SearchResult>* out) {
-  (void)txn;
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchLatched(page, /*exclusive=*/false, &g));
-  NodeView node(g.view().data());
-
-  if (LinkProtocol() && node.nsn() > memorized &&
-      node.rightlink() != kInvalidPageId) {
-    bool already = false;
-    for (const auto& s : *stack) {
-      if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-    }
-    if (!already) {
-      stack->push_back({node.rightlink(), memorized});
-      stats_.rightlink_follows.Add(1);
-      obs::BumpRestarts();
-    }
-  }
-
-  if (!node.is_leaf()) {
-    const Nsn cur = ctx_.nsn->Current();  // memorize before reading ptrs
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      stack->push_back({static_cast<PageId>(node.entry_value(i)), cur});
-    }
-    return Status::OK();
-  }
-
-  GISTCR_CRASHPOINT("search.mvcc_visibility");
-  const uint16_t n = node.count();
-  for (uint16_t i = 0; i < n; i++) {
-    if (!ext_->Consistent(node.entry_key(i), query)) continue;
-    const uint64_t rid = node.entry_value(i);
-    if (seen->count(rid) != 0) continue;
-    if (!ctx_.mvcc->Visible(rid, node.entry_del_txn(i), snap)) continue;
-    seen->insert(rid);
-    out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-  }
-  return Status::OK();
+                        txn->NextOpId(), out);
 }
 
 Status Gist::SearchInternal(Transaction* txn, Slice query,
-                            PredKind attach_kind, bool attach, bool lock_rids,
+                            PredKind attach_kind, bool attach,
                             uint64_t op_id, std::vector<SearchResult>* out) {
   // Pure predicate locking (section 4.2, ablation mode): one tree-global
   // check-then-register step before the traversal starts.
@@ -396,12 +166,22 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
       }
     }
   }
-  const bool hybrid_attach =
-      attach && opts_.pred_mode == PredicateMode::kHybrid;
+  const ReadSpec spec{query, attach_kind,
+                      attach && opts_.pred_mode == PredicateMode::kHybrid,
+                      op_id};
 
   TreeLatch tree(&tree_latch_, /*exclusive=*/false,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
+  std::vector<StackEntry> stack;
+  GISTCR_RETURN_IF_ERROR(PushRoot(txn, &stack));
+  std::unordered_set<uint64_t> seen;
+  while (!stack.empty()) {
+    GISTCR_RETURN_IF_ERROR(VisitNext(txn, spec, &stack, &seen, out, &tree));
+  }
+  return Status::OK();
+}
 
+Status Gist::PushRoot(Transaction* txn, std::vector<StackEntry>* stack) {
   // Memorize the counter BEFORE reading the root pointer: a root grow in
   // the window between a read-then-memorize pair would assign the old
   // root's new sibling an NSN below the memorized value, making the split
@@ -413,60 +193,44 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
   GISTCR_RETURN_IF_ERROR(root_or.status());
   const PageId root = root_or.value();
   if (root == kInvalidPageId) return Status::NotFound("index has no root");
-
-  std::vector<StackEntry> stack;
-  GISTCR_RETURN_IF_ERROR(SignalLock(txn, root));
-  stack.push_back({root, root_mem});
-  if (hooks_.after_root_push) hooks_.after_root_push();
-
-  std::unordered_set<uint64_t> seen;
-
-  const bool optimistic = UseOptimisticReads(hybrid_attach);
-  while (!stack.empty()) {
-    const StackEntry e = stack.back();
-    stack.pop_back();
-    if (hooks_.before_visit_node) hooks_.before_visit_node(e.page);
-    bool fallback = !optimistic;
-    if (optimistic) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntryOptimistic(
-          txn, e.page, e.nsn, query, lock_rids, &stack, &seen, out,
-          &fallback));
-    }
-    if (fallback) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntry(
-          txn, e.page, e.nsn, query, attach_kind, hybrid_attach, lock_rids,
-          op_id, &stack, &seen, out, &tree));
-    }
+  if (txn->is_snapshot()) {
+    GISTCR_CHECK(ctx_.mvcc != nullptr);  // Begin downgrades otherwise
+    ctx_.mvcc->CountSnapshotRead();
+  } else {
+    GISTCR_RETURN_IF_ERROR(SignalLock(txn, root));
   }
+  stack->push_back({root, root_mem});
+  if (hooks_.after_root_push) hooks_.after_root_push();
   return Status::OK();
 }
 
-
-Status Gist::ProcessStackEntry(Transaction* txn, PageId page, Nsn memorized,
-                               Slice query, PredKind attach_kind,
-                               bool hybrid_attach, bool lock_rids,
-                               uint64_t op_id,
-                               std::vector<StackEntry>* stack,
-                               std::unordered_set<uint64_t>* seen,
-                               std::vector<SearchResult>* out,
-                               internal::TreeLatch* tree) {
+Status Gist::VisitNext(Transaction* txn, const ReadSpec& spec,
+                       std::vector<StackEntry>* stack,
+                       std::unordered_set<uint64_t>* seen,
+                       std::vector<SearchResult>* out, TreeLatch* tree) {
+  const StackEntry e = stack->back();
+  stack->pop_back();
+  if (hooks_.before_visit_node) hooks_.before_visit_node(e.page);
+  const bool snapshot = txn->is_snapshot();
   PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchLatched(page, /*exclusive=*/false, &g));
+  GISTCR_RETURN_IF_ERROR(FetchLatched(e.page, /*exclusive=*/false, &g));
 
   for (;;) {
     NodeView node(g.view().data());
     // Split detection (Figure 2): the node split after the pointer was
     // memorized; its right sibling(s) must also be examined, with the
-    // same memorized counter value.
-    if (LinkProtocol() && node.nsn() > memorized &&
+    // same memorized counter value. Re-run after every lock wait, which
+    // is where a leaf can split under a waiting reader.
+    if (LinkProtocol() && node.nsn() > e.nsn &&
         node.rightlink() != kInvalidPageId) {
+      const PageId right = node.rightlink();
       bool already = false;
       for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
+        if (s.page == right && s.nsn == e.nsn) already = true;
       }
       if (!already) {
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, node.rightlink()));
-        stack->push_back({node.rightlink(), memorized});
+        if (!snapshot) GISTCR_RETURN_IF_ERROR(SignalLock(txn, right));
+        stack->push_back({right, e.nsn});
         stats_.rightlink_follows.Add(1);
         obs::BumpRestarts();
       }
@@ -476,252 +240,116 @@ Status Gist::ProcessStackEntry(Transaction* txn, PageId page, Nsn memorized,
       const Nsn cur = ctx_.nsn->Current();  // memorize before reading ptrs
       const uint16_t n = node.count();
       for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
+        if (!ext_->Consistent(node.entry_key(i), spec.query)) continue;
         const PageId child = static_cast<PageId>(node.entry_value(i));
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, child));
+        if (!snapshot) GISTCR_RETURN_IF_ERROR(SignalLock(txn, child));
         stack->push_back({child, cur});
       }
-      if (hybrid_attach) {
-        ctx_.preds->Attach(page, txn->id(), op_id, attach_kind, query);
+      if (spec.hybrid_attach) {
+        ctx_.preds->Attach(e.page, txn->id(), spec.op_id, spec.attach_kind,
+                           spec.query);
       }
       break;
     }
 
-    // Leaf: collect qualifying entries under the hybrid protocol.
+    if (snapshot) {
+      GISTCR_RETURN_IF_ERROR(
+          FilterLeafSnapshot(txn, spec.query, node, seen, out));
+      break;
+    }
     bool rescan = false;
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n && !rescan; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      const TxnId del_txn = node.entry_del_txn(i);
-      if (del_txn == txn->id()) continue;  // own logical delete
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (lock_rids) {
-        Status st = ctx_.locks->Lock(txn->id(),
-                                     LockName{LockSpace::kRecord, rid},
-                                     LockMode::kShared, /*wait=*/false);
-        if (st.IsBusy()) {
-          // Blocking with a latch held could deadlock against the lock
-          // owner; release the latch, wait, re-position (section 5).
-          stats_.rid_lock_waits.Add(1);
-          const Nsn mem = node.nsn();
-          g.Unlatch();
-          if (tree != nullptr) tree->Release();
-          st = ctx_.locks->Lock(txn->id(),
-                                LockName{LockSpace::kRecord, rid},
-                                LockMode::kShared, /*wait=*/true);
-          GISTCR_RETURN_IF_ERROR(st);
-          if (tree != nullptr) tree->Acquire();
-          g.RLatch();
-          NodeView renode(g.view().data());
-          if (LinkProtocol() && renode.nsn() > mem &&
-              renode.rightlink() != kInvalidPageId) {
-            GISTCR_RETURN_IF_ERROR(SignalLock(txn, renode.rightlink()));
-            stack->push_back({renode.rightlink(), mem});
-            stats_.rightlink_follows.Add(1);
-            obs::BumpRestarts();
-          }
-          rescan = true;  // restart the slot loop; `seen` prevents dupes
-          break;
-        }
-        GISTCR_RETURN_IF_ERROR(st);
-      }
-      if (node.entry_del_txn(i) != kInvalidTxnId) {
-        // Still marked after we obtained the S lock: the deleter
-        // committed; the entry is logically gone.
-        continue;
-      }
-      seen->insert(rid);
-      out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (rescan) continue;
-
-    if (hybrid_attach) {
-      // Attach the search predicate; FIFO fairness (section 10.3): block
-      // behind conflicting insert predicates attached ahead of us.
-      auto conflicts = ctx_.preds->AttachAndFindConflicts(
-          page, txn->id(), op_id, attach_kind, query,
-          [&](const PredAttachment& a) {
-            return a.kind == PredKind::kInsert &&
-                   ext_->Consistent(a.pred, query);
-          });
-      if (!conflicts.empty()) {
-        stats_.predicate_waits.Add(1);
-        const Nsn mem = node.nsn();
-        g.Unlatch();
-        if (tree != nullptr) tree->Release();
-        for (TxnId owner : conflicts) {
-          GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
-        }
-        if (tree != nullptr) tree->Acquire();
-        g.RLatch();
-        NodeView renode(g.view().data());
-        if (LinkProtocol() && renode.nsn() > mem &&
-            renode.rightlink() != kInvalidPageId) {
-          GISTCR_RETURN_IF_ERROR(SignalLock(txn, renode.rightlink()));
-          stack->push_back({renode.rightlink(), mem});
-          stats_.rightlink_follows.Add(1);
-          obs::BumpRestarts();
-        }
-        continue;  // rescan the leaf (the insert's entry is now visible)
-      }
-    }
-    break;
+    GISTCR_RETURN_IF_ERROR(
+        FilterLeafLocked(txn, spec, &g, seen, out, tree, &rescan));
+    if (!rescan) break;
   }
 
   g.Drop();
   // Visited: the signaling lock protecting this stacked pointer can go
   // (section 7.2).
-  SignalUnlock(txn, page);
+  if (!snapshot) SignalUnlock(txn, e.page);
   return Status::OK();
 }
 
-Status Gist::ProcessStackEntryOptimistic(Transaction* txn, PageId page,
-                                         Nsn memorized, Slice query,
-                                         bool lock_rids,
-                                         std::vector<StackEntry>* stack,
-                                         std::unordered_set<uint64_t>* seen,
-                                         std::vector<SearchResult>* out,
-                                         bool* fallback) {
-  *fallback = false;
-  auto frame_or = ctx_.pool->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard g(ctx_.pool, frame_or.value());  // pin only — never latched
-  stats_.optimistic_visits.Add(1);
-
-  // Pushes committed by an earlier attempt of THIS visit. Each push was
-  // individually validated (the parent still held the pointer when its
-  // signaling lock landed), so an invalidated attempt leaves them on the
-  // stack; this set keeps the retry from pushing duplicates.
-  std::unordered_set<PageId> pushed;
-  alignas(8) char snap[kPageSize];
-  OptimisticReadScope optimistic;
-
-  for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-    if (attempt != 0) {
-      stats_.read_restarts.Add(1);
-      obs::BumpRestarts();
-      GISTCR_CRASHPOINT("search.optimistic_restart");
-      // A writer may be holding the X latch for a while (e.g. I/O under
-      // latch on the insert path); don't burn the restart budget spinning.
-      std::this_thread::yield();
+Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
+                              PageGuard* g,
+                              std::unordered_set<uint64_t>* seen,
+                              std::vector<SearchResult>* out, TreeLatch* tree,
+                              bool* rescan) {
+  NodeView node(g->view().data());
+  const uint16_t n = node.count();
+  for (uint16_t i = 0; i < n; i++) {
+    if (!ext_->Consistent(node.entry_key(i), spec.query)) continue;
+    if (node.entry_del_txn(i) == txn->id()) continue;  // own logical delete
+    const uint64_t rid = node.entry_value(i);
+    if (seen->count(rid) != 0) continue;
+    const LockName record{LockSpace::kRecord, rid};
+    Status st = ctx_.locks->Lock(txn->id(), record, LockMode::kShared,
+                                 /*wait=*/false);
+    if (st.IsBusy()) {
+      stats_.rid_lock_waits.Add(1);
+      *rescan = true;
+      return WaitUnlatched(g, tree, [&] {
+        return ctx_.locks->Lock(txn->id(), record, LockMode::kShared,
+                                /*wait=*/true);
+      });
     }
-    // Memorize the counter BEFORE the copy: a child that splits after the
-    // copy then carries an NSN above it (Figure 3 ordering, with the
-    // snapshot standing in for the latched pointer read).
-    const Nsn cur = ctx_.nsn->Current();
-    uint64_t version = 0;
-    if (!g.frame()->SnapshotPage(snap, &version, &NodeView::SnapshotBounds)) {
+    GISTCR_RETURN_IF_ERROR(st);
+    if (node.entry_del_txn(i) != kInvalidTxnId) {
+      // Still marked after we obtained the S lock: the deleter
+      // committed; the entry is logically gone.
       continue;
     }
-    NodeView node(PageView(snap).data());
-
-    // Split detection (Figure 2) against the consistent copy.
-    if (node.nsn() > memorized && node.rightlink() != kInvalidPageId &&
-        pushed.count(node.rightlink()) == 0) {
-      bool already = false;
-      for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-      }
-      if (!already) {
-        // Blocking on a LOCK is fine here (we hold no latch, just like the
-        // latched path after it unlatches to wait); only latches are
-        // forbidden inside the optimistic section.
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, node.rightlink()));
-        if (g.frame()->version() != version) {
-          // Node changed while the lock was acquired: the pointer may be
-          // stale (the sibling could since have been retired). Unwind.
-          SignalUnlock(txn, node.rightlink());
-          continue;
-        }
-        stack->push_back({node.rightlink(), memorized});
-        pushed.insert(node.rightlink());
-        stats_.rightlink_follows.Add(1);
-      }
-    }
-
-    if (!node.is_leaf()) {
-      bool invalidated = false;
-      const uint16_t n = node.count();
-      for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
-        const PageId child = static_cast<PageId>(node.entry_value(i));
-        if (pushed.count(child) != 0) continue;
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, child));
-        if (g.frame()->version() != version) {
-          SignalUnlock(txn, child);
-          invalidated = true;
-          break;
-        }
-        // Version unchanged after the lock: the parent entry still points
-        // at child, so child was not retired before our signaling lock —
-        // the stacked pointer is deletion-protected from here (section
-        // 7.2), exactly the guarantee the latched read derives from its
-        // S latch.
-        stack->push_back({child, cur});
-        pushed.insert(child);
-      }
-      if (invalidated) continue;
-      g.Drop();
-      SignalUnlock(txn, page);
-      return Status::OK();
-    }
-
-    // Leaf: emit qualifying entries. `seen` makes attempt restarts exact —
-    // entries committed by a previous attempt are skipped, entries the
-    // invalidation interrupted are re-scanned.
-    bool invalidated = false;
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      if (node.entry_del_txn(i) == txn->id()) continue;  // own logical delete
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (lock_rids) {
-        Status st = ctx_.locks->Lock(txn->id(),
-                                     LockName{LockSpace::kRecord, rid},
-                                     LockMode::kShared, /*wait=*/false);
-        if (st.IsBusy()) {
-          // Block without any latch held (the latched path must first
-          // unlatch to get here — we are already there), then re-copy:
-          // the owner's commit may have changed the entry's del_txn.
-          stats_.rid_lock_waits.Add(1);
-          st = ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid},
-                                LockMode::kShared, /*wait=*/true);
-          GISTCR_RETURN_IF_ERROR(st);
-          invalidated = true;
-          break;
-        }
-        GISTCR_RETURN_IF_ERROR(st);
-        if (g.frame()->version() != version) {
-          // The S lock is held (2PL keeps it), but the snapshot's del_txn
-          // can no longer be trusted; re-copy and re-judge this entry.
-          invalidated = true;
-          break;
-        }
-      }
-      if (node.entry_del_txn(i) != kInvalidTxnId) {
-        // Marked in a copy validated while we hold the S lock: the
-        // deleter committed; the entry is logically gone.
-        continue;
-      }
-      seen->insert(rid);
-      out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (invalidated) continue;
-    g.Drop();
-    SignalUnlock(txn, page);
-    return Status::OK();
+    seen->insert(rid);
+    out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
   }
+  if (!spec.hybrid_attach) return Status::OK();
 
-  // Restart budget exhausted: hand the node to the latched path. Children
-  // already pushed stay pushed — the latched visit may push them again,
-  // which costs a duplicate (signal-lock-balanced) visit but no duplicate
-  // results (`seen`).
-  stats_.read_fallbacks.Add(1);
-  *fallback = true;
-  g.Drop();
+  // Attach the search predicate; FIFO fairness (section 10.3): block
+  // behind conflicting insert predicates attached ahead of us, then
+  // rescan (the insert's entry is now visible).
+  auto conflicts = ctx_.preds->AttachAndFindConflicts(
+      g->page_id(), txn->id(), spec.op_id, spec.attach_kind, spec.query,
+      [&](const PredAttachment& a) {
+        return a.kind == PredKind::kInsert &&
+               ext_->Consistent(a.pred, spec.query);
+      });
+  if (conflicts.empty()) return Status::OK();
+  stats_.predicate_waits.Add(1);
+  *rescan = true;
+  return WaitUnlatched(g, tree, [&] {
+    for (TxnId owner : conflicts) {
+      GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
+    }
+    return Status::OK();
+  });
+}
+
+Status Gist::FilterLeafSnapshot(Transaction* txn, Slice query,
+                                const NodeView& leaf,
+                                std::unordered_set<uint64_t>* seen,
+                                std::vector<SearchResult>* out) {
+  GISTCR_CRASHPOINT("search.mvcc_visibility");
+  const Lsn snap = txn->snapshot_lsn();
+  const uint16_t n = leaf.count();
+  for (uint16_t i = 0; i < n; i++) {
+    if (!ext_->Consistent(leaf.entry_key(i), query)) continue;
+    const uint64_t rid = leaf.entry_value(i);
+    if (seen->count(rid) != 0) continue;
+    if (!ctx_.mvcc->Visible(rid, leaf.entry_del_txn(i), snap)) continue;
+    seen->insert(rid);
+    out->push_back({leaf.entry_key(i).ToString(), Rid::Unpack(rid)});
+  }
   return Status::OK();
 }
 
-}  // namespace gistcr\n
+Status Gist::WaitUnlatched(PageGuard* g, TreeLatch* tree,
+                           const std::function<Status()>& wait) {
+  g->Unlatch();
+  tree->Release();
+  GISTCR_RETURN_IF_ERROR(wait());
+  tree->Acquire();
+  g->RLatch();
+  return Status::OK();
+}
+
+}  // namespace gistcr

@@ -49,15 +49,6 @@ struct GistOptions {
   /// Test hook: cap live entries per node to force splits with few keys
   /// (0 = page-capacity bound).
   uint16_t max_entries = 0;
-  /// Latch-free reads via optimistic lock coupling (DESIGN.md section 13):
-  /// searches and cursors read nodes from version-validated snapshots
-  /// instead of S-latching them, restarting the node visit on conflict.
-  /// Effective only under kLink (split compensation is what makes the
-  /// racy read safe) and outside the hybrid predicate-attach path, which
-  /// needs the latched attach ordering; other configurations silently use
-  /// the latched path. Writers always bump versions, so the knob can
-  /// differ between concurrent trees on one pool.
-  bool optimistic_reads = true;
 };
 
 /// Shared engine components a Gist operates on.
@@ -121,13 +112,6 @@ struct GistStats {
   obs::Counter& rid_lock_waits;
   obs::Counter& gc_removed;
   obs::Counter& nodes_deleted;
-  /// Optimistic read path (DESIGN.md section 13): node visits served from
-  /// version-validated snapshots, visits that re-copied after a failed
-  /// validation, and visits that exhausted their restart budget and fell
-  /// back to the latched path.
-  obs::Counter& optimistic_visits;
-  obs::Counter& read_restarts;
-  obs::Counter& read_fallbacks;
 };
 
 /// A Generalized Search Tree with the paper's concurrency, isolation and
@@ -159,7 +143,8 @@ class Gist {
 
   /// SEARCH: all leaf entries consistent with \p query, S-locking result
   /// RIDs and (at repeatable read) attaching the search predicate top-down
-  /// to every visited node.
+  /// to every visited node. A snapshot transaction instead sees the
+  /// entries visible to its snapshot and makes no lock-manager call.
   Status Search(Transaction* txn, Slice query,
                 std::vector<SearchResult>* out);
 
@@ -220,12 +205,6 @@ class Gist {
   bool LinkProtocol() const {
     return opts_.protocol != ConcurrencyProtocol::kUnsafeNoLink;
   }
-  /// Whether a traversal may use the latch-free read path (see
-  /// GistOptions::optimistic_reads for the gating rationale).
-  bool UseOptimisticReads(bool hybrid_attach) const {
-    return opts_.optimistic_reads &&
-           opts_.protocol == ConcurrencyProtocol::kLink && !hybrid_attach;
-  }
 
   /// Consistency between a BP (or key) and an attached predicate.
   /// Search/probe attachments carry query-domain bytes; insert attachments
@@ -242,78 +221,74 @@ class Gist {
   void SignalUnlock(Transaction* txn, PageId node);
 
   // --- search ----------------------------------------------------------
-  /// Core traversal shared by Search, Delete-locate and unique probes.
-  /// \p attach_kind: predicate kind to attach (kSearch for scans at RR,
-  /// kUniqueProbe for unique-insert probes); pass kInsert to attach
-  /// nothing. \p lock_rids: S-lock result RIDs (2PL).
+  /// What a traversal asks of every node it visits; fixed for the whole
+  /// traversal (one Search call, one unique probe, or one GistCursor).
+  struct ReadSpec {
+    Slice query;
+    /// Predicate kind attached by hybrid_attach: kSearch for scans,
+    /// kUniqueProbe for unique-insert probes.
+    PredKind attach_kind;
+    /// Attach the predicate to every visited node (section 4.3).
+    bool hybrid_attach;
+    uint64_t op_id;
+  };
+
+  /// Core traversal shared by Search and unique probes. \p attach: the
+  /// operation registers its predicate (repeatable-read scans, unique
+  /// probes) — on every visited node in kHybrid mode, in the tree-global
+  /// list in kGlobal mode.
   Status SearchInternal(Transaction* txn, Slice query, PredKind attach_kind,
-                        bool attach, bool lock_rids, uint64_t op_id,
+                        bool attach, uint64_t op_id,
                         std::vector<SearchResult>* out);
 
-  /// Processes one popped stack entry per Figure 3: split compensation,
-  /// child pushes with signaling locks (internal) or qualifying-entry
-  /// collection with RID locks and predicate fairness (leaf). Shared by
-  /// SearchInternal and GistCursor. \p tree may be null (no coarse latch
-  /// re-acquisition around lock waits).
-  Status ProcessStackEntry(Transaction* txn, PageId page, Nsn memorized,
-                           Slice query, PredKind attach_kind,
-                           bool hybrid_attach, bool lock_rids,
-                           uint64_t op_id,
-                           std::vector<StackEntry>* stack,
-                           std::unordered_set<uint64_t>* seen,
-                           std::vector<SearchResult>* out,
-                           internal::TreeLatch* tree);
+  /// Figure 3's root step, shared by SearchInternal and GistCursor::Open:
+  /// memorize the global NSN, read the root pointer, protect it with a
+  /// signaling lock (not for snapshot reads; see VisitNext), and push it.
+  Status PushRoot(Transaction* txn, std::vector<StackEntry>* stack);
 
-  /// Latch-free variant of ProcessStackEntry (DESIGN.md section 13): pins
-  /// the node, copies it into a local snapshot, validates the frame's
-  /// version word, and operates on the copy. Every side effect (child
-  /// push, rightlink push, emitted result) is individually re-validated
-  /// against the version before it is committed; an invalidated attempt
-  /// re-copies. After a bounded number of failed attempts it sets
-  /// \p *fallback and returns OK with the node unprocessed — the caller
-  /// re-runs it through the latched ProcessStackEntry (guaranteed
-  /// progress). Only called when UseOptimisticReads() holds, so there is
-  /// no predicate attach and no coarse tree latch to manage.
-  Status ProcessStackEntryOptimistic(Transaction* txn, PageId page,
-                                     Nsn memorized, Slice query,
-                                     bool lock_rids,
-                                     std::vector<StackEntry>* stack,
-                                     std::unordered_set<uint64_t>* seen,
-                                     std::vector<SearchResult>* out,
-                                     bool* fallback);
+  /// Pops and visits one stack entry per Figure 3, shared by the Search
+  /// loop and GistCursor: S-latch the node, compensate for splits since
+  /// the pointer was memorized (Figure 2), then push consistent children
+  /// (internal node) or filter qualifying entries into \p out (leaf).
+  ///
+  /// The transaction's isolation level picks the leaf filter: snapshot
+  /// transactions read through FilterLeafSnapshot, everyone else through
+  /// the 2PL FilterLeafLocked. Every stacked pointer of a 2PL reader
+  /// carries a signaling lock until its visit (section 7.2); a snapshot
+  /// reader takes none, because its registered snapshot defers all node
+  /// retirement (MvccManager::CanRetireNodes) from before it read any
+  /// pointer. \p tree is the kCoarse tree latch, released around lock
+  /// waits.
+  Status VisitNext(Transaction* txn, const ReadSpec& spec,
+                   std::vector<StackEntry>* stack,
+                   std::unordered_set<uint64_t>* seen,
+                   std::vector<SearchResult>* out, internal::TreeLatch* tree);
 
-  /// Snapshot-read traversal (DESIGN.md section 14): serves a read-only
-  /// snapshot transaction from the versioned leaf store. Makes ZERO lock
-  /// manager calls — no RID S-locks (visibility replaces 2PL), no
-  /// predicate attaches (the snapshot never conflicts with later writers),
-  /// and no signaling locks (node retirement is deferred wholesale while
-  /// any snapshot is active; see MvccManager::CanRetireNodes). Latches and
-  /// version-validated optimistic reads remain fair game — only the lock
-  /// manager is off-limits, which the zero-lock acceptance test asserts
-  /// via the lock.acquires counter and tools/gistcr_lint.py enforces
-  /// statically for predicate attaches.
-  Status SearchSnapshot(Transaction* txn, Slice query,
-                        std::vector<SearchResult>* out);
+  /// 2PL leaf filter (sections 4.3, 5 and 10.3) on the S-latched leaf
+  /// \p g: S-locks each qualifying record and, under hybrid_attach,
+  /// attaches the predicate and queues behind conflicting inserts. A lock
+  /// wait unlatches first and sets *rescan: the caller re-reads the leaf
+  /// (`seen` keeps results unique).
+  Status FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
+                          PageGuard* g, std::unordered_set<uint64_t>* seen,
+                          std::vector<SearchResult>* out,
+                          internal::TreeLatch* tree, bool* rescan);
 
-  /// One node visit of the snapshot traversal, optimistic flavor: copy,
-  /// validate, push children / emit Visible() leaf entries from the copy.
-  /// Sets \p *fallback after the restart budget is exhausted; the caller
-  /// re-runs the visit through ProcessStackEntrySnapshotLatched.
-  Status ProcessStackEntrySnapshot(Transaction* txn, PageId page,
-                                   Nsn memorized, Slice query, Lsn snap,
-                                   std::vector<StackEntry>* stack,
-                                   std::unordered_set<uint64_t>* seen,
-                                   std::vector<SearchResult>* out,
-                                   bool* fallback);
+  /// MVCC leaf filter (DESIGN.md section 14.3): emits the entries the
+  /// snapshot of \p txn can see. Makes zero lock-manager calls — the
+  /// lock.acquires test asserts it, and tools/gistcr_lint.py checks every
+  /// Snapshot-named function for predicate attaches and lock waits.
+  Status FilterLeafSnapshot(Transaction* txn, Slice query,
+                            const NodeView& leaf,
+                            std::unordered_set<uint64_t>* seen,
+                            std::vector<SearchResult>* out);
 
-  /// Latched flavor of the snapshot visit (optimistic disabled or budget
-  /// exhausted): S-latches the node — still zero lock-manager calls.
-  Status ProcessStackEntrySnapshotLatched(Transaction* txn, PageId page,
-                                          Nsn memorized, Slice query,
-                                          Lsn snap,
-                                          std::vector<StackEntry>* stack,
-                                          std::unordered_set<uint64_t>* seen,
-                                          std::vector<SearchResult>* out);
+  /// Runs \p wait (a lock-manager wait) with neither the latch of \p g
+  /// nor the kCoarse tree latch held, then re-acquires both: blocking
+  /// under a latch could deadlock undetectably against the lock owner
+  /// (section 5).
+  Status WaitUnlatched(PageGuard* g, internal::TreeLatch* tree,
+                       const std::function<Status()>& wait);
 
   friend class GistCursor;
 

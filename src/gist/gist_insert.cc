@@ -72,7 +72,7 @@ Status Gist::ChaseForPenalty(Transaction* txn, PageGuard* g, Nsn delimiter,
 Status Gist::LocateLeaf(Transaction* txn, Slice key,
                         std::vector<StackEntry>* stack, PageGuard* leaf) {
   // Memorize BEFORE reading the root pointer (same ordering rule as
-  // SearchInternal): a root grow in the window must carry an NSN above the
+  // PushRoot): a root grow in the window must carry an NSN above the
   // memorized value or the chase below cannot detect it.
   Nsn p_nsn = ctx_.nsn->Current();
   auto root_or = GetRoot();
@@ -285,6 +285,39 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   pl.orig_bp_after = ext_->UnionAll(kept, Slice());
   pl.new_bp = ext_->UnionAll(pl.moved, Slice());
 
+  // Make room in the parent BEFORE this split takes its NSN. A reader of
+  // our parent entry must either memorize a counter value below the new
+  // NSN (and so follow the rightlink) or find the new sibling's entry
+  // beside ours; the parent's X latch, held from before the NSN to the
+  // install, guarantees that. A parent split run after the NSN would
+  // break it: it releases the parent sibling it creates, which may carry
+  // our entry but not the new one, and a reader passing through it would
+  // lose the moved keys.
+  IndexEntry parent_entry;
+  parent_entry.key = pl.new_bp;
+  parent_entry.value = new_pid;
+  for (;;) {
+    NodeView pn(parent.view().data());
+    if (!NodeIsFull(pn, parent_entry)) break;
+    const size_t parent_ancestors = ancestors - 1;
+    GISTCR_RETURN_IF_ERROR(
+        SplitNodeInNta(txn, &parent, stack, parent_ancestors));
+    // Our child's entry may have moved to the parent's new sibling; chase.
+    for (;;) {
+      NodeView cur(parent.view().data());
+      if (cur.FindByValue(orig_pid) >= 0) break;
+      const PageId rl = cur.rightlink();
+      GISTCR_CHECK(rl != kInvalidPageId);
+      PageGuard next;
+      // Parent-level rightward chase (split parent moved the child's
+      // entry): left-to-right latch coupling, deadlock-free.
+      // gistcr-lint: allow(io-under-latch)
+      GISTCR_RETURN_IF_ERROR(FetchLatched(rl, /*exclusive=*/true, &next));
+      parent.Drop();
+      parent = std::move(next);
+    }
+  }
+
   // NSN: dedicated counter bumps before logging; LSN mode uses the split
   // record's own LSN (encoded as 0; redo substitutes rec.lsn).
   if (ctx_.nsn->source() == NsnSource::kCounter) {
@@ -340,38 +373,12 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   ctx_.locks->ReplicateSharedHolders(LockName{LockSpace::kNode, orig_pid},
                                      LockName{LockSpace::kNode, new_pid});
 
-  // Install the new sibling's parent entry and refresh the original's.
-  IndexEntry parent_entry;
-  parent_entry.key = pl.new_bp;
-  parent_entry.value = new_pid;
-
   // Both halves written and chained; the parent has no entry for the new
   // sibling yet (reachable only via the rightlink — the B-link invariant
   // recovery relies on).
   GISTCR_CRASHPOINT("split.before_parent_install");
 
-  for (;;) {
-    NodeView pn(parent.view().data());
-    if (!NodeIsFull(pn, parent_entry)) break;
-    const size_t parent_ancestors = ancestors - 1;
-    GISTCR_RETURN_IF_ERROR(
-        SplitNodeInNta(txn, &parent, stack, parent_ancestors));
-    // Our child's entry may have moved to the parent's new sibling; chase.
-    for (;;) {
-      NodeView cur(parent.view().data());
-      if (cur.FindByValue(orig_pid) >= 0) break;
-      const PageId rl = cur.rightlink();
-      GISTCR_CHECK(rl != kInvalidPageId);
-      PageGuard next;
-      // Parent-level rightward chase (split parent moved the child's
-      // entry): left-to-right latch coupling, deadlock-free.
-      // gistcr-lint: allow(io-under-latch)
-      GISTCR_RETURN_IF_ERROR(FetchLatched(rl, /*exclusive=*/true, &next));
-      parent.Drop();
-      parent = std::move(next);
-    }
-  }
-
+  // Install the new sibling's parent entry and refresh the original's.
   {
     NodeView pn(parent.view().data());
     LogRecord add;
@@ -919,8 +926,7 @@ Status Gist::InsertUnique(Transaction* txn, Slice key, Rid rid) {
   // rather than both succeeding.
   std::vector<SearchResult> results;
   Status st = SearchInternal(txn, eq, PredKind::kUniqueProbe,
-                             /*attach=*/true, /*lock_rids=*/true, op_id,
-                             &results);
+                             /*attach=*/true, op_id, &results);
   if (!st.ok()) {
     return st;
   }

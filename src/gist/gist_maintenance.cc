@@ -86,7 +86,6 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
   // different parent we conservatively skip (drain technique stays safe).
   PageGuard owner;
   bool owner_found = false;
-  bool child_is_target = false;
   for (uint16_t j = 0; j < pn.count() && !owner_found; j++) {
     PageId cur = static_cast<PageId>(pn.entry_value(j));
     if (cur == child) continue;
@@ -112,7 +111,6 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
       cur = nv.rightlink();
     }
   }
-  (void)child_is_target;
   // A node that was never split into (no inbound rightlink) can also be
   // deleted — but only if we can prove no inbound link exists. The chain
   // walk above cannot prove a negative cheaply, so we require an owner

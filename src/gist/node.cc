@@ -6,22 +6,6 @@
 
 namespace gistcr {
 
-void NodeView::SnapshotBounds(const char* page, uint32_t* head_len,
-                              uint32_t* tail_begin) {
-  // Racy reads of slot_count and heap_begin (see the Frame::SnapshotPage
-  // contract): clamp so a torn value can only change how much is copied,
-  // never read outside the page.
-  const uint32_t slots = DecodeFixed16(page + kNodeHeaderOffset + 14);
-  const uint32_t heap = DecodeFixed16(page + kNodeHeaderOffset + 16);
-  uint32_t head = kSlotArrayOffset + slots * kSlotSize;
-  if (head > kPageSize) head = kPageSize;
-  uint32_t tail = heap;
-  if (tail < head) tail = head;
-  if (tail > kPageSize) tail = kPageSize;
-  *head_len = head;
-  *tail_begin = tail;
-}
-
 void NodeView::Init(PageId self, uint16_t level) {
   PageView pv(d_);
   pv.Format(self, PageType::kGistNode);

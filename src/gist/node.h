@@ -51,16 +51,6 @@ class NodeView {
   /// Formats a fresh GiST node on the page.
   void Init(PageId self, uint16_t level);
 
-  /// Frame::SnapshotBoundsFn for GiST nodes (optimistic reads, DESIGN.md
-  /// section 13): a consistent copy needs only the front region (page +
-  /// node headers + slot array) and the entry heap growing down from the
-  /// page end — the free space between them is never dereferenced.
-  /// Called on the live, possibly mid-write page, so both sizes are
-  /// clamped to the page; the seqlock version re-check after the copy
-  /// rejects torn sizing.
-  static void SnapshotBounds(const char* page, uint32_t* head_len,
-                             uint32_t* tail_begin);
-
   Nsn nsn() const { return DecodeFixed64(d_ + kNodeHeaderOffset); }
   void set_nsn(Nsn n) { EncodeFixed64(d_ + kNodeHeaderOffset, n); }
 

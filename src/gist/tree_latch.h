@@ -6,7 +6,6 @@
 // gistcr-lint: allow-file(raw-latch-primitive)
 
 #include "common/mutex.h"
-#include "common/optimistic.h"
 #include "util/macros.h"
 
 namespace gistcr {
@@ -32,10 +31,6 @@ class TreeLatch {
 
   void Acquire() GISTCR_NO_THREAD_SAFETY_ANALYSIS {
     if (!enabled_ || held_) return;
-    // The optimistic read path only runs under kLink, where this latch is
-    // disabled — an enabled acquisition inside an optimistic section is a
-    // protocol violation (blocking latch wait while latch-free).
-    GISTCR_DCHECK(!InOptimisticSection());
     if (exclusive_) {
       m_->lock();
     } else {

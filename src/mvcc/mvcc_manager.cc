@@ -251,7 +251,7 @@ bool MvccManager::Visible(uint64_t rid, TxnId entry_del_txn,
       }
     }
     // No undeleted record: a concurrent writer delete-marked the live
-    // version after our caller validated its page copy. Judge by the
+    // version after our caller read the leaf entry. Judge by the
     // newest record's stamps — the pending (or post-snapshot) delete does
     // not hide it, but its *insert* must still have committed before this
     // snapshot. Returning true unconditionally would expose an insert

@@ -21,36 +21,6 @@ size_t AutoShards(size_t num_frames) {
 
 }  // namespace
 
-bool Frame::SnapshotPage(char* dst, uint64_t* version,
-                         SnapshotBoundsFn bounds) const {
-  const uint64_t v1 = version_.load(std::memory_order_acquire);
-  if ((v1 & 1) != 0) return false;  // writer in progress
-  // Seqlock copy: deliberately racy against a concurrent writer; the
-  // re-validation below discards any torn copy. TSan cannot model this
-  // idiom — see the scoped `race:` suppression in tsan.suppressions. The
-  // bounds callback's reads of the live page are part of the same racy
-  // window: if the trailing version check passes, both the sizing reads
-  // and the copied bytes saw the single consistent image published before
-  // v1 — a torn size can only produce a copy that fails validation, and
-  // the callback contract clamps it to the page so the copy stays in
-  // bounds meanwhile.
-  uint32_t head_len = kPageSize;
-  uint32_t tail_begin = kPageSize;
-  if (bounds != nullptr) {
-    bounds(data_, &head_len, &tail_begin);
-    if (head_len > kPageSize) head_len = kPageSize;
-    if (tail_begin > kPageSize) tail_begin = kPageSize;
-  }
-  std::memcpy(dst, data_, head_len);
-  if (tail_begin < kPageSize) {
-    std::memcpy(dst + tail_begin, data_ + tail_begin, kPageSize - tail_begin);
-  }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (version_.load(std::memory_order_acquire) != v1) return false;
-  *version = v1;
-  return true;
-}
-
 BufferPool::BufferPool(DiskManager* disk, size_t num_frames,
                        WalFlushFn wal_flush, size_t num_shards)
     : disk_(disk), wal_flush_(std::move(wal_flush)) {
@@ -135,11 +105,7 @@ StatusOr<Frame*> BufferPool::FetchInternal(PageId page_id, bool fresh) {
       f->ref_ = true;
       if (fresh) {
         // Stale cached copy of a previously freed page: caller reformats.
-        // The version passes through an odd value so any optimistic reader
-        // still pinned to the old incarnation fails validation.
-        f->BeginWrite();
         std::memset(f->data_, 0, kPageSize);
-        f->EndWrite();
       } else {
         m_hits_->Add(1);
       }
@@ -171,11 +137,6 @@ StatusOr<Frame*> BufferPool::FetchInternal(PageId page_id, bool fresh) {
     victim->page_id_ = page_id;
     victim->ref_ = true;
     victim->pin_count_ = 1;
-    // Park the version on an odd value for the duration of the fill. No
-    // thread can pin the frame while it is Busy (so no snapshot is
-    // possible), but the odd value makes that hold structurally, not just
-    // by the pin protocol.
-    victim->version_.store(1, std::memory_order_release);
     s.table[page_id] = victim;
     l.Unlock();
 
@@ -206,15 +167,6 @@ StatusOr<Frame*> BufferPool::FetchInternal(PageId page_id, bool fresh) {
         } else {
           st = disk_->ReadPage(page_id, victim->data_);
         }
-      }
-      if (st.ok()) {
-        // Seed the seqlock word from the on-disk page_lsn (section 10.1:
-        // the LSN doubles as the page's version). Shifted left to keep it
-        // even = no writer; a fresh page seeds at 0 and advances when the
-        // caller formats it under the X latch.
-        const Lsn page_lsn = PageView(victim->data_).page_lsn();
-        victim->version_.store(static_cast<uint64_t>(page_lsn) << 1,
-                               std::memory_order_release);
       }
     }
 

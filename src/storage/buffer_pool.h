@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/optimistic.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
@@ -54,52 +53,6 @@ class Frame {
   bool dirty() const { return dirty_.load(std::memory_order_acquire); }
   Lsn rec_lsn() const { return rec_lsn_.load(std::memory_order_relaxed); }
 
-  /// Seqlock version word for optimistic (latch-free) reads, DESIGN.md
-  /// section 13. Odd while a writer holds the X latch; bumped to the next
-  /// even value before the latch is released. Seeded from the on-disk
-  /// page_lsn (shifted left one bit, keeping it even) when the frame is
-  /// filled, unifying it with the NSN/LSN version narrative of paper
-  /// section 10.1: a page image and its version word advance together.
-  ///
-  /// Reader protocol (SnapshotPage below): load an even version, copy the
-  /// page, re-load; equal means the copy is consistent. The copy itself is
-  /// a benign data race on the page bytes (the classic seqlock pattern) —
-  /// see the documented scoped suppression in tsan.suppressions.
-  uint64_t version() const { return version_.load(std::memory_order_acquire); }
-
-  /// Writer-side hooks, called by PageGuard around the X latch. BeginWrite
-  /// makes the version odd so in-flight optimistic copies fail validation;
-  /// EndWrite publishes the new even version after all modifications.
-  void BeginWrite() { version_.fetch_add(1, std::memory_order_acq_rel); }
-  void EndWrite() { version_.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Computes the byte ranges a snapshot of a page must cover: the copy
-  /// spans [0, head_len) and [tail_begin, kPageSize). Called on the LIVE
-  /// (possibly mid-write) page image, so implementations must clamp every
-  /// derived size to the page — a torn length must only ever cost copied
-  /// bytes, never an out-of-bounds read. The seqlock version re-check
-  /// after the copy rejects any snapshot whose bounds were torn.
-  using SnapshotBoundsFn = void (*)(const char* page, uint32_t* head_len,
-                                    uint32_t* tail_begin);
-
-  /// Copies the page into \p dst (kPageSize bytes) without latching. On
-  /// success stores the version the copy is consistent with in \p version
-  /// and returns true; returns false when a writer was active or raced the
-  /// copy (retry or fall back to a latched read). The caller must hold a
-  /// pin — the pin is this pool's safe-memory reclamation: eviction never
-  /// selects a pinned frame, so data_ and page_id_ are stable for the
-  /// duration. Out-of-line so the tsan.suppressions entry matches the
-  /// symbol even when callers are inlined.
-  ///
-  /// \p bounds (optional) narrows the copy to the page's used bytes —
-  /// page layouts keep a front region (headers + slot array) and a back
-  /// region (entry heap), so a mostly-empty 8 KiB page needs only a few
-  /// hundred bytes copied. The uncovered middle of \p dst is left
-  /// unwritten; a validated snapshot never dereferences into it (all
-  /// offsets in a consistent image point into the covered regions).
-  bool SnapshotPage(char* dst, uint64_t* version,
-                    SnapshotBoundsFn bounds = nullptr) const;
-
  private:
   friend class BufferPool;
 
@@ -125,11 +78,6 @@ class Frame {
   State state_ GISTCR_GUARDED_BY(*shard_mu_) = State::kReady;
   std::atomic<bool> dirty_{false};
   std::atomic<Lsn> rec_lsn_{kInvalidLsn};
-  /// Seqlock word (see version() above). Re-seeded from the page_lsn on
-  /// every frame fill, and the fill/reformat paths pass through an odd
-  /// value first so a concurrent snapshot can never validate against a
-  /// half-filled image.
-  std::atomic<uint64_t> version_{0};
   char* data_ = nullptr;
   Mutex* shard_mu_ = nullptr;  ///< owning shard's mutex; set once in ctor
   SharedMutex latch_;
@@ -346,27 +294,22 @@ class PageGuard {
 
   void RLatch() GISTCR_NO_THREAD_SAFETY_ANALYSIS {
     GISTCR_DCHECK(latch_ == LatchState::kNone);
-    GISTCR_DCHECK(!InOptimisticSection());
     frame_->latch().lock_shared();
     latch_ = LatchState::kShared;
     NoteLatched(/*try_acquire=*/false);
   }
   void WLatch() GISTCR_NO_THREAD_SAFETY_ANALYSIS {
     GISTCR_DCHECK(latch_ == LatchState::kNone);
-    GISTCR_DCHECK(!InOptimisticSection());
     frame_->latch().lock();
     latch_ = LatchState::kExclusive;
-    frame_->BeginWrite();
     NoteLatched(/*try_acquire=*/false);
   }
   /// Non-blocking X latch (used where blocking would invert the latch
-  /// order, e.g. garbage collection latching downward). Allowed inside an
-  /// optimistic section: a try-acquire cannot wait behind a writer.
+  /// order, e.g. garbage collection latching downward).
   bool TryWLatch() GISTCR_NO_THREAD_SAFETY_ANALYSIS {
     GISTCR_DCHECK(latch_ == LatchState::kNone);
     if (!frame_->latch().try_lock()) return false;
     latch_ = LatchState::kExclusive;
-    frame_->BeginWrite();
     NoteLatched(/*try_acquire=*/true);
     return true;
   }
@@ -374,10 +317,6 @@ class PageGuard {
     if (latch_ == LatchState::kShared) {
       frame_->latch().unlock_shared();
     } else if (latch_ == LatchState::kExclusive) {
-      // Publish the post-modification version before the latch falls: an
-      // optimistic reader that begins its copy after this point validates
-      // against the new even value.
-      frame_->EndWrite();
       frame_->latch().unlock();
     }
 #if GISTCR_DEADLOCK_DETECTOR

@@ -171,7 +171,6 @@ inline constexpr const char* kCrashPointCatalogue[] = {
     "gc.before_nta_end",            // GC removal applied, NTA-End not logged
     "gc.node_delete.before_rightlink_rewire",  // parent entry gone, chain not
     "bp.before_evict_write",        // WAL forced, dirty victim not written
-    "search.optimistic_restart",    // optimistic read invalidated, re-copying
     "search.mvcc_visibility",       // snapshot leaf visit, Visible() filtering
     "wal.before_fsync",             // log pwritten, not yet durable
     "wal.after_fsync",              // log durable, in-memory state not updated

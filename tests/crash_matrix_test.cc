@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,7 +17,6 @@
 
 #include "access/btree_extension.h"
 #include "db/database.h"
-#include "db/meta_page.h"
 #include "storage/fault_injector.h"
 #include "tests/crash_harness.h"
 #include "tests/test_util.h"
@@ -120,18 +120,18 @@ int ForkAndWait(const std::function<void()>& child_body) {
 }
 
 // ---------------------------------------------------------------------
-// Crash during an optimistic read restart (DESIGN.md section 13): the
-// child dies at "search.optimistic_restart" — mid latch-free traversal,
-// with a writer transaction in flight — and recovery must come back to a
-// tree whose re-seeded version words serve correct optimistic reads.
+// Crash inside a snapshot read (DESIGN.md section 14): the child dies at
+// "search.mvcc_visibility" — a snapshot reader mid leaf visit, beside a
+// writer with transactions in flight — and recovery must come back to a
+// tree whose snapshot reads, served from a version store rebuilt from
+// nothing, see exactly the WAL oracle's committed keys.
 // ---------------------------------------------------------------------
 
-/// Child: preload, arm the restart crash point, then run optimistic
-/// searches against a concurrent writer plus a root-latch toggler (a held
-/// write latch makes the seqlock version odd, so a search that lands in
-/// the window fails validation, restarts, and trips the point).
-[[noreturn]] void RunOptimisticReaderCrashChild(const std::string& path,
-                                                const TortureOptions& opt) {
+/// Child: preload, start a writer, arm the visibility crash point once the
+/// writer has committed a few transactions, then run snapshot searches
+/// from two reader threads until the point fires and kills the process.
+[[noreturn]] void RunSnapshotReaderCrashChild(const std::string& path,
+                                              const TortureOptions& opt) {
   static BtreeExtension ext;
   DatabaseOptions dopts;
   dopts.path = path;
@@ -147,108 +147,87 @@ int ForkAndWait(const std::function<void()>& child_body) {
   if (!gist_or.ok()) crash::ChildDie("get index", gist_or.status());
   Gist* gist = gist_or.value();
 
-  int64_t next_key = 0;
-  for (int i = 0; i < 300; i += 16) {
+  for (int64_t k = 0; k < 300; k += 16) {
     Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
-    for (int j = 0; j < 16; j++) {
-      const int64_t k = next_key++;
-      auto rid_or = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
-                                     "v" + std::to_string(k));
+    for (int64_t j = k; j < k + 16; j++) {
+      auto rid_or = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(j),
+                                     "v" + std::to_string(j));
       if (!rid_or.ok()) crash::ChildDie("preload insert", rid_or.status());
     }
     GISTCR_CHILD_OK("preload commit", db->Commit(txn));
   }
 
-  FaultInjector::Global().Reset();
-  FaultInjector::Global().ArmCrashPoint("search.optimistic_restart", 0,
-                                        FaultInjector::CrashAction::kExit);
-
   std::atomic<bool> stop{false};
-  // Writer: keeps splitting and version-bumping nodes; some of its
+  std::atomic<int> commits{0};
+  // Writer: keeps splitting leaves and stamping versions; some of its
   // transactions will be in flight (durable but uncommitted) at the crash.
   std::thread writer([&] {
-    while (!stop.load()) {
+    for (int64_t k = 1000; !stop.load(); k += 4) {
       Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
       bool ok = true;
-      for (int j = 0; j < 4 && ok; j++) {
-        const int64_t k = 1000 + next_key++;
-        ok = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
-                              "v" + std::to_string(k))
+      for (int64_t j = k; j < k + 4 && ok; j++) {
+        ok = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(j),
+                              "v" + std::to_string(j))
                  .ok();
       }
-      if (ok) {
-        (void)db->Commit(txn);
-      } else {
+      if (ok && db->Commit(txn).ok()) {
+        commits.fetch_add(1);
+      } else if (!ok) {
         (void)db->Abort(txn);
       }
     }
   });
-  // Latch toggler: holds the root write latch in short pulses so a search
-  // reliably lands in an odd-version window.
-  std::thread toggler([&] {
-    auto meta_or = db->pool()->Fetch(MetaView::kMetaPageId);
-    if (!meta_or.ok()) return;
-    PageGuard mg(db->pool(), meta_or.value());
-    mg.RLatch();
-    const PageId root = MetaView(mg.view().data()).GetRoot(1);
-    mg.Unlatch();
-    while (!stop.load()) {
-      auto fr = db->pool()->Fetch(root);
-      if (!fr.ok()) return;
-      {
-        PageGuard g(db->pool(), fr.value());
-        g.WLatch();
-        for (int y = 0; y < 3; y++) std::this_thread::yield();
-        g.Unlatch();
-      }
-      std::this_thread::yield();
-    }
-  });
+  while (commits.load() < 5) std::this_thread::yield();
 
-  // Optimistic searches until the restart point fires and kills us.
-  for (int i = 0; i < 50000; i++) {
-    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
-    std::vector<SearchResult> results;
-    (void)gist->Search(txn, BtreeExtension::MakeRange(0, 299), &results);
-    (void)db->Commit(txn);
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPoint("search.mvcc_visibility", 40,
+                                        FaultInjector::CrashAction::kExit);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 5000 && !stop.load(); i++) {
+        Transaction* txn = db->Begin(IsolationLevel::kSnapshot);
+        std::vector<SearchResult> results;
+        (void)gist->Search(txn, BtreeExtension::MakeRange(0, 1 << 20),
+                           &results);
+        (void)db->Commit(txn);
+      }
+    });
   }
+  for (auto& t : readers) t.join();
   stop = true;
   writer.join();
-  toggler.join();
-  std::_Exit(0);  // the restart point never fired
+  std::_Exit(0);  // the visibility point never fired
 }
 
-TEST(CrashMatrixInflightReaders, CrashAtOptimisticRestartRecovers) {
+TEST(CrashMatrixInflightReaders, CrashAtMvccVisibilityRecovers) {
   if (!kFaultInjectionCompiled) {
     GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
   }
-  const std::string path = TestPath("optcrash");
+  const std::string path = TestPath("snapcrash");
   RemoveDbFiles(path);
   TortureOptions opt;
 
   const int exit_code =
-      ForkAndWait([&] { RunOptimisticReaderCrashChild(path, opt); });
-  if (exit_code == 0) {
-    RemoveDbFiles(path);
-    GTEST_SKIP() << "search.optimistic_restart did not fire";
-  }
+      ForkAndWait([&] { RunSnapshotReaderCrashChild(path, opt); });
   ASSERT_EQ(exit_code, FaultInjector::kCrashExitCode)
-      << "child did not die at search.optimistic_restart";
+      << "child did not die at search.mvcc_visibility";
   crash::VerifyFlightArtifact(path);
 
-  // Integrity + atomicity against the WAL oracle; the verification search
-  // itself runs optimistically (kLink + optimistic_reads default on).
+  // Integrity + atomicity against the WAL oracle (read-committed).
   RecoverAndVerify(path, opt);
 
-  // Post-recovery, version words are re-seeded from the recovered page
-  // LSNs: a fresh optimistic scan must serve from snapshots (visits move,
-  // no fallbacks) and see exactly the oracle-visible keys again.
+  // A snapshot begun after recovery must see exactly the oracle's keys:
+  // every recovered entry predates the rebuilt version store, so the
+  // "ancient record" rule has to make committed entries visible and the
+  // losers' undone ones gone.
   static BtreeExtension ext;
   DatabaseOptions dopts;
   dopts.path = path;
   auto db_or = Database::Open(dopts);
   ASSERT_OK(db_or.status());
   std::unique_ptr<Database> db = db_or.MoveValue();
+  ASSERT_OK(db->WaitForRecovery());
   GistOptions gopts;
   gopts.index_id = 1;
   gopts.max_entries = opt.max_entries;
@@ -256,14 +235,18 @@ TEST(CrashMatrixInflightReaders, CrashAtOptimisticRestartRecovers) {
   Gist* gist = db->GetIndex(1).value();
   crash::Oracle oracle;
   ASSERT_OK(crash::ComputeOracle(path, &oracle));
-  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  Transaction* txn = db->Begin(IsolationLevel::kSnapshot);
+  ASSERT_TRUE(txn->is_snapshot());
   std::vector<SearchResult> results;
   ASSERT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 1 << 20),
                          &results));
   ASSERT_OK(db->Commit(txn));
-  EXPECT_EQ(results.size(), oracle.visible.size());
-  EXPECT_GT(gist->stats().optimistic_visits.load(), 0u);
-  EXPECT_EQ(gist->stats().read_fallbacks.load(), 0u);
+  std::map<int64_t, uint64_t> found;
+  for (const SearchResult& r : results) {
+    found[BtreeExtension::Lo(r.key)] = r.rid.Pack();
+  }
+  EXPECT_EQ(found.size(), results.size()) << "duplicate snapshot results";
+  EXPECT_EQ(found, oracle.visible);
   RemoveDbFiles(path);
 }
 
@@ -441,7 +424,7 @@ TEST(CrashPointCatas, MatrixPointsAreCatalogued) {
         "wal.before_fsync", "wal.after_fsync", "txn.commit.before_log_force",
         "txn.commit.after_log_force", "ckpt.before_master_update",
         "recovery.after_analysis", "recovery.after_redo",
-        "recovery.mid_undo", "search.optimistic_restart"}) {
+        "recovery.mid_undo", "search.mvcc_visibility"}) {
     EXPECT_TRUE(in_catalogue(p)) << p;
   }
 }

@@ -390,13 +390,11 @@ TEST_F(ConcurrencyTest, CoarseProtocolProducesSameResults) {
   ASSERT_OK(db_->Commit(txn));
 }
 
-// Optimistic reads racing structure modifications (DESIGN.md section 13):
-// read-committed scans over a stable committed prefix must return exactly
-// that prefix — no torn entries, no duplicates, no lost keys — while
-// writers split nodes and delete volatile keys underneath them, and the
-// version-validation restart rate must stay under a fixed per-search
-// bound.
-TEST_F(ConcurrencyTest, OptimisticReadExactResultsRacingSMOs) {
+// Reads racing structure modifications: read-committed scans over a stable
+// committed prefix must return exactly that prefix — no foreign entries,
+// no duplicates, no lost keys — while writers split nodes and delete
+// volatile keys underneath them.
+TEST_F(ConcurrencyTest, ReadCommittedExactResultsRacingSMOs) {
   SetUpDb(ConcurrencyProtocol::kLink, 6);
   constexpr int64_t kStable = 300;    // keys [0, kStable) are never touched
   constexpr int64_t kVolatile = 400;  // keys [kStable, kStable+kVolatile)
@@ -458,8 +456,8 @@ TEST_F(ConcurrencyTest, OptimisticReadExactResultsRacingSMOs) {
         std::set<int64_t> got;
         for (const auto& res : results) {
           const int64_t k = BtreeExtension::Lo(res.key);
-          ASSERT_GE(k, lo) << "torn/foreign key " << k;
-          ASSERT_LE(k, hi) << "torn/foreign key " << k;
+          ASSERT_GE(k, lo) << "foreign key " << k;
+          ASSERT_LE(k, hi) << "foreign key " << k;
           ASSERT_TRUE(got.insert(k).second) << "duplicate key " << k;
         }
         ASSERT_EQ(got.size(), 30u)
@@ -473,10 +471,6 @@ TEST_F(ConcurrencyTest, OptimisticReadExactResultsRacingSMOs) {
 
   ASSERT_OK(gist_->CheckInvariants());
   EXPECT_GT(gist_->stats().splits.load(), 0u);
-  EXPECT_GT(gist_->stats().optimistic_visits.load(), 0u);
-  constexpr uint64_t kTotalSearches = kReaders * kSearchesPerReader;
-  EXPECT_LE(gist_->stats().read_restarts.load(), 2 * kTotalSearches)
-      << "optimistic restarts exceed the per-search bound";
 }
 
 // ---------------------------------------------------------------------

@@ -190,69 +190,5 @@ TEST_F(SplitDetectionTest, SearcherFollowsChainBuiltDuringPause) {
   EXPECT_GT(gist_->stats().rightlink_follows.load(), 1u);
 }
 
-// The paused-searcher scenario, pinned explicitly to the optimistic read
-// path (DESIGN.md section 13): a read-committed search under kLink with
-// optimistic_reads on must compensate for the splits built during the
-// pause from version-validated snapshots — without ever taking the latched
-// fallback — and return exactly what a latched searcher returns.
-TEST_F(SplitDetectionTest, OptimisticReadSearcherCompensatesAcrossPause) {
-  Transaction* setup = db_->Begin();
-  for (int64_t k : {900, 910, 920, 1000}) Insert(setup, k);
-  ASSERT_OK(db_->Commit(setup));
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool paused = false, resume = false;
-  gist_->test_hooks().after_root_push = [&] {
-    std::unique_lock<std::mutex> l(mu);
-    paused = true;
-    cv.notify_all();
-    cv.wait(l, [&] { return resume; });
-  };
-
-  std::vector<SearchResult> results;
-  std::thread searcher([&] {
-    Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
-    ASSERT_OK(gist_->Search(txn, BtreeExtension::MakeRange(900, 1000),
-                            &results));
-    ASSERT_OK(db_->Commit(txn));
-  });
-  {
-    std::unique_lock<std::mutex> l(mu);
-    cv.wait(l, [&] { return paused; });
-  }
-  gist_->test_hooks().after_root_push = nullptr;
-
-  const uint64_t visits_before = gist_->stats().optimistic_visits.load();
-  Transaction* t2 = db_->Begin(IsolationLevel::kReadCommitted);
-  for (int64_t k : {930, 940, 950, 960, 970, 980}) Insert(t2, k);
-  ASSERT_OK(db_->Commit(t2));
-
-  {
-    std::lock_guard<std::mutex> l(mu);
-    resume = true;
-    cv.notify_all();
-  }
-  searcher.join();
-
-  // Exactness: everything committed before the scan, nothing torn, no
-  // duplicates.
-  std::set<int64_t> found;
-  for (const auto& r : results) {
-    const int64_t k = BtreeExtension::Lo(r.key);
-    EXPECT_TRUE(found.insert(k).second) << "duplicate key " << k;
-    EXPECT_GE(k, 900);
-    EXPECT_LE(k, 1000);
-  }
-  for (int64_t k : {900, 910, 920, 1000}) {
-    EXPECT_TRUE(found.count(k)) << "lost key " << k;
-  }
-  // The compensation ran on the optimistic path: snapshot visits happened
-  // after the pause, and the restart budget was never exhausted.
-  EXPECT_GT(gist_->stats().optimistic_visits.load(), visits_before);
-  EXPECT_EQ(gist_->stats().read_fallbacks.load(), 0u);
-  EXPECT_GT(gist_->stats().rightlink_follows.load(), 0u);
-}
-
 }  // namespace
 }  // namespace gistcr

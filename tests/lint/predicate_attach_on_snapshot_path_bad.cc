@@ -14,8 +14,8 @@
 
 namespace gistcr {
 
-Status Gist::ProcessStackEntrySnapshot(Transaction* txn, PageId page,
-                                       std::vector<SearchResult>* out) {
+Status Gist::FilterLeafSnapshot(Transaction* txn, PageId page,
+                                std::vector<SearchResult>* out) {
   // VIOLATION: predicate attach on the snapshot read path.
   GISTCR_RETURN_IF_ERROR(ctx_.preds->Attach(txn->id(), page));
   // VIOLATION: signal lock (a lock-manager S lock) on the snapshot path.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -16,11 +17,13 @@ namespace {
 /// search the result set must equal the oracle's range view; after every
 /// crash-recovery cycle the full contents must match the oracle exactly.
 ///
-/// Equivalence mode (DESIGN.md section 13): every operation is mirrored
-/// into a second index that has optimistic reads disabled, and every
-/// search runs against both. The optimistic (latch-free) read path must be
-/// observationally identical to the latched one on the same history —
-/// same result sets step by step, same post-recovery contents.
+/// Equivalence mode: every search runs twice on the same index, once as a
+/// read-committed transaction (2PL leaf filter: record S-locks) and once
+/// as a snapshot transaction begun after the last commit (MVCC leaf
+/// filter: Visible()). Both share one node visit (Gist::VisitNext) and
+/// must be observationally identical — same result sets step by step,
+/// same post-recovery contents, where the snapshot reads a version store
+/// rebuilt from nothing after each crash.
 class ModelCheckTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
@@ -28,28 +31,16 @@ class ModelCheckTest : public ::testing::TestWithParam<uint64_t> {
     RemoveDbFiles(path_);
     opts_.path = path_;
     opts_.buffer_pool_pages = 256;
-    OpenFresh();
+    gopts_.max_entries = 8;
+    auto db_or = Database::Create(opts_);
+    ASSERT_OK(db_or.status());
+    db_ = db_or.MoveValue();
+    ASSERT_OK(db_->CreateIndex(1, &ext_, gopts_));
+    gist_ = db_->GetIndex(1).value();
   }
   void TearDown() override {
     db_.reset();
     RemoveDbFiles(path_);
-  }
-
-  GistOptions IndexOptions(bool optimistic) {
-    GistOptions gopts;
-    gopts.max_entries = 8;
-    gopts.optimistic_reads = optimistic;
-    return gopts;
-  }
-
-  void OpenFresh() {
-    auto db_or = Database::Create(opts_);
-    ASSERT_OK(db_or.status());
-    db_ = db_or.MoveValue();
-    ASSERT_OK(db_->CreateIndex(1, &ext_, IndexOptions(true)));
-    gist_ = db_->GetIndex(1).value();
-    ASSERT_OK(db_->CreateIndex(2, &ext_latched_, IndexOptions(false)));
-    gist_latched_ = db_->GetIndex(2).value();
   }
 
   void CrashRecover() {
@@ -59,75 +50,71 @@ class ModelCheckTest : public ::testing::TestWithParam<uint64_t> {
     auto db_or = Database::Open(opts_);
     ASSERT_OK(db_or.status());
     db_ = db_or.MoveValue();
-    ASSERT_OK(db_->OpenIndex(1, &ext_, IndexOptions(true)));
+    // Snapshot begins downgrade to repeatable read while instant restart
+    // is still undoing losers; drain it so the snapshot leg stays one.
+    ASSERT_OK(db_->WaitForRecovery());
+    ASSERT_OK(db_->OpenIndex(1, &ext_, gopts_));
     gist_ = db_->GetIndex(1).value();
-    ASSERT_OK(db_->OpenIndex(2, &ext_latched_, IndexOptions(false)));
-    gist_latched_ = db_->GetIndex(2).value();
   }
 
-  /// Runs the same range search through the optimistic index and the
-  /// latched mirror; the two must agree before either is compared to the
-  /// oracle.
-  std::set<int64_t> SearchBoth(Transaction* txn, int64_t lo, int64_t hi) {
+  std::set<int64_t> SearchAt(IsolationLevel iso, int64_t lo, int64_t hi) {
+    Transaction* txn = db_->Begin(iso);
+    EXPECT_EQ(txn->is_snapshot(), iso == IsolationLevel::kSnapshot);
     std::vector<SearchResult> results;
     EXPECT_OK(gist_->Search(txn, BtreeExtension::MakeRange(lo, hi), &results));
+    EXPECT_OK(db_->Commit(txn));
     std::set<int64_t> got;
     for (const auto& r : results) got.insert(BtreeExtension::Lo(r.key));
-    std::vector<SearchResult> latched;
-    EXPECT_OK(gist_latched_->Search(txn, BtreeExtension::MakeRange(lo, hi),
-                                    &latched));
-    std::set<int64_t> got_latched;
-    for (const auto& r : latched) got_latched.insert(BtreeExtension::Lo(r.key));
-    EXPECT_EQ(got, got_latched)
-        << "optimistic and latched reads diverge on [" << lo << "," << hi
-        << "]";
+    EXPECT_EQ(got.size(), results.size()) << "duplicate results";
+    return got;
+  }
+
+  /// Runs the same range search read-committed and as a snapshot; the two
+  /// must agree before either is compared to the oracle.
+  std::set<int64_t> SearchBoth(int64_t lo, int64_t hi) {
+    const std::set<int64_t> got =
+        SearchAt(IsolationLevel::kReadCommitted, lo, hi);
+    EXPECT_EQ(got, SearchAt(IsolationLevel::kSnapshot, lo, hi))
+        << "read-committed and snapshot reads diverge on [" << lo << ","
+        << hi << "]";
     return got;
   }
 
   std::string path_;
   DatabaseOptions opts_;
+  GistOptions gopts_;
   std::unique_ptr<Database> db_;
   BtreeExtension ext_;
-  BtreeExtension ext_latched_;
   Gist* gist_ = nullptr;
-  Gist* gist_latched_ = nullptr;
 };
 
 TEST_P(ModelCheckTest, RandomOpsMatchOracle) {
   Random rng(GetParam());
-  std::map<int64_t, Rid> oracle;          // committed state (optimistic index)
-  std::map<int64_t, Rid> oracle_latched;  // rids of the latched mirror
+  std::map<int64_t, Rid> oracle;  // committed state
   int64_t next_key_base = 0;
 
   for (int step = 0; step < 120; step++) {
     const uint64_t dice = rng.Uniform(100);
     if (dice < 45) {
-      // Transaction with 1..8 inserts (mirrored into both indexes);
-      // 20% abort.
+      // Transaction with 1..8 inserts; 20% abort.
       Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
-      std::vector<std::tuple<int64_t, Rid, Rid>> staged;
+      std::vector<std::pair<int64_t, Rid>> staged;
       const int n = 1 + static_cast<int>(rng.Uniform(8));
       for (int i = 0; i < n; i++) {
         const int64_t k = next_key_base++;
         auto rid =
             db_->InsertRecord(txn, gist_, BtreeExtension::MakeKey(k), "v");
         ASSERT_OK(rid.status());
-        auto rid_latched = db_->InsertRecord(txn, gist_latched_,
-                                             BtreeExtension::MakeKey(k), "v");
-        ASSERT_OK(rid_latched.status());
-        staged.emplace_back(k, rid.value(), rid_latched.value());
+        staged.emplace_back(k, rid.value());
       }
       if (rng.OneIn(5)) {
         ASSERT_OK(db_->Abort(txn));
       } else {
         ASSERT_OK(db_->Commit(txn));
-        for (auto& [k, r, rl] : staged) {
-          oracle[k] = r;
-          oracle_latched[k] = rl;
-        }
+        for (auto& [k, r] : staged) oracle[k] = r;
       }
     } else if (dice < 65 && !oracle.empty()) {
-      // Transaction with 1..4 deletes (mirrored); 20% abort.
+      // Transaction with 1..4 deletes; 20% abort.
       Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
       std::vector<int64_t> staged;
       const int n = 1 + static_cast<int>(rng.Uniform(4));
@@ -142,27 +129,19 @@ TEST_P(ModelCheckTest, RandomOpsMatchOracle) {
         ASSERT_OK(db_->DeleteRecord(txn, gist_,
                                     BtreeExtension::MakeKey(it->first),
                                     it->second));
-        ASSERT_OK(db_->DeleteRecord(txn, gist_latched_,
-                                    BtreeExtension::MakeKey(it->first),
-                                    oracle_latched[it->first]));
         staged.push_back(it->first);
       }
       if (rng.OneIn(5)) {
         ASSERT_OK(db_->Abort(txn));
       } else {
         ASSERT_OK(db_->Commit(txn));
-        for (int64_t k : staged) {
-          oracle.erase(k);
-          oracle_latched.erase(k);
-        }
+        for (int64_t k : staged) oracle.erase(k);
       }
     } else if (dice < 90) {
-      // Range search: optimistic vs latched vs oracle.
+      // Range search: read-committed vs snapshot vs oracle.
       const int64_t lo = rng.UniformRange(0, next_key_base + 10);
       const int64_t hi = lo + rng.UniformRange(0, 200);
-      Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
-      const std::set<int64_t> got = SearchBoth(txn, lo, hi);
-      ASSERT_OK(db_->Commit(txn));
+      const std::set<int64_t> got = SearchBoth(lo, hi);
       std::set<int64_t> want;
       for (auto it = oracle.lower_bound(lo);
            it != oracle.end() && it->first <= hi; ++it) {
@@ -171,33 +150,28 @@ TEST_P(ModelCheckTest, RandomOpsMatchOracle) {
       ASSERT_EQ(got, want) << "range [" << lo << "," << hi << "] at step "
                            << step;
     } else if (dice < 95) {
-      // GC sweep (both indexes).
+      // GC sweep.
       Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
       uint64_t r = 0, n = 0;
       ASSERT_OK(gist_->GarbageCollect(txn, &r, &n));
-      ASSERT_OK(gist_latched_->GarbageCollect(txn, &r, &n));
       ASSERT_OK(db_->Commit(txn));
     } else {
-      // Crash + recover; then verify the full state against the oracle.
-      // Post-recovery optimistic searches run against version words
-      // re-seeded from the recovered page LSNs, so this leg also checks
-      // the version/NSN unification across restarts.
+      // Crash + recover; then verify the full state against the oracle,
+      // through both leaf filters.
+      const std::set<int64_t> before = SearchBoth(0, next_key_base + 10);
       CrashRecover();
       ASSERT_OK(gist_->CheckInvariants());
-      ASSERT_OK(gist_latched_->CheckInvariants());
-      Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
-      const std::set<int64_t> got = SearchBoth(txn, 0, next_key_base + 10);
-      ASSERT_OK(db_->Commit(txn));
+      const std::set<int64_t> got = SearchBoth(0, next_key_base + 10);
       std::set<int64_t> want;
       for (auto& [k, rid] : oracle) {
         (void)rid;
         want.insert(k);
       }
+      ASSERT_EQ(before, want) << "pre-crash divergence at step " << step;
       ASSERT_EQ(got, want) << "post-recovery divergence at step " << step;
     }
   }
   ASSERT_OK(gist_->CheckInvariants());
-  ASSERT_OK(gist_latched_->CheckInvariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelCheckTest,

@@ -165,7 +165,7 @@ TEST_F(MvccGcTest, SavepointRollbackUnstampsVersions) {
 
 // --- MvccManager race regressions (store-level, no database) ---------------
 
-// A reader validates its page copy while the entry is live, then a
+// A reader reads the leaf entry while it is live, then a
 // concurrent writer delete-marks the only version record (stamp pending).
 // The newest-undeleted scan finds nothing — visibility must still consult
 // the newest record's insert stamp instead of defaulting to visible, or a

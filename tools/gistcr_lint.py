@@ -61,18 +61,6 @@ Rules
       latch turns a nanosecond-scale hold into a stats-scrape-scale one
       and inverts the intended latch < obs-mutex ordering.
 
-  latch-inside-optimistic-section
-      No blocking latch acquisition (PageGuard::RLatch/WLatch,
-      FetchLatched, TreeLatch) while an OptimisticReadScope is live in the
-      enclosing scope. The optimistic read protocol (DESIGN.md section 13)
-      promises writers that readers never wait on them; a blocking latch
-      inside the section breaks that promise and can deadlock against a
-      writer spinning on the reader's pin. Try-acquires (TryWLatch) cannot
-      block and are allowed. An active OptimisticReadScope also counts as
-      protection for `nsn-outside-node`: the scope's discipline is that
-      NSN/rightlink reads go through a version-validated snapshot copy,
-      which is as stable as a latched read.
-
   predicate-attach-on-snapshot-path
       No predicate attach (SignalLock/Attach/AttachAndFindConflicts) and
       no blocking lock-manager call inside a function whose name marks it
@@ -163,7 +151,6 @@ RULES = (
     "unchecked-status",
     "sync-under-mutex",
     "serialize-under-latch",
-    "latch-inside-optimistic-section",
     "predicate-attach-on-snapshot-path",
     "lock-rank-inversion",
     "lock-order",
@@ -804,24 +791,14 @@ RAW_PRIMITIVE_RE = re.compile(
     r"|\b\w+(?:\.|->)unlock(?:_shared)?\s*\(\s*\)"
 )
 NSN_RE = re.compile(r"(?:\.|->)\s*(?:set_)?(?:nsn|rightlink)\s*\(")
-# latch-inside-optimistic-section: OptimisticReadScope tracking against
-# blocking latch acquisitions. TryWLatch is excluded (the regex anchors
-# the latch verb directly after . or ->, so `.TryWLatch(` cannot match).
-OPT_SCOPE_DECL_RE = re.compile(r"\bOptimisticReadScope\s+(\w+)\s*[;({]")
-BLOCKING_LATCH_RE = re.compile(
-    r"(?:\.|->)\s*(?:WLatch|RLatch)\s*\("
-    r"|\bFetchLatched\s*\("
-    r"|\bTreeLatch\s+\w+\s*[({]"
-    r"|\b\w+\s*(?:\.|->)\s*Acquire\s*\(\s*\)"
-)
 SERIALIZE_RE = re.compile(
     r"(?:\.|->|::)\s*(?:DumpMetrics(?:Prometheus)?|DumpPrometheus|DumpJson|"
     r"DumpText|InspectJson|ExportTrace|ExportJsonString|Snapshot)\s*\("
 )
 
 # predicate-attach-on-snapshot-path: function-definition detection for the
-# snapshot read path (distinctly named Snapshot* family: SearchSnapshot,
-# ProcessStackEntrySnapshot[Latched], ...) and the calls banned inside it.
+# snapshot read path (distinctly named Snapshot* family, e.g.
+# FilterLeafSnapshot) and the calls banned inside it.
 # The signature regex anchors at line start so receiver-qualified *calls*
 # (`mvcc->BeginSnapshot(...)`) never match.
 SNAPSHOT_SIG_RE = re.compile(
@@ -869,14 +846,6 @@ LIFECYCLE_LOG_TYPES = {
     "Checkpoint", "CheckpointBegin", "CheckpointEnd",
 }
 
-# latch-inside-optimistic-section, generalized: any blocking mutex
-# acquisition inside the seqlock section is as much a broken promise as a
-# latch — the reader may wait on a thread that is spinning on the
-# reader's validation window.
-OPT_BLOCKING_MUTEX_RE = re.compile(
-    r"\b(?:MutexLock|SharedLock)\s+\w+\s*[({]"
-    r"|(?:\.|->)\s*(?:WaitForTxn|Flush)\s*\(")
-
 CONTROL_KEYWORDS = (
     "if", "while", "for", "switch", "return", "case", "else", "do",
     "sizeof", "new", "delete", "co_return", "co_await",
@@ -908,7 +877,6 @@ class FileLinter:
         latches = []  # list of (var, entry_depth)
         guard_decl_depth = {}  # PageGuard var -> declaration depth
         mutex_holds = {}  # scoped-lock var -> [decl_depth, currently_held]
-        opt_scopes = []  # list of (var, decl_depth) OptimisticReadScope RAIIs
         prev_code = ""  # last non-blank stripped line (statement context)
         stamping_open = None  # (open line, open depth) of a live epoch
         release_floors = []  # decl depths of guards released in this scope
@@ -941,7 +909,6 @@ class FileLinter:
                 latches = [(v, d) for (v, d) in latches if v != var]
 
             held = bool(latches)
-            in_opt = bool(opt_scopes)
 
             def report(rule, msg, _lineno=lineno):
                 if rule in file_allows:
@@ -976,30 +943,10 @@ class FileLinter:
                     "raw synchronization primitive; use the annotated "
                     "wrappers in common/mutex.h",
                 )
-            # An active OptimisticReadScope protects NSN/rightlink reads:
-            # the section's discipline is that node bytes come from a
-            # version-validated snapshot copy (DESIGN.md section 13), which
-            # is as stable as a latched read.
-            if not in_node_file and not held and not in_opt and \
-                    NSN_RE.search(line):
+            if not in_node_file and not held and NSN_RE.search(line):
                 report(
                     "nsn-outside-node",
                     "nsn/rightlink access with no latch held in scope",
-                )
-            if in_opt and BLOCKING_LATCH_RE.search(line):
-                report(
-                    "latch-inside-optimistic-section",
-                    "blocking latch acquisition while OptimisticReadScope "
-                    f"'{opt_scopes[-1][0]}' is live; optimistic readers "
-                    "must fall back (drop the scope) before latching",
-                )
-            if in_opt and OPT_BLOCKING_MUTEX_RE.search(line):
-                report(
-                    "latch-inside-optimistic-section",
-                    "blocking mutex/wait acquisition while "
-                    f"OptimisticReadScope '{opt_scopes[-1][0]}' is live; "
-                    "no blocking acquire of any kind inside a seqlock "
-                    "section",
                 )
             if held and SERIALIZE_RE.search(line):
                 report(
@@ -1031,8 +978,6 @@ class FileLinter:
                     mutex_holds[m.group(1)][1] = True
             for m in MUTEX_SCOPE_DECL_RE.finditer(line):
                 mutex_holds[m.group(1)] = [depth, True]
-            for m in OPT_SCOPE_DECL_RE.finditer(line):
-                opt_scopes.append((m.group(1), depth))
 
             # stamping-epoch-unclosed: closes processed before the return
             # check so `CancelStamping(...); return st;` sequences pass.
@@ -1096,7 +1041,6 @@ class FileLinter:
             mutex_holds = {
                 v: s for v, s in mutex_holds.items() if s[0] <= depth
             }
-            opt_scopes = [(v, d) for (v, d) in opt_scopes if d <= depth]
             if stamping_open is not None and depth < stamping_open[1]:
                 report("stamping-epoch-unclosed",
                        "scope exits with the stamping epoch opened on "
@@ -1111,7 +1055,6 @@ class FileLinter:
                 latches = []
                 guard_decl_depth = {}
                 mutex_holds = {}
-                opt_scopes = []
                 stamping_open = None
                 release_floors = []
                 rec_types = {}
