@@ -2,11 +2,13 @@
 //
 // Builds one crashed database image — a long redo span past the last
 // checkpoint plus an in-flight loser transaction — then recovers the same
-// image twice, once with the classic offline three-pass restart
-// (instant_restart = false) and once with the page-granular on-demand
-// scheme (instant_restart = true, the default). For each mode it measures
+// image twice: once drained (Open, then WaitForRecovery before any work:
+// what a restart that redoes and undoes everything up front costs) and
+// once instant (first commit right after Open, with the page-granular
+// redo and the loser undo running underneath). For each mode it measures
 //
-//   time_to_open_ms          Database::Open wall clock
+//   time_to_open_ms          Database::Open wall clock (drained: plus
+//                            WaitForRecovery)
 //   time_to_first_commit_ms  Open + one fresh-key insert committed
 //   ramp_commits_1s          commits completed in the first second after
 //                            the first commit (recovery drains underneath
@@ -15,8 +17,9 @@
 //
 // and writes BENCH_restart.json. Exits non-zero if the instant mode's
 // time-to-first-commit is not at least --min-speedup (default 10) times
-// lower than offline's, or if the two modes disagree on the recovered
-// entry count — the bench doubles as an end-to-end equivalence check.
+// lower than the drained mode's, or if the two modes disagree on the
+// recovered entry count — the bench doubles as an end-to-end equivalence
+// check.
 //
 //   bench_restart --ops=60000 --loser-ops=3000 --report=BENCH_restart.json
 
@@ -57,10 +60,9 @@ struct Config {
                                ///< (default: 90% of ops)
   int64_t value_bytes = 64;    ///< heap record payload size
   /// Buffer pool at recovery time, deliberately smaller than the working
-  /// set: the restart-bound regime instant restart targets. Offline redo
-  /// walks the log in LSN order — random page order for a random-key
-  /// workload — so it faults (checksum-verify + evict + write back) on
-  /// nearly every record. Page-granular replay touches each page once.
+  /// set: the restart-bound regime instant restart targets. Draining
+  /// replays every page and undoes the whole loser before the first
+  /// commit; the instant first commit only waits for its own descent.
   int64_t recover_pool = 512;
   double min_speedup = 10.0;  ///< acceptance: instant ttfc advantage
   std::string path = "/tmp/gistcr_bench_restart";
@@ -184,21 +186,21 @@ uint64_t BuildCrashImage(const Config& cfg, BtreeExtension* ext) {
 }
 
 ModeResult RecoverOnce(const Config& cfg, BtreeExtension* ext,
-                       bool instant) {
+                       bool drain_first) {
   CopyDbFiles(cfg.path + ".orig", cfg.path);
   DatabaseOptions opts;
   opts.path = cfg.path;
   opts.buffer_pool_pages = static_cast<size_t>(cfg.recover_pool);
   opts.sync_commit = false;
-  opts.instant_restart = instant;
 
   ModeResult r;
-  r.mode = instant ? "instant" : "offline";
+  r.mode = drain_first ? "drained" : "instant";
 
   const auto t0 = std::chrono::steady_clock::now();
   auto db_or = Database::Open(opts);
   RESTART_CHECK_OK(db_or.status());
   auto db = db_or.MoveValue();
+  if (drain_first) RESTART_CHECK_OK(db->WaitForRecovery());
   r.time_to_open_ms = MsSince(t0);
 
   RESTART_CHECK_OK(db->OpenIndex(1, ext));
@@ -292,16 +294,16 @@ int Run(const Config& cfg) {
   CopyDbFiles(cfg.path, cfg.path + ".orig");
 
   std::vector<ModeResult> modes;
-  modes.push_back(RecoverOnce(cfg, &ext, /*instant=*/false));
-  modes.push_back(RecoverOnce(cfg, &ext, /*instant=*/true));
+  modes.push_back(RecoverOnce(cfg, &ext, /*drain_first=*/true));
+  modes.push_back(RecoverOnce(cfg, &ext, /*drain_first=*/false));
   RemoveDbFiles(cfg.path);
   RemoveDbFiles(cfg.path + ".orig");
 
-  const ModeResult& offline = modes[0];
+  const ModeResult& drained = modes[0];
   const ModeResult& instant = modes[1];
   const double speedup =
       instant.time_to_first_commit_ms > 0
-          ? offline.time_to_first_commit_ms / instant.time_to_first_commit_ms
+          ? drained.time_to_first_commit_ms / instant.time_to_first_commit_ms
           : 0.0;
   for (const ModeResult& m : modes) {
     std::printf(
@@ -320,13 +322,14 @@ int Run(const Config& cfg) {
   // Both runs inserted the same ramp-key range only if ramp counts match;
   // compare the pre-ramp recovered population instead: entries minus this
   // run's own traffic (1 first commit + ramp commits).
-  const uint64_t off_base = offline.entries - 1 - offline.ramp_commits_1s;
+  const uint64_t drained_base =
+      drained.entries - 1 - drained.ramp_commits_1s;
   const uint64_t ins_base = instant.entries - 1 - instant.ramp_commits_1s;
-  if (off_base != ins_base) {
+  if (drained_base != ins_base) {
     std::fprintf(stderr,
                  "bench_restart: FAIL recovered-state mismatch "
-                 "(offline %llu vs instant %llu entries)\n",
-                 static_cast<unsigned long long>(off_base),
+                 "(drained %llu vs instant %llu entries)\n",
+                 static_cast<unsigned long long>(drained_base),
                  static_cast<unsigned long long>(ins_base));
     rc = 1;
   }

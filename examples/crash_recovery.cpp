@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
     std::printf("[crash] buffer pool and log tail dropped\n");
   }
 
-  // Restart: Open() runs analysis, redo, undo.
+  // Restart: Open() runs analysis and returns; redo and loser undo run in
+  // the background. Wait for them so the counters below are final.
   auto db_or = Database::Open(opts);
   if (!db_or.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
@@ -85,6 +86,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto db = db_or.MoveValue();
+  Status recovered = db->WaitForRecovery();
+  if (!recovered.ok()) {
+    std::fprintf(stderr, "recovery failed: %s\n",
+                 recovered.ToString().c_str());
+    return 1;
+  }
   const auto& rs = db->recovery()->restart_stats();
   std::printf("[restart] analyzed %lu records, redid %lu, "
               "rolled back %lu loser txn(s) undoing %lu records\n",

@@ -92,9 +92,6 @@ Status Database::InitCommon() {
   }
   GISTCR_RETURN_IF_ERROR(log_.Open(opts_.path + ".wal"));
   log_.SetSyncOnFlush(opts_.sync_commit);
-  log_.SetPacing(EnvU64("GISTCR_WAL_PACE_US", opts_.wal_pace_wait_us),
-                 EnvU64("GISTCR_WAL_PACE_MIN_COMMITS",
-                        opts_.wal_pace_min_commits));
   if (mvcc_ != nullptr) {
     // Seed the oracle with what is already durable so the first snapshot
     // (taken before any new commit flushes) sees the pre-restart state.
@@ -294,21 +291,15 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
 
   Lsn ckpt = kInvalidLsn;
   GISTCR_RETURN_IF_ERROR(db->ReadMasterPointer(&ckpt));
-  const bool instant =
-      EnvU64("GISTCR_INSTANT_RESTART", opts.instant_restart ? 1 : 0) != 0;
-  if (instant) {
-    // Log-only analysis: builds the per-page redo plans, re-acquires the
-    // losers' locks and arms the buffer-pool hook. No page is redone yet;
-    // everything after this point may touch pages (triggering their
-    // inline redo) but never has to wait for the whole log.
-    GISTCR_RETURN_IF_ERROR(db->recovery_->StartInstant(ckpt));
-  } else {
-    GISTCR_RETURN_IF_ERROR(db->recovery_->Restart(ckpt));
-  }
+  // Log-only analysis: builds the per-page redo plans, re-acquires the
+  // losers' locks and arms the buffer-pool hook. No page is redone yet;
+  // everything after this point may touch pages (triggering their inline
+  // redo) but never has to wait for the whole log.
+  GISTCR_RETURN_IF_ERROR(db->recovery_->StartInstant(ckpt));
 
   // Attach the heap store. Reading the meta page inline-redoes just that
-  // page under instant restart; the analysis-computed tail hint keeps
-  // DataStore::Open from walking (and so redoing) the whole heap chain.
+  // page; the analysis-computed tail hint keeps DataStore::Open from
+  // walking (and so redoing) the whole heap chain.
   {
     auto frame_or = db->pool_->Fetch(MetaView::kMetaPageId);
     GISTCR_RETURN_IF_ERROR(frame_or.status());
@@ -328,7 +319,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
       ->Set(static_cast<double>(obs::NowNanos() - t0));
   db->StartMaintenance();
   db->StartWriter();
-  if (instant) db->StartRecovery();
+  db->StartRecovery();
   return db;
 }
 
@@ -564,29 +555,17 @@ Status Database::DeleteRecord(Transaction* txn, Gist* index, Slice key,
 }
 
 Status Database::Checkpoint() {
-  auto lsn_or = recovery_->Checkpoint();
-  GISTCR_RETURN_IF_ERROR(lsn_or.status());
+  auto lsns_or = recovery_->Checkpoint();
+  GISTCR_RETURN_IF_ERROR(lsns_or.status());
   // Checkpoint record durable but the master pointer still names the
   // previous one: restart must work from the older (valid) checkpoint.
   GISTCR_CRASHPOINT("ckpt.before_master_update");
-  GISTCR_RETURN_IF_ERROR(WriteMasterPointer(lsn_or.value()));
-  // With the master pointer durable, everything below the redo/undo
-  // horizon is dead weight: reclaim its disk space. The horizon is the
-  // minimum of the checkpoint LSN, every dirty page's rec_lsn, and every
-  // active transaction's first LSN (its undo backchain must stay
-  // readable).
-  Lsn keep = lsn_or.value();
-  for (const auto& [pid, rec_lsn] : pool_->DirtyPageTable()) {
-    (void)pid;
-    if (rec_lsn != kInvalidLsn && rec_lsn < keep) keep = rec_lsn;
-  }
-  const Lsn oldest = txns_->OldestActiveFirstLsn();
-  if (oldest != kInvalidLsn && oldest < keep) keep = oldest;
-  // Instant restart: un-replayed page plans still read the log; never
-  // reclaim below the oldest pending plan.
-  const Lsn pending = recovery_->PendingMinRecLsn();
-  if (pending != kInvalidLsn && pending < keep) keep = pending;
-  (void)log_.ReclaimBefore(keep);  // best effort
+  GISTCR_RETURN_IF_ERROR(WriteMasterPointer(lsns_or.value().checkpoint));
+  // With the master pointer durable, everything below the redo floor the
+  // checkpoint logged is dead weight: restart scans up from exactly there,
+  // and the floor lies at or below every active transaction's first LSN,
+  // so no undo backchain reaches below it either. Reclaim its disk space.
+  (void)log_.ReclaimBefore(lsns_or.value().redo_floor);  // best effort
   return Status::OK();
 }
 

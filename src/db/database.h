@@ -71,19 +71,6 @@ struct DatabaseOptions {
   /// maintenance pass (1 = every pass; 0 disables pruning). Env
   /// GISTCR_MVCC_GC_PASSES overrides.
   uint32_t mvcc_gc_interval_passes = 1;
-  /// Adaptive WAL group-commit pacing (LogManager::SetPacing): hold a
-  /// commit-driven flush open up to this many microseconds while fewer
-  /// than wal_pace_min_commits commits are batched. 0 disables (default).
-  /// Env GISTCR_WAL_PACE_US / GISTCR_WAL_PACE_MIN_COMMITS override.
-  uint64_t wal_pace_wait_us = 0;
-  uint64_t wal_pace_min_commits = 0;
-  /// Instant restart (DESIGN.md section 16): Open returns right after log
-  /// analysis — redo happens per page, inline on first touch or from a
-  /// background drainer, and loser undo runs as ordinary aborting
-  /// transactions concurrent with new work. When off, Open runs the
-  /// classic offline analysis/redo/undo sequence with the database closed
-  /// throughout. Env GISTCR_INSTANT_RESTART (0/1) overrides.
-  bool instant_restart = true;
 };
 
 /// The engine facade: wires disk, buffer pool, WAL, transactions, locks,
@@ -109,7 +96,10 @@ class Database {
   static StatusOr<std::unique_ptr<Database>> Create(
       const DatabaseOptions& opts);
 
-  /// Opens an existing database and runs restart recovery.
+  /// Opens an existing database with instant restart (DESIGN.md section
+  /// 16): returns right after log analysis, while pages are redone on
+  /// first touch or by a background drainer and losers undo as ordinary
+  /// aborts beside new work. Call WaitForRecovery for a drained database.
   static StatusOr<std::unique_ptr<Database>> Open(
       const DatabaseOptions& opts);
 
@@ -142,8 +132,8 @@ class Database {
   StatusOr<std::string> ReadRecord(Rid rid) { return data_->Read(rid); }
 
   /// Blocks until background instant recovery (loser undo + page drain)
-  /// has finished and returns its status. Immediate OK when the database
-  /// was opened offline (or recovery already drained). Tests use this to
+  /// has finished and returns its status. Immediate OK for a database
+  /// made by Create (or once recovery has drained). Tests use this to
   /// compare final states; normal operation never needs to wait.
   Status WaitForRecovery();
 
@@ -263,7 +253,7 @@ class Database {
   std::thread recovery_thread_ GISTCR_GUARDED_BY(recovery_mu_);
   Mutex recovery_mu_{GISTCR_LOCK_RANK(kDbRecovery, "db.recovery.mu")};
   CondVar recovery_cv_;
-  /// Starts true so WaitForRecovery is a no-op after an offline Open.
+  /// Starts true so WaitForRecovery is a no-op after Create.
   bool recovery_done_ GISTCR_GUARDED_BY(recovery_mu_) = true;
   Status recovery_status_ GISTCR_GUARDED_BY(recovery_mu_);
   std::atomic<bool> recovery_stop_{false};

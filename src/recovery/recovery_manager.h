@@ -30,15 +30,13 @@ namespace gistcr {
 /// 9.2). The undo machinery is shared with live transaction rollback: this
 /// class is the TransactionManager's UndoApplier.
 ///
-/// Two restart modes (DESIGN.md section 16):
-///  - Restart(): the classic offline sequence — analysis, full redo, full
-///    undo — with the database closed throughout.
-///  - StartInstant() + RunInstantBackground(): analysis builds a per-page
-///    redo *plan* and re-acquires the losers' locks, then the database
-///    opens immediately. Redo happens per page — inline on first touch via
-///    the buffer-pool recovery hook, or from the background drainer in
-///    recLSN order — and loser undo runs as ordinary aborting transactions
-///    through the normal lock/latch protocol, concurrent with new work.
+/// Restart is instant (DESIGN.md section 16): StartInstant's one analysis
+/// scan builds a per-page redo *plan* and re-acquires the losers' locks,
+/// then the database opens. Redo happens per page — inline on first touch
+/// via the buffer-pool recovery hook, or from RunInstantBackground's
+/// drainer in recLSN order — and loser undo runs as ordinary aborting
+/// transactions through the normal lock/latch protocol, concurrent with
+/// new work.
 class RecoveryManager : public UndoApplier {
  public:
   RecoveryManager(BufferPool* pool, LogManager* log, TransactionManager* txns,
@@ -50,7 +48,8 @@ class RecoveryManager : public UndoApplier {
   GISTCR_DISALLOW_COPY_AND_ASSIGN(RecoveryManager);
 
   /// Re-points restart/checkpoint metrics at \p reg (null: process
-  /// fallback). Call before Restart; the Database facade does so at init.
+  /// fallback). Call before StartInstant; the Database facade does so at
+  /// init.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
   /// Keeps the version store consistent with undo: a rolled-back insert or
@@ -58,14 +57,13 @@ class RecoveryManager : public UndoApplier {
   /// rollback keeps the transaction alive, so commit would stamp it).
   void SetMvcc(MvccManager* mvcc) { mvcc_ = mvcc; }
 
-  /// Full offline restart: analysis from \p checkpoint_lsn (kInvalidLsn:
-  /// scan from the log start), redo, then undo of losers.
-  Status Restart(Lsn checkpoint_lsn);
-
-  /// Instant restart, phase one (offline, log-only): analysis builds the
-  /// per-page redo plans, quarantines loser-freed pages, re-acquires the
-  /// losers' locks and arms the buffer-pool recovery hook. On return the
-  /// database may open for business; no page has been redone yet.
+  /// Instant restart, phase one (log-only): one analysis scan from the
+  /// redo floor logged by \p checkpoint_lsn (kInvalidLsn: from the log
+  /// start) builds the per-page redo plans, quarantines loser-freed pages,
+  /// re-acquires the losers' locks and arms the buffer-pool recovery hook.
+  /// On return the database may open for business; no page has been
+  /// redone yet. Corruption if the log cannot be read from the floor up
+  /// to the checkpoint.
   Status StartInstant(Lsn checkpoint_lsn);
 
   /// Instant restart, phase two (background thread): undoes the losers as
@@ -77,11 +75,6 @@ class RecoveryManager : public UndoApplier {
   /// True while the gate is armed (pages may still need redo).
   bool InstantActive() const { return gate_.armed(); }
 
-  /// Pending-page floor for log reclamation (kInvalidLsn when none): a
-  /// checkpoint taken while recovery drains must not let the log punch
-  /// holes below any un-replayed plan.
-  Lsn PendingMinRecLsn() { return gate_.PendingMinRecLsn(); }
-
   size_t PendingPageCount() { return gate_.pending_count(); }
 
   /// Heap tail computed by the last StartInstant analysis (kInvalidPageId:
@@ -92,20 +85,32 @@ class RecoveryManager : public UndoApplier {
   /// the concurrent undo (DataStore::Open stops short of them).
   const std::vector<PageId>& DoomedHeapPages() const { return doomed_heap_; }
 
-  /// Writes a fuzzy checkpoint record (ATT + DPT + NSN counter + heap
-  /// tail) and forces it. Returns its LSN for the master pointer.
-  StatusOr<Lsn> Checkpoint();
+  /// What a checkpoint logged: its own LSN, for the master pointer, and
+  /// its redo floor — the lowest of the log end before it took its
+  /// snapshots, every active transaction's first LSN, and every dirty or
+  /// replay-pending page's rec_lsn. A restart from the checkpoint scans up
+  /// from the floor, and nothing at or above it may be reclaimed while
+  /// the checkpoint is the master.
+  struct CheckpointLsns {
+    Lsn checkpoint = kInvalidLsn;
+    Lsn redo_floor = kInvalidLsn;
+  };
 
-  /// Page-oriented redo of one record (public for targeted tests).
+  /// Writes a fuzzy checkpoint record (redo floor, next txn id, NSN
+  /// counter, heap tail) and forces it.
+  StatusOr<CheckpointLsns> Checkpoint();
+
+  /// Page-oriented redo of one record, once for each page it mutates
+  /// (public for targeted tests).
   Status RedoRecord(const LogRecord& rec);
 
   /// UndoApplier: undoes one record on behalf of a rollback, writing the
   /// CLR. Used both by live aborts and restart undo.
   Status UndoRecord(Transaction* txn, const LogRecord& rec) override;
 
-  /// Restart counters. Plain reads; in instant mode they settle only once
-  /// RunInstantBackground has finished (fields are atomics because inline
-  /// redo on user threads races the background drainer).
+  /// Restart counters. They settle only once RunInstantBackground has
+  /// finished (fields are atomics because inline redo on user threads
+  /// races the background drainer).
   struct RestartStats {
     std::atomic<uint64_t> records_analyzed{0};
     std::atomic<uint64_t> records_redone{0};
@@ -134,12 +139,10 @@ class RecoveryManager : public UndoApplier {
   Status RedoClrAction(LogRecordType compensated_type, Slice original,
                        PageId override_page, Lsn lsn);
 
-  /// Redo of one record restricted to the images of page \p only
-  /// (kInvalidPageId: unrestricted — classic full redo). Instant restart
-  /// replays each page's plan with the plan's page as \p only, so a record
+  /// Redo of one record restricted to the image of page \p pid. A record
   /// touching two pages (split, root change) is applied once per page,
   /// each under that page's own plan.
-  Status RedoRecordScoped(const LogRecord& rec, PageId only);
+  Status RedoRecordOnPage(const LogRecord& rec, PageId pid);
 
   /// RecoveryGate replay callback: reads each planned record and applies
   /// it to \p pid. The page-LSN test skips whatever already reached disk.

@@ -224,18 +224,14 @@ struct ClrPayload {
   }
 };
 
-/// Fuzzy checkpoint: active transaction table + dirty page table.
+/// Fuzzy checkpoint: what a restart from it needs. The active
+/// transactions and dirty pages the checkpoint looks at decide only the
+/// redo floor; the analysis scan up from the floor rebuilds the ATT.
 struct CheckpointPayload {
-  struct TxnEntry {
-    TxnId txn_id;
-    Lsn last_lsn;
-  };
-  struct DptEntry {
-    PageId page_id;
-    Lsn rec_lsn;
-  };
-  std::vector<TxnEntry> active_txns;
-  std::vector<DptEntry> dirty_pages;
+  /// Where a restart from this checkpoint starts its one analysis scan,
+  /// and the lowest log reclamation may keep (RecoveryManager::Checkpoint
+  /// has the rule).
+  Lsn redo_floor = kInvalidLsn;
   TxnId next_txn_id = 1;
   /// Dedicated-counter NSN mode: counter value at checkpoint time, so the
   /// counter is recoverable (the LSN mode needs nothing, section 10.1).
@@ -247,43 +243,15 @@ struct CheckpointPayload {
   PageId heap_tail = kInvalidPageId;
 
   void EncodeTo(std::string* dst) const {
-    PutFixed64(dst, nsn_counter);
+    PutFixed64(dst, redo_floor);
     PutFixed64(dst, next_txn_id);
-    PutFixed32(dst, static_cast<uint32_t>(active_txns.size()));
-    for (const auto& t : active_txns) {
-      PutFixed64(dst, t.txn_id);
-      PutFixed64(dst, t.last_lsn);
-    }
-    PutFixed32(dst, static_cast<uint32_t>(dirty_pages.size()));
-    for (const auto& p : dirty_pages) {
-      PutFixed32(dst, p.page_id);
-      PutFixed64(dst, p.rec_lsn);
-    }
+    PutFixed64(dst, nsn_counter);
     PutFixed32(dst, heap_tail);
   }
   bool DecodeFrom(Slice s) {
     Decoder d(s);
-    uint32_t n;
-    if (!d.GetFixed64(&nsn_counter)) return false;
-    if (!d.GetFixed64(&next_txn_id)) return false;
-    if (!d.GetFixed32(&n)) return false;
-    active_txns.clear();
-    for (uint32_t i = 0; i < n; i++) {
-      TxnEntry t;
-      if (!d.GetFixed64(&t.txn_id) || !d.GetFixed64(&t.last_lsn)) return false;
-      active_txns.push_back(t);
-    }
-    if (!d.GetFixed32(&n)) return false;
-    dirty_pages.clear();
-    for (uint32_t i = 0; i < n; i++) {
-      DptEntry p;
-      if (!d.GetFixed32(&p.page_id) || !d.GetFixed64(&p.rec_lsn)) return false;
-      dirty_pages.push_back(p);
-    }
-    // Absent in records written before the field existed: treat as "no
-    // hint" (instant restart then falls back to walking the chain).
-    if (!d.GetFixed32(&heap_tail)) heap_tail = kInvalidPageId;
-    return true;
+    return d.GetFixed64(&redo_floor) && d.GetFixed64(&next_txn_id) &&
+           d.GetFixed64(&nsn_counter) && d.GetFixed32(&heap_tail);
   }
 };
 

@@ -9,13 +9,17 @@
 //
 // Scratch mutexes use LockRank::kScratch, the designated coupling-allowed
 // test rank, so same-rank nesting is legal and ordering violations surface
-// as graph cycles rather than rank-inversion failures. Every test leaks its
-// mutexes: node identity in the detector graph is the object address, and a
-// recycled stack slot would alias edges from an earlier test.
+// as graph cycles rather than rank-inversion failures. No test ever frees
+// a mutex: node identity in the detector graph is the object address, and
+// a recycled slot would alias edges from an earlier test. They stay
+// reachable from one process-lifetime list, so leak checkers stay quiet.
 
 #include "common/deadlock_detector.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "common/lock_rank.h"
 #include "common/mutex.h"
@@ -25,8 +29,15 @@ namespace {
 
 #if GISTCR_DEADLOCK_DETECTOR
 
+/// A mutex that lives until the process exits (see the file comment).
+Mutex* NewMutex(LockRank rank, const char* name) {
+  static auto* all = new std::vector<std::unique_ptr<Mutex>>();
+  all->push_back(std::make_unique<Mutex>(rank, name));
+  return all->back().get();
+}
+
 Mutex* NewScratch(const char* name) {
-  return new Mutex(LockRank::kScratch, name);  // leaked: stable graph identity
+  return NewMutex(LockRank::kScratch, name);
 }
 
 TEST(DeadlockDetectorTest, CorrectOrderIsQuiet) {
@@ -115,8 +126,8 @@ TEST(DeadlockDetectorDeathTest, RankInversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex* hi = new Mutex(LockRank::kWal, "test.inv.wal");
-        Mutex* lo = new Mutex(LockRank::kAllocator, "test.inv.alloc");
+        Mutex* hi = NewMutex(LockRank::kWal, "test.inv.wal");
+        Mutex* lo = NewMutex(LockRank::kAllocator, "test.inv.alloc");
         MutexLock lh(*hi);
         MutexLock ll(*lo);  // 420 under 700: declared order violated
       },
@@ -127,8 +138,8 @@ TEST(DeadlockDetectorDeathTest, SameRankWithoutCouplingAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex* a = new Mutex(LockRank::kWal, "test.same.a");
-        Mutex* b = new Mutex(LockRank::kWal, "test.same.b");
+        Mutex* a = NewMutex(LockRank::kWal, "test.same.a");
+        Mutex* b = NewMutex(LockRank::kWal, "test.same.b");
         MutexLock la(*a);
         MutexLock lb(*b);  // kWal is not a coupling rank
       },
@@ -136,8 +147,8 @@ TEST(DeadlockDetectorDeathTest, SameRankWithoutCouplingAborts) {
 }
 
 TEST(DeadlockDetectorTest, TryLockIsExemptFromOrderChecks) {
-  Mutex* hi = new Mutex(LockRank::kWal, "test.try.wal");
-  Mutex* lo = new Mutex(LockRank::kAllocator, "test.try.alloc");
+  Mutex* hi = NewMutex(LockRank::kWal, "test.try.wal");
+  Mutex* lo = NewMutex(LockRank::kAllocator, "test.try.alloc");
   MutexLock lh(*hi);
   // A try-acquire cannot block, so taking a lower rank this way is legal.
   ASSERT_TRUE(lo->try_lock());
@@ -145,9 +156,9 @@ TEST(DeadlockDetectorTest, TryLockIsExemptFromOrderChecks) {
 }
 
 TEST(DeadlockDetectorTest, UnrankedMutexesAreInvisible) {
-  Mutex* plain = new Mutex();
+  Mutex plain;  // unranked: never a graph node, so a stack slot is fine
   const size_t base = deadlock::HeldCount();
-  MutexLock l(*plain);
+  MutexLock l(plain);
   EXPECT_EQ(deadlock::HeldCount(), base);
 }
 

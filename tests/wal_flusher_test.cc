@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -264,67 +263,6 @@ TEST_F(WalFlusherTest, FlusherDoesNotFlushUnrequestedRecords) {
   }
   ASSERT_OK(log_.Flush(a));
   EXPECT_GE(log_.durable_lsn(), a);
-}
-
-// Adaptive pacing (SetPacing): when the pending commit group is smaller
-// than min_commits, the flusher holds the batch open for the pacing window
-// so concurrent committers pile on. The paced windows are observable via
-// wal.flusher.pace_waits, and grouping must actually happen: with 8
-// committers racing, flushes retire multi-commit batches.
-TEST_F(WalFlusherTest, PacingHoldsSmallBatchesOpenAndGrowsGroups) {
-  log_.SetPacing(/*wait_us=*/2000, /*min_commits=*/8);
-
-  // Deterministic engagement check first: a lone commit is always below
-  // min_commits, so its flush must ride through exactly one paced window.
-  ASSERT_OK(log_.Flush(AppendCommit(1000)));
-  EXPECT_GT(reg_.GetCounter("wal.flusher.pace_waits")->value(), 0u);
-
-  // Grouping check, in lockstep rounds: all committers append before any
-  // of them flushes, so every flush wave finds a full group pending and
-  // the flusher retires ~kThreads commits per fsync no matter how slowly
-  // a sanitizer schedules the threads. (The old free-running version left
-  // group sizes to scheduler luck and flaked under TSan.)
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 25;
-  std::barrier round_barrier(kThreads);
-  std::vector<std::thread> committers;
-  for (int t = 0; t < kThreads; t++) {
-    committers.emplace_back([&, t] {
-      for (int i = 0; i < kRounds; i++) {
-        const Lsn lsn = AppendCommit(static_cast<TxnId>(t * kRounds + i + 1));
-        round_barrier.arrive_and_wait();  // everyone appended this round
-        EXPECT_OK(log_.Flush(lsn));
-        round_barrier.arrive_and_wait();  // everyone durable this round
-      }
-    });
-  }
-  for (auto& th : committers) th.join();
-  EXPECT_EQ(log_.durable_lsn(), log_.last_lsn());
-
-  // The lone-commit window above keeps this cumulative counter non-zero
-  // even if every full round flushed without pacing.
-  EXPECT_GT(reg_.GetCounter("wal.flusher.pace_waits")->value(), 0u);
-  // Grouping worked: each round's first fsync covers the whole pending
-  // wave, so the mean group sits near kThreads; 1.5 leaves a wide margin
-  // for stragglers that miss their wave's batch.
-  const auto groups =
-      reg_.GetHistogram("wal.group_commit_commits")->GetSnapshot();
-  ASSERT_GT(groups.count, 0u);
-  EXPECT_GT(static_cast<double>(groups.sum) /
-                static_cast<double>(groups.count),
-            1.5);
-  EXPECT_LT(reg_.GetCounter("wal.flushes")->value(),
-            static_cast<uint64_t>(kThreads) * kRounds);
-}
-
-// Pacing is opt-in: with the default knobs (0), no flush is ever delayed
-// and the pace counter stays at zero.
-TEST_F(WalFlusherTest, PacingDisabledByDefault) {
-  for (int i = 0; i < 10; i++) {
-    const Lsn lsn = AppendCommit(static_cast<TxnId>(i + 1));
-    ASSERT_OK(log_.Flush(lsn));
-  }
-  EXPECT_EQ(reg_.GetCounter("wal.flusher.pace_waits")->value(), 0u);
 }
 
 }  // namespace

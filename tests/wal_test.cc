@@ -94,21 +94,18 @@ TEST(LogPayloadTest, SplitPayloadRoundTrip) {
 
 TEST(LogPayloadTest, CheckpointPayloadRoundTrip) {
   CheckpointPayload pl;
-  pl.active_txns.push_back({3, 300});
-  pl.active_txns.push_back({7, 700});
-  pl.dirty_pages.push_back({11, 110});
+  pl.redo_floor = 100;
   pl.next_txn_id = 8;
   pl.nsn_counter = 1234;
+  pl.heap_tail = 9;
   std::string blob;
   pl.EncodeTo(&blob);
   CheckpointPayload out;
   ASSERT_TRUE(out.DecodeFrom(blob));
-  ASSERT_EQ(out.active_txns.size(), 2u);
-  EXPECT_EQ(out.active_txns[1].txn_id, 7u);
-  ASSERT_EQ(out.dirty_pages.size(), 1u);
-  EXPECT_EQ(out.dirty_pages[0].rec_lsn, 110u);
+  EXPECT_EQ(out.redo_floor, 100u);
   EXPECT_EQ(out.next_txn_id, 8u);
   EXPECT_EQ(out.nsn_counter, 1234u);
+  EXPECT_EQ(out.heap_tail, 9u);
 }
 
 TEST(LogPayloadTest, ClrPayloadRoundTrip) {
