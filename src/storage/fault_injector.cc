@@ -18,6 +18,7 @@ void FaultInjector::Reset() {
   crash_point_.clear();
   crash_skip_ = 0;
   crash_action_ = CrashAction::kStatus;
+  crash_hook_ = nullptr;
   rng_ = Random(1);
   transients_on_ = false;
   read_prob_ = 0.0;
@@ -41,6 +42,16 @@ void FaultInjector::ArmCrashPoint(const std::string& name, int skip,
   crash_point_ = name;
   crash_skip_ = skip;
   crash_action_ = action;
+  crash_hook_ = nullptr;
+  armed_.store(true, std::memory_order_relaxed);
+}
+
+void FaultInjector::ArmCrashPointHook(const std::string& name,
+                                      std::function<void()> hook, int skip) {
+  MutexLock l(mu_);
+  crash_point_ = name;
+  crash_skip_ = skip;
+  crash_hook_ = std::move(hook);
   armed_.store(true, std::memory_order_relaxed);
 }
 
@@ -48,6 +59,7 @@ void FaultInjector::DisarmCrashPoints() {
   MutexLock l(mu_);
   armed_.store(false, std::memory_order_relaxed);
   crash_point_.clear();
+  crash_hook_ = nullptr;
 }
 
 Status FaultInjector::OnCrashPoint(const char* name) {
@@ -59,6 +71,17 @@ Status FaultInjector::OnCrashPoint(const char* name) {
   if (m_hits_ != nullptr) m_hits_->Add(1);
   if (crash_skip_ > 0) {
     crash_skip_--;
+    return Status::OK();
+  }
+  if (crash_hook_) {
+    // One-shot like kStatus, but the operation goes on once the hook
+    // returns. The hook runs without mu_: it drives the database.
+    std::function<void()> hook = std::move(crash_hook_);
+    crash_hook_ = nullptr;
+    armed_.store(false, std::memory_order_relaxed);
+    crash_point_.clear();
+    l.Unlock();
+    hook();
     return Status::OK();
   }
   if (crash_action_ == CrashAction::kExit) {

@@ -55,8 +55,10 @@ class Transaction {
   void set_state(TxnState s) { state_.store(s, std::memory_order_release); }
 
   // The backchain head and first LSN are written only by the transaction's
-  // own thread but read cross-thread (checkpointing reads last_lsn; the
-  // Commit_LSN garbage-collection test reads first_lsn), hence atomics.
+  // own thread but read cross-thread (ActiveTxns reads last_lsn; the
+  // Commit_LSN garbage-collection test and the checkpoint's redo floor
+  // read first_lsn), hence atomics. first_lsn is at or below the
+  // transaction's Begin record: Begin publishes it before appending.
   Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
   void set_last_lsn(Lsn l) { last_lsn_.store(l, std::memory_order_release); }
   Lsn first_lsn() const {

@@ -55,6 +55,11 @@ Transaction* TransactionManager::Begin(IsolationLevel iso) {
   Status st = locks_->Lock(id, LockName{LockSpace::kTxn, id},
                            LockMode::kExclusive);
   GISTCR_CHECK(st.ok());
+  // Publish a first LSN before the Begin record exists: the log's next
+  // LSN, at or below wherever the Begin lands. A checkpoint that reads
+  // the log end before our append must find us in OldestActiveFirstLsn,
+  // or it logs a redo floor above our Begin (DESIGN.md section 16.2).
+  txn->set_first_lsn(log_->next_lsn());
   LogRecord rec;
   rec.type = LogRecordType::kBegin;
   st = AppendTxnLog(txn, &rec);
@@ -76,8 +81,8 @@ Status TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
   GISTCR_RETURN_IF_ERROR(log_->Append(rec));
+  GISTCR_CRASHPOINT("txn.after_log_append");
   txn->set_last_lsn(rec->lsn);
-  if (txn->first_lsn() == kInvalidLsn) txn->set_first_lsn(rec->lsn);
   return Status::OK();
 }
 
