@@ -43,6 +43,10 @@ void BM_RestartTime(benchmark::State& state) {
               .status());
       if (checkpoint_mid && k == committed_ops / 2) {
         BENCH_CHECK_OK(db->Commit(txn));
+        // Write the dirty pages first: with all of them dirty since the
+        // first insert, the checkpoint's redo floor is the log start and
+        // it shortens nothing.
+        BENCH_CHECK_OK(db->FlushAll());
         BENCH_CHECK_OK(db->Checkpoint());
         txn = db->Begin(IsolationLevel::kReadCommitted);
       }

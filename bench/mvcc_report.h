@@ -51,7 +51,7 @@ inline void WriteMvccReport(const std::string& out_path,
   row.snapshot_reads = reg->GetCounter("mvcc.snapshot_reads")->value();
   row.versions_stamped = reg->GetCounter("mvcc.versions_stamped")->value();
   row.versions_pruned = reg->GetCounter("mvcc.versions_pruned")->value();
-  row.store_size = db->mvcc() != nullptr ? db->mvcc()->StoreSize() : 0;
+  row.store_size = db->mvcc()->StoreSize();
   const auto chains = reg->GetHistogram("mvcc.chain_length")->GetSnapshot();
   row.chain_length_p99 = chains.count == 0 ? 0.0 : chains.Percentile(0.99);
 

@@ -15,14 +15,12 @@ using net::Opcode;
 Client::Client(ClientOptions opts) : opts_(std::move(opts)) {}
 
 Status Client::Dial() {
-  uint32_t backoff = opts_.backoff_base_ms;
+  std::chrono::milliseconds backoff = kBackoffBase;
   Status last = Status::IOError("no connect attempt made");
-  const uint32_t attempts =
-      opts_.connect_attempts == 0 ? 1 : opts_.connect_attempts;
-  for (uint32_t i = 0; i < attempts; i++) {
+  for (uint32_t i = 0; i < kConnectAttempts; i++) {
     if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff = std::min(backoff * 2, opts_.backoff_max_ms);
+      std::this_thread::sleep_for(backoff);
+      backoff = std::min(backoff * 2, kBackoffMax);
     }
     net::Socket s;
     last = net::TcpConnect(opts_.host, opts_.port, &s);

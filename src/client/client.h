@@ -1,6 +1,7 @@
 #ifndef GISTCR_CLIENT_CLIENT_H_
 #define GISTCR_CLIENT_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,11 +17,6 @@ namespace gistcr {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Dial attempts per (re)connect; each failure backs off exponentially
-  /// from backoff_base_ms, doubling up to backoff_max_ms.
-  uint32_t connect_attempts = 5;
-  uint32_t backoff_base_ms = 20;
-  uint32_t backoff_max_ms = 1000;
   /// Transparently re-dial and retry a call once after a transport failure
   /// — only when no transaction is open (an open transaction died with the
   /// connection and must surface as an error).
@@ -45,8 +41,9 @@ class Client {
   ~Client() = default;
   GISTCR_DISALLOW_COPY_AND_ASSIGN(Client);
 
-  /// Dials (with backoff). A default-constructed client may also skip this
-  /// and let the first call connect lazily.
+  /// Dials: up to kConnectAttempts tries, backing off exponentially from
+  /// kBackoffBase and doubling up to kBackoffMax. A default-constructed
+  /// client may also skip this and let the first call connect lazily.
   Status Connect();
   void Close() { sock_.Close(); }
   bool connected() const { return sock_.valid(); }
@@ -99,6 +96,10 @@ class Client {
                       std::vector<BatchResult>* results);
 
  private:
+  static constexpr uint32_t kConnectAttempts = 5;
+  static constexpr std::chrono::milliseconds kBackoffBase{20};
+  static constexpr std::chrono::milliseconds kBackoffMax{1000};
+
   Status EnsureConnected();
   Status Dial();
   Status SendFrame(net::Opcode op, uint8_t flags, uint64_t request_id,

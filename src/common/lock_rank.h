@@ -23,9 +23,10 @@ namespace gistcr {
 enum class LockRank : uint16_t {
   kUnranked = 0,  ///< default-constructed wrapper: invisible to the detector
 
-  // Outermost: connection/session lifecycle and database daemons. These
-  // are held across whole operations (drain-time aborts run under the
-  // server mutex; a maintenance pass runs under its daemon mutex).
+  // Outermost: connection/session lifecycle and database daemons. The
+  // server mutex is held across whole operations (drain-time aborts run
+  // under it). The three daemon mutexes guard only a stop flag or a done
+  // status; each daemon releases its mutex across the pass it runs.
   kServer = 100,
   kDbMaintenance = 150,
   kDbRecovery = 155,
@@ -82,6 +83,10 @@ enum class LockRank : uint16_t {
   kMvccPending = 610,
   kMvccShard = 620,
   kMvccStamping = 630,
+
+  // Master-pointer update: held across the rename and the log reclaim
+  // after it (which takes the WAL mutex), never across an fsync.
+  kDbMaster = 690,
 
   // WAL mutex: innermost of the protocol locks — appends happen under
   // page latches and the allocator/data-store mutexes, and the flusher

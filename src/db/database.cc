@@ -1,10 +1,13 @@
 #include "db/database.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "db/meta_page.h"
 #include "obs/flight_recorder.h"
@@ -15,15 +18,17 @@ namespace gistcr {
 
 namespace {
 
-/// Environment override for an observability knob: a valid unsigned
-/// integer in \p name wins over \p fallback (the DatabaseOptions value).
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<uint64_t>(x);
+/// fsync()s the directory holding \p file, so a rename into it is
+/// durable.
+Status SyncDirOf(const std::string& file) {
+  const size_t slash = file.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : file.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::IOError("open " + dir);
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced ? Status::OK() : Status::IOError("fsync " + dir);
 }
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -66,7 +71,7 @@ GistContext Database::MakeContext() {
   ctx.alloc = alloc_.get();
   ctx.nsn = nsn_.get();
   ctx.metrics = &metrics_;
-  ctx.mvcc = mvcc_.get();
+  ctx.mvcc = &mvcc_;
   return ctx;
 }
 
@@ -82,35 +87,28 @@ Status Database::InitCommon() {
   // flusher thread, which reads the cached metric pointers from then on.
   disk_.AttachMetrics(&metrics_);
   log_.AttachMetrics(&metrics_);
-  // The MVCC timestamp oracle must exist (and its fan-out hook be
-  // registered) before the flusher thread starts: snapshot stamps ride on
-  // the durable-LSN broadcast of every group commit.
-  if (EnvU64("GISTCR_MVCC_ENABLED", opts_.mvcc_enabled ? 1 : 0) != 0) {
-    mvcc_ = std::make_unique<MvccManager>();
-    mvcc_->AttachMetrics(&metrics_);
-    log_.SetDurableCallback([this](Lsn lsn) { mvcc_->AdvanceDurable(lsn); });
-  }
+  // The MVCC timestamp oracle's fan-out hook must be registered before
+  // the flusher thread starts: snapshot stamps ride on the durable-LSN
+  // broadcast of every group commit.
+  mvcc_.AttachMetrics(&metrics_);
+  log_.SetDurableCallback([this](Lsn lsn) { mvcc_.AdvanceDurable(lsn); });
   GISTCR_RETURN_IF_ERROR(log_.Open(opts_.path + ".wal"));
   log_.SetSyncOnFlush(opts_.sync_commit);
-  if (mvcc_ != nullptr) {
-    // Seed the oracle with what is already durable so the first snapshot
-    // (taken before any new commit flushes) sees the pre-restart state.
-    mvcc_->AdvanceDurable(log_.durable_lsn());
-  }
+  // Seed the oracle with what is already durable so the first snapshot
+  // (taken before any new commit flushes) sees the pre-restart state.
+  mvcc_.AdvanceDurable(log_.durable_lsn());
   pool_ = std::make_unique<BufferPool>(
       &disk_, opts_.buffer_pool_pages,
-      [this](Lsn lsn) { return log_.Flush(lsn); }, opts_.buffer_pool_shards);
-  txns_ = std::make_unique<TransactionManager>(&log_, &locks_, &preds_);
+      [this](Lsn lsn) { return log_.Flush(lsn); });
+  txns_ =
+      std::make_unique<TransactionManager>(&log_, &locks_, &preds_, &mvcc_);
   nsn_ = std::make_unique<GlobalNsn>(opts_.nsn_source, &log_);
   alloc_ = std::make_unique<PageAllocator>(pool_.get(), txns_.get());
   data_ = std::make_unique<DataStore>(pool_.get(), txns_.get(), alloc_.get());
   recovery_ = std::make_unique<RecoveryManager>(
-      pool_.get(), &log_, txns_.get(), alloc_.get(), data_.get(), nsn_.get());
+      pool_.get(), &log_, txns_.get(), alloc_.get(), data_.get(), nsn_.get(),
+      &mvcc_);
   txns_->SetUndoApplier(recovery_.get());
-  if (mvcc_ != nullptr) {
-    txns_->SetMvcc(mvcc_.get());
-    recovery_->SetMvcc(mvcc_.get());
-  }
   // Re-point every remaining component at this instance's registry (they
   // start on the process fallback). Done before any of *their* worker
   // threads exist, so the cached metric pointers are safely published.
@@ -122,22 +120,11 @@ Status Database::InitCommon() {
   if constexpr (kFaultInjectionCompiled) {
     FaultInjector::Global().AttachMetrics(&metrics_);
   }
-  // Observability knobs: environment overrides beat DatabaseOptions so a
-  // deployed binary can be re-tuned without a rebuild (README knob table).
-  obs::Tracer::Global().SetRingCapacity(static_cast<size_t>(
-      EnvU64("GISTCR_TRACE_RING_CAPACITY", opts_.trace_ring_capacity)));
-  slow_ops_.Configure(
-      static_cast<size_t>(
-          EnvU64("GISTCR_SLOW_OP_RING", opts_.slow_op_ring_capacity)),
-      EnvU64("GISTCR_SLOW_OP_THRESHOLD_US", opts_.slow_op_threshold_us) *
-          1000);
   // Crash flight recorder: armed for the life of this instance; a fatal
-  // crash point (and, opt-in, a fatal signal) dumps to <path>.flight.
+  // crash point (and, in gistcr_serverd, a fatal signal) dumps to
+  // <path>.flight.
   obs::FlightRecorder::Global().Arm(opts_.path + ".flight", &metrics_,
                                     &slow_ops_);
-  if (EnvU64("GISTCR_FLIGHT_SIGNALS", 0) != 0) {
-    obs::FlightRecorder::InstallSignalHandlers();
-  }
   return Status::OK();
 }
 
@@ -291,6 +278,10 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
 
   Lsn ckpt = kInvalidLsn;
   GISTCR_RETURN_IF_ERROR(db->ReadMasterPointer(&ckpt));
+  {
+    MutexLock l(db->master_mu_);
+    db->master_lsn_ = ckpt;
+  }
   // Log-only analysis: builds the per-page redo plans, re-acquires the
   // losers' locks and arms the buffer-pool hook. No page is redone yet;
   // everything after this point may touch pages (triggering their inline
@@ -348,13 +339,8 @@ Status Database::RunMaintenancePass() {
     }
   }
   // Version-store GC (DESIGN.md section 14): prune version records no
-  // active snapshot can reach, on the configured cadence.
-  maint_passes_++;
-  const uint64_t gc_every =
-      EnvU64("GISTCR_MVCC_GC_PASSES", opts_.mvcc_gc_interval_passes);
-  if (mvcc_ != nullptr && gc_every != 0 && maint_passes_ % gc_every == 0) {
-    (void)mvcc_->Prune();
-  }
+  // active snapshot can reach.
+  (void)mvcc_.Prune();
   return Status::OK();
 }
 
@@ -407,11 +393,9 @@ void Database::StartWriter() {
     obs::Counter* pages = metrics_.GetCounter("writer.pages_written");
     obs::Counter* errors = metrics_.GetCounter("writer.errors");
     obs::Histogram* pass_ns = metrics_.GetHistogram("writer.pass_ns");
-    size_t budget = opts_.writer_pages_per_pass;
-    if (budget == 0) {
-      budget = pool_->num_frames() / pool_->num_shards() / 8;
-      if (budget == 0) budget = 1;
-    }
+    // Dirty pages cleaned per shard per pass: 1/8 of a shard's frames.
+    const size_t budget =
+        std::max<size_t>(1, pool_->num_frames() / pool_->num_shards() / 8);
     MutexLock l(writer_mu_);
     while (!writer_stop_) {
       (void)writer_cv_.WaitFor(
@@ -560,13 +544,8 @@ Status Database::Checkpoint() {
   // Checkpoint record durable but the master pointer still names the
   // previous one: restart must work from the older (valid) checkpoint.
   GISTCR_CRASHPOINT("ckpt.before_master_update");
-  GISTCR_RETURN_IF_ERROR(WriteMasterPointer(lsns_or.value().checkpoint));
-  // With the master pointer durable, everything below the redo floor the
-  // checkpoint logged is dead weight: restart scans up from exactly there,
-  // and the floor lies at or below every active transaction's first LSN,
-  // so no undo backchain reaches below it either. Reclaim its disk space.
-  (void)log_.ReclaimBefore(lsns_or.value().redo_floor);  // best effort
-  return Status::OK();
+  return WriteMasterPointer(lsns_or.value().checkpoint,
+                            lsns_or.value().redo_floor);
 }
 
 Status Database::FlushAll() {
@@ -598,15 +577,47 @@ Status Database::ReadMasterPointer(Lsn* lsn) {
   return Status::OK();
 }
 
-Status Database::WriteMasterPointer(Lsn lsn) {
-  const std::string tmp = opts_.path + ".ckpt.tmp";
+Status Database::WriteMasterPointer(Lsn checkpoint, Lsn redo_floor) {
+  // Checkpoints may overlap: the maintenance thread, the server's
+  // checkpoint opcode and embedded callers each take one. So the master
+  // moves only forward, and never to a floor that reclaim has passed. A
+  // checkpoint that loses either race is redundant, not wrong: the master
+  // already names a newer one whose floor is still readable. Each
+  // checkpoint writes its own temporary file; master_mu_ orders the
+  // renames and the reclaims, and no fsync runs under it.
+  const std::string master = opts_.path + ".ckpt";
+  const std::string tmp = master + "." + std::to_string(checkpoint) + ".tmp";
   FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return Status::IOError("open master pointer");
-  std::fprintf(f, "%llu\n", static_cast<unsigned long long>(lsn));
-  std::fflush(f);
+  std::fprintf(f, "%llu\n", static_cast<unsigned long long>(checkpoint));
+  const bool written = std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   std::fclose(f);
-  if (std::rename(tmp.c_str(), (opts_.path + ".ckpt").c_str()) != 0) {
-    return Status::IOError("rename master pointer");
+  if (!written) {
+    std::remove(tmp.c_str());
+    return Status::IOError("write master pointer");
+  }
+  {
+    MutexLock l(master_mu_);
+    if (checkpoint <= master_lsn_ || redo_floor < log_.reclaimed_before()) {
+      std::remove(tmp.c_str());
+      return Status::OK();
+    }
+    if (std::rename(tmp.c_str(), master.c_str()) != 0) {
+      std::remove(tmp.c_str());
+      return Status::IOError("rename master pointer");
+    }
+    master_lsn_ = checkpoint;
+  }
+  GISTCR_RETURN_IF_ERROR(SyncDirOf(master));
+  // With the master pointer durable, everything below the redo floor it
+  // names is dead weight: restart scans up from exactly there, and the
+  // floor lies at or below every active transaction's first LSN, so no
+  // undo backchain reaches below it either. A newer master may have
+  // replaced ours meanwhile, with a floor below ours; then reclaim is its
+  // job, after its own rename is durable.
+  MutexLock l(master_mu_);
+  if (master_lsn_ == checkpoint) {
+    (void)log_.ReclaimBefore(redo_floor);  // best effort
   }
   return Status::OK();
 }

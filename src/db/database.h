@@ -27,50 +27,26 @@ namespace gistcr {
 struct DatabaseOptions {
   std::string path;  ///< Base path: <path>.db, <path>.wal, <path>.ckpt.
   size_t buffer_pool_pages = 4096;
-  /// Buffer pool partitions (page table + clock + mutex each). 0 picks
-  /// automatically from the pool size (BufferPool::AutoShards).
-  size_t buffer_pool_shards = 0;
   NsnSource nsn_source = NsnSource::kLsn;
   /// fdatasync the log on commit/flush. Benchmarks measuring protocol
   /// scaling may disable it; anything testing durability must not.
   bool sync_commit = true;
   /// When non-zero, a background maintenance thread runs every this many
-  /// milliseconds: fuzzy checkpoint (+ WAL space reclamation) and a
+  /// milliseconds: fuzzy checkpoint (+ WAL space reclamation), a
   /// garbage-collection sweep over every open index (paper section 7.1:
   /// physical removal "performed as garbage collection by other
-  /// operations" — here, a dedicated daemon, like PostgreSQL's vacuum).
+  /// operations" — here, a dedicated daemon, like PostgreSQL's vacuum)
+  /// and a version-store prune.
   uint32_t maintenance_interval_ms = 0;
   /// When non-zero, a background writer thread runs every this many
-  /// milliseconds, cleaning dirty pages just ahead of each shard's clock
-  /// hand (BufferPool::WriteBackSome) so Fetch rarely has to write a dirty
-  /// victim inline. Off by default: deterministic tests arm one-shot fault
-  /// injection points that a concurrent writer could consume. Eviction
-  /// always falls back to the synchronous write when the writer is behind
-  /// (or disabled), so this is purely a latency optimization.
+  /// milliseconds, cleaning up to 1/8 of each shard's frames just ahead of
+  /// its clock hand (BufferPool::WriteBackSome) so Fetch rarely has to
+  /// write a dirty victim inline. Off by default: deterministic tests arm
+  /// one-shot fault injection points that a concurrent writer could
+  /// consume. Eviction always falls back to the synchronous write when the
+  /// writer is behind (or disabled), so this is purely a latency
+  /// optimization.
   uint32_t writer_interval_ms = 0;
-  /// Dirty pages the writer may clean per shard per pass. 0 picks
-  /// automatically (1/8 of a shard's frames).
-  size_t writer_pages_per_pass = 0;
-  /// Per-thread trace ring capacity (events). 0 keeps the tracer default
-  /// (Tracer::kRingCapacity). Applies to rings created after this Database
-  /// initializes; env GISTCR_TRACE_RING_CAPACITY overrides.
-  size_t trace_ring_capacity = 0;
-  /// Requests slower than this end-to-end are captured in the slow-op
-  /// ring (0 disables capture). Env GISTCR_SLOW_OP_THRESHOLD_US overrides.
-  uint64_t slow_op_threshold_us = 10'000;
-  /// Slow-op ring capacity (records). 0 keeps the default
-  /// (SlowOpLog::kDefaultCapacity). Env GISTCR_SLOW_OP_RING overrides.
-  size_t slow_op_ring_capacity = 0;
-  /// Multiversion snapshot reads (DESIGN.md section 14): when on,
-  /// Begin(kSnapshot) produces a lock-free read-only transaction served
-  /// from the versioned leaf store. When off, kSnapshot silently downgrades
-  /// to repeatable read and the version store costs nothing. Env
-  /// GISTCR_MVCC_ENABLED (0/1) overrides.
-  bool mvcc_enabled = true;
-  /// Version-store GC cadence: prune obsolete version records every Nth
-  /// maintenance pass (1 = every pass; 0 disables pruning). Env
-  /// GISTCR_MVCC_GC_PASSES overrides.
-  uint32_t mvcc_gc_interval_passes = 1;
 };
 
 /// The engine facade: wires disk, buffer pool, WAL, transactions, locks,
@@ -179,8 +155,6 @@ class Database {
   StatusOr<std::string> InspectJson(const std::string& what);
 
   /// Writes every buffered trace event as a chrome://tracing JSON array.
-  /// Events are only recorded when built with -DGISTCR_TRACING=ON; without
-  /// it the file holds an empty array.
   Status ExportTrace(const std::string& path);
 
   // Component access (tests, benchmarks).
@@ -192,7 +166,7 @@ class Database {
   PageAllocator* allocator() { return alloc_.get(); }
   DataStore* data() { return data_.get(); }
   RecoveryManager* recovery() { return recovery_.get(); }
-  MvccManager* mvcc() { return mvcc_.get(); }  ///< null when mvcc_enabled=0
+  MvccManager* mvcc() { return &mvcc_; }
   GlobalNsn* nsn() { return nsn_.get(); }
   obs::MetricsRegistry* metrics() { return &metrics_; }
   obs::SlowOpLog* slow_ops() { return &slow_ops_; }
@@ -202,7 +176,10 @@ class Database {
 
   Status InitCommon();
   Status ReadMasterPointer(Lsn* lsn);
-  Status WriteMasterPointer(Lsn lsn);
+  /// Names \p checkpoint in the master pointer, durably, unless a newer
+  /// master or a reclaim past \p redo_floor got there first; then
+  /// reclaims the log below the floor.
+  Status WriteMasterPointer(Lsn checkpoint, Lsn redo_floor);
   GistContext MakeContext();
 
   /// Refreshes derived gauges (bp.hit_rate) so dumps are self-contained.
@@ -213,6 +190,9 @@ class Database {
   /// pointers into it.
   obs::MetricsRegistry metrics_;
   obs::SlowOpLog slow_ops_;
+  /// Version store + timestamp oracle (DESIGN.md section 14). Declared
+  /// before the log so it outlives the flusher thread that feeds it.
+  MvccManager mvcc_;
   DiskManager disk_;
   LogManager log_;
   std::unique_ptr<BufferPool> pool_;
@@ -223,10 +203,6 @@ class Database {
   std::unique_ptr<PageAllocator> alloc_;
   std::unique_ptr<DataStore> data_;
   std::unique_ptr<RecoveryManager> recovery_;
-  /// Version store + timestamp oracle; null when MVCC is disabled.
-  std::unique_ptr<MvccManager> mvcc_;
-  /// Maintenance passes run so far (drives the version-GC cadence).
-  uint64_t maint_passes_ = 0;
 
   void StartMaintenance();
   void StopMaintenance();
@@ -234,6 +210,12 @@ class Database {
   void StopWriter();
   void StartRecovery();
   void StopRecovery();
+
+  /// Orders master-pointer renames and the log reclaim after them
+  /// (Checkpoint). Never held across an fsync.
+  Mutex master_mu_{GISTCR_LOCK_RANK(kDbMaster, "db.master.mu")};
+  /// The checkpoint the master pointer names. It only moves forward.
+  Lsn master_lsn_ GISTCR_GUARDED_BY(master_mu_) = kInvalidLsn;
 
   Mutex indexes_mu_{GISTCR_LOCK_RANK(kDbIndexes, "db.indexes.mu")};
   std::unordered_map<uint32_t, std::unique_ptr<Gist>> indexes_

@@ -194,7 +194,6 @@ Status Gist::PushRoot(Transaction* txn, std::vector<StackEntry>* stack) {
   const PageId root = root_or.value();
   if (root == kInvalidPageId) return Status::NotFound("index has no root");
   if (txn->is_snapshot()) {
-    GISTCR_CHECK(ctx_.mvcc != nullptr);  // Begin downgrades otherwise
     ctx_.mvcc->CountSnapshotRead();
   } else {
     GISTCR_RETURN_IF_ERROR(SignalLock(txn, root));

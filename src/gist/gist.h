@@ -64,9 +64,7 @@ struct GistContext {
   /// fallback registry).
   obs::MetricsRegistry* metrics = nullptr;
   /// Version store + timestamp oracle for snapshot reads (DESIGN.md
-  /// section 14). Null: snapshot isolation unavailable; the transaction
-  /// layer then downgrades kSnapshot begins to repeatable read, so the
-  /// tree never sees a snapshot transaction.
+  /// section 14).
   MvccManager* mvcc = nullptr;
 };
 

@@ -118,7 +118,7 @@ Status Gist::Delete(Transaction* txn, Slice key, Rid rid) {
       g.frame()->MarkDirty(rec.lsn);
       // Version-store shadow of the mark (DESIGN.md section 14): snapshots
       // begun before this delete's commit stamp keep seeing the entry.
-      if (ctx_.mvcc != nullptr) ctx_.mvcc->NoteDelete(rid.Pack(), txn->id());
+      ctx_.mvcc->NoteDelete(rid.Pack(), txn->id());
       // Mark applied and logged inside a still-running transaction.
       GISTCR_CRASHPOINT("delete.after_mark");
       g.Drop();

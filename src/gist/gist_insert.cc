@@ -698,10 +698,7 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
     // entry's lifetime past the deleter's commit: physical removal must
     // also wait until no active snapshot can still see it (section 14).
     if (all_committed || !ctx_.txns->IsActive(d)) {
-      if (ctx_.mvcc != nullptr &&
-          !ctx_.mvcc->SafeToReclaim(node.entry_value(i), d)) {
-        continue;
-      }
+      if (!ctx_.mvcc->SafeToReclaim(node.entry_value(i), d)) continue;
       pl.removed.push_back(node.GetEntry(i));
     }
   }
@@ -865,7 +862,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
     // Version-store shadow of the Add-Leaf-Entry (DESIGN.md section 14):
     // a pending record commit-stamping later makes the entry visible to
     // snapshots; rollback clears it via RecoveryManager::UndoRecord.
-    if (ctx_.mvcc != nullptr) ctx_.mvcc->NoteInsert(entry.value, txn->id());
+    ctx_.mvcc->NoteInsert(entry.value, txn->id());
     // Entry applied and logged inside a still-running transaction.
     GISTCR_CRASHPOINT("insert.after_leaf_apply");
   }

@@ -54,8 +54,8 @@ class FlightRecorder {
 
   /// Installs SIGSEGV/SIGBUS/SIGFPE/SIGABRT/SIGILL handlers that dump the
   /// flight file and then re-raise with default disposition. Opt-in
-  /// (gistcr_serverd, or GISTCR_FLIGHT_SIGNALS=1 via Database init): unit
-  /// tests use death tests and sanitizers that own these signals.
+  /// (gistcr_serverd calls it): unit tests use death tests and sanitizers
+  /// that own these signals.
   static void InstallSignalHandlers();
 
  private:

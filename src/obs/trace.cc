@@ -14,11 +14,10 @@ Tracer& Tracer::Global() {
 
 Tracer::ThreadRing* Tracer::RingForThisThread() {
   // One ring per thread for the global tracer's lifetime; rings of exited
-  // threads are kept (their events remain exportable). The capacity knob
-  // is sampled once here, so reconfiguration affects new rings only.
+  // threads are kept (their events remain exportable).
   static thread_local ThreadRing* tls_ring = nullptr;
   if (tls_ring == nullptr) {
-    auto ring = std::make_unique<ThreadRing>(ring_capacity());
+    auto ring = std::make_unique<ThreadRing>(kRingCapacity);
     ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
     tls_ring = ring.get();
     MutexLock l(mu_);

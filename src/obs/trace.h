@@ -31,13 +31,9 @@ struct TraceEvent {
 /// process). The ring overwrites its oldest events when full, bounding
 /// memory for arbitrarily long runs. Export serializes every ring to the
 /// chrome://tracing JSON array format.
-///
-/// Recording calls are compiled out entirely unless GISTCR_TRACING is
-/// defined (see the macros below); the exporter always exists so
-/// Database::ExportTrace stays linkable in both configurations.
 class Tracer {
  public:
-  static constexpr size_t kRingCapacity = 4096;  ///< default events/thread
+  static constexpr size_t kRingCapacity = 4096;  ///< events per thread
 
   static Tracer& Global();
 
@@ -46,16 +42,6 @@ class Tracer {
 
   void SetEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Sets the per-thread ring capacity for rings created *after* this
-  /// call; existing rings keep their size. 0 restores the default.
-  void SetRingCapacity(size_t capacity) {
-    ring_capacity_.store(capacity != 0 ? capacity : kRingCapacity,
-                         std::memory_order_relaxed);
-  }
-  size_t ring_capacity() const {
-    return ring_capacity_.load(std::memory_order_relaxed);
-  }
 
   /// Records a complete ('X') event. \p name (and \p arg_name) must be
   /// string literals or otherwise outlive the tracer.
@@ -100,7 +86,6 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadRing>> rings_ GISTCR_GUARDED_BY(mu_);
   std::atomic<uint32_t> next_tid_{1};
   std::atomic<bool> enabled_{true};
-  std::atomic<size_t> ring_capacity_{kRingCapacity};
 };
 
 /// RAII scope producing one complete ('X') event spanning its lifetime,
@@ -129,10 +114,8 @@ class TraceScope {
 }  // namespace obs
 }  // namespace gistcr
 
-// Tracing macros: free when GISTCR_TRACING is undefined (the CMake option
-// of the same name controls it; default ON). With tracing compiled in, a
-// scope costs two steady_clock reads and ~4 relaxed stores.
-#ifdef GISTCR_TRACING
+// Tracing macros. A scope costs two steady_clock reads and ~4 relaxed
+// stores; Tracer::SetEnabled(false) turns recording off at run time.
 #define GISTCR_TRACE_CONCAT2(a, b) a##b
 #define GISTCR_TRACE_CONCAT(a, b) GISTCR_TRACE_CONCAT2(a, b)
 #define GISTCR_TRACE_SCOPE(name)            \
@@ -144,10 +127,5 @@ class TraceScope {
       name, key, static_cast<uint64_t>(value))
 #define GISTCR_TRACE_INSTANT(name) \
   ::gistcr::obs::Tracer::Global().RecordInstant(name)
-#else
-#define GISTCR_TRACE_SCOPE(name) ((void)0)
-#define GISTCR_TRACE_SCOPE_ARG(name, key, value) ((void)0)
-#define GISTCR_TRACE_INSTANT(name) ((void)0)
-#endif
 
 #endif  // GISTCR_OBS_TRACE_H_

@@ -1015,12 +1015,10 @@ Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
       }
       Stamp(&g, crec.lsn);
       g.Drop();
-      if (mvcc_ != nullptr) {
-        if (rec.type == LogRecordType::kAddLeafEntry) {
-          mvcc_->UndoInsert(pl.entry.value, rec.txn_id);
-        } else {
-          mvcc_->UndoDelete(pl.entry.value, rec.txn_id);
-        }
+      if (rec.type == LogRecordType::kAddLeafEntry) {
+        mvcc_->UndoInsert(pl.entry.value, rec.txn_id);
+      } else {
+        mvcc_->UndoDelete(pl.entry.value, rec.txn_id);
       }
       return Status::OK();
     }

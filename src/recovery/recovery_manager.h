@@ -39,10 +39,14 @@ namespace gistcr {
 /// new work.
 class RecoveryManager : public UndoApplier {
  public:
+  /// \p mvcc is kept consistent with undo: a rolled-back insert or
+  /// delete-mark must not leave a pending version record behind (partial
+  /// rollback keeps the transaction alive, so commit would stamp it).
   RecoveryManager(BufferPool* pool, LogManager* log, TransactionManager* txns,
-                  PageAllocator* alloc, DataStore* data, GlobalNsn* nsn)
+                  PageAllocator* alloc, DataStore* data, GlobalNsn* nsn,
+                  MvccManager* mvcc)
       : pool_(pool), log_(log), txns_(txns), alloc_(alloc), data_(data),
-        nsn_(nsn) {
+        nsn_(nsn), mvcc_(mvcc) {
     AttachMetrics(nullptr);
   }
   GISTCR_DISALLOW_COPY_AND_ASSIGN(RecoveryManager);
@@ -51,11 +55,6 @@ class RecoveryManager : public UndoApplier {
   /// fallback). Call before StartInstant; the Database facade does so at
   /// init.
   void AttachMetrics(obs::MetricsRegistry* reg);
-
-  /// Keeps the version store consistent with undo: a rolled-back insert or
-  /// delete-mark must not leave a pending version record behind (partial
-  /// rollback keeps the transaction alive, so commit would stamp it).
-  void SetMvcc(MvccManager* mvcc) { mvcc_ = mvcc; }
 
   /// Instant restart, phase one (log-only): one analysis scan from the
   /// redo floor logged by \p checkpoint_lsn (kInvalidLsn: from the log
@@ -158,7 +157,7 @@ class RecoveryManager : public UndoApplier {
   PageAllocator* alloc_;
   DataStore* data_;
   GlobalNsn* nsn_;
-  MvccManager* mvcc_ = nullptr;
+  MvccManager* mvcc_;
   RestartStats stats_;
 
   RecoveryGate gate_;

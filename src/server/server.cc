@@ -14,7 +14,6 @@ namespace gistcr {
 Server::Server(Database* db, ServerOptions opts)
     : db_(db), opts_(std::move(opts)) {
   if (opts_.num_workers == 0) opts_.num_workers = 1;
-  if (opts_.max_inflight_per_session == 0) opts_.max_inflight_per_session = 1;
 }
 
 Server::~Server() {
@@ -85,9 +84,7 @@ Status Server::Shutdown() {
   Wake();  // event loop closes the listener and starts reaping idle conns
   {
     MutexLock l(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(opts_.drain_timeout_ms);
+    const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
     while (!sessions_.empty()) {
       if (!sessions_cv_.WaitUntil(mu_, deadline)) break;  // drain timed out
     }
@@ -217,7 +214,7 @@ void Server::HandleReadable(Session* s) {
     s->in_epoll = false;
   }
   if (!s->closed &&
-      s->pending.size() >= opts_.max_inflight_per_session && !s->paused &&
+      s->pending.size() >= kMaxInflightPerSession && !s->paused &&
       s->in_epoll) {
     epoll_event ev;
     ev.events = 0;  // stay registered, report nothing: backpressure
@@ -344,7 +341,7 @@ void Server::WorkerLoop() {
       total_pending_--;
       m_.queue_depth->Set(static_cast<double>(total_pending_));
       if (s->paused && s->in_epoll && !s->closed &&
-          s->pending.size() <= opts_.max_inflight_per_session / 2) {
+          s->pending.size() <= kMaxInflightPerSession / 2) {
         epoll_event ev;
         ev.events = EPOLLIN;
         ev.data.u64 = s->id();
@@ -354,8 +351,7 @@ void Server::WorkerLoop() {
       }
       const bool drain_now = draining_;
       l.Unlock();
-      const bool keep =
-          s->Process(req, db_, drain_now, opts_.request_timeout_ms, m_);
+      const bool keep = s->Process(req, db_, drain_now, m_);
       l.Lock();
       if (!keep) {
         s->closed = true;

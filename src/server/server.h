@@ -1,6 +1,7 @@
 #ifndef GISTCR_SERVER_SERVER_H_
 #define GISTCR_SERVER_SERVER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -21,17 +22,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0: pick an ephemeral port (read it via port())
   uint32_t num_workers = 4;
-  /// Parsed-but-unprocessed requests a connection may queue before the
-  /// server stops reading from it (pipelining backpressure). Reading
-  /// resumes when the queue drains to half the cap.
-  uint32_t max_inflight_per_session = 64;
-  /// A request that waited longer than this in the session queue is
-  /// answered with a typed timeout error instead of executed (admission
-  /// control under overload). 0 disables.
-  uint64_t request_timeout_ms = 5000;
-  /// Grace period for open transactions on Shutdown(); afterwards the
-  /// survivors are force-aborted.
-  uint64_t drain_timeout_ms = 2000;
 };
 
 /// Multi-client network front end over a Database: one epoll event-loop
@@ -43,7 +33,7 @@ struct ServerOptions {
 ///
 /// Lifecycle: Start() binds and spawns threads; Shutdown() drains
 /// gracefully — stop accepting, let in-flight transactions finish for
-/// drain_timeout_ms, force-abort the rest, then take a final checkpoint so
+/// kDrainTimeout, force-abort the rest, then take a final checkpoint so
 /// the database reopens cleanly. The destructor calls Shutdown().
 class Server {
  public:
@@ -59,6 +49,14 @@ class Server {
   size_t active_sessions();
 
  private:
+  /// Parsed-but-unprocessed requests a connection may queue before the
+  /// server stops reading from it (pipelining backpressure). Reading
+  /// resumes when the queue drains to half the cap.
+  static constexpr size_t kMaxInflightPerSession = 64;
+  /// Grace period for open transactions on Shutdown(); afterwards the
+  /// survivors are force-aborted.
+  static constexpr std::chrono::milliseconds kDrainTimeout{2000};
+
   // epoll_event.data.u64 tags.
   static constexpr uint64_t kListenTag = 1;
   static constexpr uint64_t kWakeTag = 2;

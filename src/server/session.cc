@@ -11,9 +11,13 @@ namespace {
 using net::ErrorCode;
 using net::Opcode;
 
+/// A request that waited longer than this in the session queue is answered
+/// with a typed timeout error instead of executed (admission control under
+/// overload).
+constexpr uint64_t kRequestTimeoutNs = 5'000'000'000;
+
 /// Static span names for the tracer (it stores the pointer, not a copy).
-/// Unused when tracing is compiled out (GISTCR_TRACING=OFF).
-[[maybe_unused]] const char* TraceNameFor(Opcode op) {
+const char* TraceNameFor(Opcode op) {
   switch (op) {
     case Opcode::kPing: return "server.ping";
     case Opcode::kBegin: return "server.begin";
@@ -138,7 +142,7 @@ Status Session::HandleBegin(const net::Frame& req, bool draining, Database* db) 
                      "begin payload");
   }
   // iso: 0 = read committed, 1 = repeatable read (default), 2 = snapshot
-  // (read-only; downgraded to repeatable read when MVCC is disabled).
+  // (read-only; repeatable read while instant restart undoes losers).
   txn_ = db->Begin(iso == 0   ? IsolationLevel::kReadCommitted
                    : iso == 2 ? IsolationLevel::kSnapshot
                               : IsolationLevel::kRepeatableRead);
@@ -358,7 +362,6 @@ Status Session::HandleInspect(const net::Frame& req, Database* db) {
 }
 
 bool Session::Process(const ServerRequest& req, Database* db, bool draining,
-                      uint64_t request_timeout_ms,
                       const ServerMetrics& metrics) {
   db_ = db;
   metrics_ = &metrics;
@@ -379,8 +382,7 @@ bool Session::Process(const ServerRequest& req, Database* db, bool draining,
 
   // Queue-wait admission timeout: a request that already waited longer
   // than the budget is answered with a typed error instead of executed.
-  if (request_timeout_ms > 0 &&
-      obs::NowNanos() - req.enqueue_ns > request_timeout_ms * 1000000ull) {
+  if (obs::NowNanos() - req.enqueue_ns > kRequestTimeoutNs) {
     metrics.timeouts->Add(1);
     (void)SendError(f.request_id, ErrorCode::kTimeout,
                     "request timed out in the server queue");

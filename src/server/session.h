@@ -73,7 +73,7 @@ class Session {
   /// Returns false when the connection must be closed (fatal protocol
   /// error). Called from a worker thread with the session scheduled.
   bool Process(const ServerRequest& req, Database* db, bool draining,
-               uint64_t request_timeout_ms, const ServerMetrics& metrics);
+               const ServerMetrics& metrics);
 
   /// Rolls back the open transaction, if any (disconnect, forced drain).
   /// Safe from any thread as long as no request is concurrently executing.

@@ -8,8 +8,9 @@
 namespace gistcr {
 
 TransactionManager::TransactionManager(LogManager* log, LockManager* locks,
-                                       PredicateManager* preds)
-    : log_(log), locks_(locks), preds_(preds) {
+                                       PredicateManager* preds,
+                                       MvccManager* mvcc)
+    : log_(log), locks_(locks), preds_(preds), mvcc_(mvcc) {
   AttachMetrics(nullptr);
 }
 
@@ -22,11 +23,10 @@ void TransactionManager::AttachMetrics(obs::MetricsRegistry* reg) {
 }
 
 Transaction* TransactionManager::Begin(IsolationLevel iso) {
-  if (iso == IsolationLevel::kSnapshot &&
-      (mvcc_ == nullptr || recovery_undo_active())) {
-    // Snapshot reads disabled (or instant-restart undo is still
-    // retracting loser version records): degrade to the full hybrid
-    // protocol, whose locks are consistent with the losers' held locks.
+  if (iso == IsolationLevel::kSnapshot && recovery_undo_active()) {
+    // Instant-restart undo is still retracting loser version records:
+    // degrade to the full hybrid protocol, whose locks are consistent with
+    // the losers' held locks.
     iso = IsolationLevel::kRepeatableRead;
   }
   TxnId id;
@@ -112,13 +112,13 @@ Status TransactionManager::Commit(Transaction* txn) {
   // so the epoch must open *before* the Commit record becomes flushable
   // (a concurrent waiter's force, or flush-ahead pressure, can batch and
   // fsync it the instant Append returns, well before our own Flush call).
-  if (mvcc_ != nullptr) mvcc_->BeginStamping(txn->id());
+  mvcc_->BeginStamping(txn->id());
   Status append_st = AppendTxnLog(txn, &commit);
   if (!append_st.ok()) {
-    if (mvcc_ != nullptr) mvcc_->CancelStamping(txn->id());
+    mvcc_->CancelStamping(txn->id());
     return append_st;
   }
-  if (mvcc_ != nullptr) mvcc_->StampCommit(txn->id(), commit.lsn);
+  mvcc_->StampCommit(txn->id(), commit.lsn);
   // Commit appended but not forced: recovery must treat the txn as a loser
   // unless the record happens to be durable already.
   GISTCR_CRASHPOINT("txn.commit.before_log_force");
@@ -182,7 +182,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   GISTCR_RETURN_IF_ERROR(UndoTo(txn, kInvalidLsn));
   // Pages clean: now forget the pending-stamp bookkeeping (and any
   // leftovers the per-op hooks already made no-ops).
-  if (mvcc_ != nullptr) mvcc_->DropAborted(txn->id());
+  mvcc_->DropAborted(txn->id());
   txn->set_state(TxnState::kAborted);
   ReleaseAllFor(txn);
   LogRecord end;

@@ -30,16 +30,13 @@ class UndoApplier {
 /// of transaction.
 class TransactionManager {
  public:
+  /// \p mvcc serves snapshot reads: Begin(kSnapshot) registers with its
+  /// oracle, and Commit stamps versions before forcing the log.
   TransactionManager(LogManager* log, LockManager* locks,
-                     PredicateManager* preds);
+                     PredicateManager* preds, MvccManager* mvcc);
   GISTCR_DISALLOW_COPY_AND_ASSIGN(TransactionManager);
 
   void SetUndoApplier(UndoApplier* applier) { applier_ = applier; }
-
-  /// Enables snapshot-read support: Begin(kSnapshot) registers with the
-  /// oracle, Commit stamps versions before forcing the log. Null disables
-  /// (Begin(kSnapshot) then falls back to kRepeatableRead).
-  void SetMvcc(MvccManager* mvcc) { mvcc_ = mvcc; }
 
   /// Instant restart: while loser undo is still running concurrently with
   /// new work, the MVCC version store has not finished retracting the
@@ -132,7 +129,7 @@ class TransactionManager {
   LockManager* locks_;
   PredicateManager* preds_;
   UndoApplier* applier_ = nullptr;
-  MvccManager* mvcc_ = nullptr;
+  MvccManager* mvcc_;
   std::atomic<bool> recovery_undo_active_{false};
 
   obs::Counter* m_begins_ = nullptr;

@@ -177,12 +177,10 @@ TEST_F(ConcurrencyTest, MetricsAndTraceCaptureConcurrentWorkload) {
   }
   std::remove(trace_path.c_str());
   EXPECT_EQ(trace.front(), '[');
-#ifdef GISTCR_TRACING
-  // With tracing compiled in, the workload's scopes must be present.
+  // The workload's scopes must be present.
   EXPECT_NE(trace.find("\"name\":\"gist.search\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"txn.commit\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-#endif
 }
 
 TEST_F(ConcurrencyTest, ConcurrentOverlappingInsertsNoLostKeys) {

@@ -13,16 +13,21 @@
 ///   4. the checkpoint's redo floor is where restart can read: a log
 ///      unreadable below the checkpoint fails the open instead of passing
 ///      for a torn tail, a checkpoint taken before anything is appended
-///      logs a floor the next restart starts from, and a checkpoint that
+///      logs a floor the next restart starts from, a checkpoint that
 ///      races a Begin or the drainer still logs a floor below every record
-///      the next restart needs.
+///      the next restart needs, and a checkpoint inside another never
+///      moves the master back;
+///   5. snapshot reads fall back to repeatable read only while loser undo
+///      runs.
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <string>
 #include <utility>
@@ -544,6 +549,135 @@ TEST(InstantRestartTest, CheckpointDuringDrainKeepsReplayedPages) {
   }
   EXPECT_EQ(crash::LiveKeys(RecoverDump(path, gopts.max_entries)).size(),
             static_cast<size_t>(kKeys));
+  RemoveDbFiles(path);
+}
+
+// Two checkpoints that overlap cannot undo each other. A whole checkpoint
+// runs inside another's window between logging its record and writing the
+// master; the inner one has a higher floor and reclaims the log below it,
+// the outer one's record included. The outer one must then leave the
+// master alone: moved back to its own record, the master would name
+// punched log, and the next Open would fail on a database that lost
+// nothing.
+TEST(InstantRestartTest, CheckpointInsideCheckpointKeepsMaster) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("instant_ckpt_ckpt");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  constexpr int64_t kKeys = 600;
+  auto commit_keys = [](Database* db, Gist* gist, int64_t lo, int64_t hi) {
+    for (int64_t k = lo; k < hi; k += 50) {
+      Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+      for (int64_t i = k; i < std::min(k + 50, hi); i++) {
+        EXPECT_OK(db->InsertRecord(txn, gist, BtreeExtension::MakeKey(i), "v")
+                      .status());
+      }
+      EXPECT_OK(db->Commit(txn));
+    }
+  };
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext));
+    Gist* gist = db->GetIndex(1).value();
+    // Enough log first that the outer record lands past the log's first
+    // block, which reclaim never punches.
+    commit_keys(db.get(), gist, 0, 100);
+    FaultInjector::Global().Reset();
+    bool inner = false;
+    FaultInjector::Global().ArmCrashPointHook("ckpt.before_master_update",
+                                              [&] {
+      commit_keys(db.get(), gist, 100, kKeys);
+      EXPECT_OK(db->FlushAll());
+      EXPECT_OK(db->Checkpoint());
+      inner = true;
+    });
+    const Status outer = db->Checkpoint();
+    FaultInjector::Global().Reset();
+    ASSERT_OK(outer);
+    ASSERT_TRUE(inner);
+    db->SimulateCrash();
+  }
+  auto db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  ASSERT_OK(db->OpenIndex(1, &ext));
+  ASSERT_OK(db->WaitForRecovery());
+  Gist* gist = db->GetIndex(1).value();
+  Transaction* reader = db->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(reader, BtreeExtension::MakeRange(0, kKeys),
+                         &results));
+  ASSERT_OK(db->Commit(reader));
+  EXPECT_EQ(results.size(), static_cast<size_t>(kKeys));
+  db.reset();
+  RemoveDbFiles(path);
+}
+
+// Begin(kSnapshot) falls back to repeatable read while instant restart
+// still undoes losers: the version store has not retracted their
+// versions yet. Once undo is done, snapshot reads come back.
+TEST(InstantRestartTest, SnapshotDowngradesWhileLoserUndoRuns) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("instant_snap_undo");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext));
+    Gist* gist = db->GetIndex(1).value();
+    Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+    for (int64_t k = 0; k < 10; k++) {
+      ASSERT_OK(db->InsertRecord(loser, gist, BtreeExtension::MakeKey(k), "l")
+                    .status());
+    }
+    ASSERT_OK(db->log()->FlushAll());
+    db->SimulateCrash();
+  }
+
+  // Park the drainer at the loser's undo until the probe is done.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPointHook("instant.undo", [&] {
+    parked.set_value();
+    released.wait();
+  });
+  auto db_or = Database::Open(dopts);
+  if (!db_or.ok()) FaultInjector::Global().Reset();
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  const bool was_parked = parked.get_future().wait_for(
+                              std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+  bool downgraded = false;
+  if (was_parked) {
+    Transaction* txn = db->Begin(IsolationLevel::kSnapshot);
+    downgraded = !txn->is_snapshot();
+    EXPECT_OK(db->Commit(txn));
+  }
+  release.set_value();
+  FaultInjector::Global().Reset();
+  EXPECT_TRUE(was_parked);
+  EXPECT_TRUE(downgraded);
+
+  ASSERT_OK(db->WaitForRecovery());
+  Transaction* txn = db->Begin(IsolationLevel::kSnapshot);
+  EXPECT_TRUE(txn->is_snapshot());
+  ASSERT_OK(db->Commit(txn));
+  db.reset();
   RemoveDbFiles(path);
 }
 

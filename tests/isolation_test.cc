@@ -511,24 +511,6 @@ TEST_F(SnapshotIsolationTest, WriteSkewStillPreventedForReadWrite) {
   EXPECT_EQ(committed.load(), 1);
 }
 
-TEST_F(SnapshotIsolationTest, DowngradesToRepeatableReadWithoutMvcc) {
-  const std::string path2 = TestPath("iso_nomvcc");
-  RemoveDbFiles(path2);
-  DatabaseOptions opts;
-  opts.path = path2;
-  opts.buffer_pool_pages = 512;
-  opts.mvcc_enabled = false;
-  auto db_or = Database::Create(opts);
-  ASSERT_OK(db_or.status());
-  auto db2 = db_or.MoveValue();
-  EXPECT_EQ(db2->mvcc(), nullptr);
-  Transaction* t = db2->Begin(IsolationLevel::kSnapshot);
-  EXPECT_FALSE(t->is_snapshot());  // silently downgraded
-  ASSERT_OK(db2->Commit(t));
-  db2.reset();
-  RemoveDbFiles(path2);
-}
-
 // The pure-predicate-locking mode (section 4.2 / ablation C2) must provide
 // the same isolation, checked before traversal.
 class GlobalPredicateTest : public IsolationTest {

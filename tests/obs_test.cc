@@ -271,27 +271,6 @@ TEST(TracerTest, ScopeArgumentsSurviveExport) {
   tr.Clear();
 }
 
-TEST(TracerTest, RingCapacityAppliesToNewThreads) {
-  Tracer& tr = Tracer::Global();
-  tr.Clear();
-  tr.SetRingCapacity(8);
-  std::thread t([&tr] {
-    for (int i = 0; i < 100; i++) {
-      tr.RecordComplete("cap", static_cast<uint64_t>(i), 1);
-    }
-  });
-  t.join();
-  // Fresh thread got an 8-slot ring: only the newest 8 events survive.
-  size_t cap_events = 0;
-  for (const auto& e : tr.Snapshot()) {
-    if (std::string(e.name) == "cap") cap_events++;
-  }
-  EXPECT_EQ(cap_events, 8u);
-  tr.SetRingCapacity(0);  // restore the default for later tests
-  EXPECT_EQ(tr.ring_capacity(), Tracer::kRingCapacity);
-  tr.Clear();
-}
-
 // ---------------------------------------------------------------------
 // OpContext / stage attribution
 // ---------------------------------------------------------------------

@@ -28,7 +28,8 @@ class TxnTest : public ::testing::Test {
     path_ = TestPath("txn") + ".wal";
     std::remove(path_.c_str());
     ASSERT_OK(log_.Open(path_));
-    txns_ = std::make_unique<TransactionManager>(&log_, &locks_, &preds_);
+    txns_ = std::make_unique<TransactionManager>(&log_, &locks_, &preds_,
+                                                 &mvcc_);
     applier_.txns = txns_.get();
     txns_->SetUndoApplier(&applier_);
   }
@@ -50,6 +51,7 @@ class TxnTest : public ::testing::Test {
   LogManager log_;
   LockManager locks_;
   PredicateManager preds_;
+  MvccManager mvcc_;
   std::unique_ptr<TransactionManager> txns_;
   RecordingApplier applier_;
 };

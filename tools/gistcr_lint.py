@@ -118,6 +118,13 @@ Rules
       16.6). Undo is exempt — it logs CLRs by design, and does so from
       `Undo*`-named functions.
 
+  env-override
+      No getenv/secure_getenv call, even one split by a line splice. The
+      engine ships one configuration: every setting is a DatabaseOptions/
+      ServerOptions/ClientOptions field or a named constant, so a value
+      cannot come back as an environment variable that no test or
+      benchmark runs with.
+
 Escape hatches
 --------------
   // gistcr-lint: allow(<rule>)        on the offending line or the line
@@ -157,6 +164,7 @@ RULES = (
     "stamping-epoch-unclosed",
     "wal-append-after-unlatch",
     "redo-appends-wal",
+    "env-override",
 )
 
 # --- directive extraction & source stripping -------------------------------
@@ -790,6 +798,7 @@ RAW_PRIMITIVE_RE = re.compile(
     r"|\b\w+(?:\.|->)(?:try_)?lock(?:_shared)?\s*\(\s*\)"
     r"|\b\w+(?:\.|->)unlock(?:_shared)?\s*\(\s*\)"
 )
+ENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 NSN_RE = re.compile(r"(?:\.|->)\s*(?:set_)?(?:nsn|rightlink)\s*\(")
 SERIALIZE_RE = re.compile(
     r"(?:\.|->|::)\s*(?:DumpMetrics(?:Prometheus)?|DumpPrometheus|DumpJson|"
@@ -1063,6 +1072,7 @@ class FileLinter:
 
         self.check_snapshot_paths(lines, per_line_allows, file_allows)
         self.check_redo_paths(lines, per_line_allows, file_allows)
+        self.check_env_reads(lines, per_line_allows, file_allows)
         return self.findings
 
     def check_snapshot_paths(self, lines, per_line_allows, file_allows):
@@ -1165,6 +1175,28 @@ class FileLinter:
                         "records of its own (DESIGN.md section 16.6)",
                     ))
             i = j if j > i else i + 1
+
+    def check_env_reads(self, lines, per_line_allows, file_allows):
+        """env-override, over logical lines: a line ending in a backslash
+        is spliced to the next before matching, as the compiler does, and
+        a finding is reported at the logical line's first line."""
+        rule = "env-override"
+        logical, start = "", None
+        for lineno, line in enumerate(lines, start=1):
+            if start is None:
+                start = lineno
+            if line.endswith("\\"):
+                logical += line[:-1]
+                continue
+            logical += line
+            if ENV_RE.search(logical) and rule not in file_allows and \
+                    rule not in per_line_allows.get(start, set()):
+                self.findings.append((
+                    start, rule,
+                    "environment read; make the setting an options field "
+                    "or a named constant",
+                ))
+            logical, start = "", None
 
     def check_unchecked_status(self, line, prev_code, lineno, report):
         m = CALL_STMT_RE.match(line)
