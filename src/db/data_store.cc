@@ -1,8 +1,6 @@
 #include "db/data_store.h"
 
-#include <algorithm>
-
-#include "wal/log_payloads.h"
+#include "gist/gist_apply.h"
 
 // Every PageGuard in this file latches a heap-chain page (kHeapLatch,
 // coupling-allowed for the tail hand-over during chain growth).
@@ -21,8 +19,7 @@ StatusOr<PageId> DataStore::CreateFresh(PageId first_page) {
   return first_page;
 }
 
-Status DataStore::Open(PageId head, PageId tail_hint,
-                       const std::vector<PageId>& doomed) {
+Status DataStore::Open(PageId head, PageId tail_hint) {
   head_ = head;
   if (tail_hint != kInvalidPageId) {
     // Instant restart: analysis already followed the chain's
@@ -43,13 +40,6 @@ Status DataStore::Open(PageId head, PageId tail_hint,
     HeapPageView hv(guard.view().data());
     last = cur;
     cur = hv.IsFormatted() ? hv.next() : kInvalidPageId;
-    if (cur != kInvalidPageId &&
-        std::find(doomed.begin(), doomed.end(), cur) != doomed.end()) {
-      // The link to this page belongs to a loser whose undo has not run
-      // yet: it will be unlinked and freed. Stop short so no new record
-      // lands there.
-      cur = kInvalidPageId;
-    }
   }
   tail_ = last;
   return Status::OK();
@@ -76,9 +66,7 @@ Status DataStore::GrowChain(Transaction* txn) {
   pl.new_rightlink = new_pid;
   pl.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-  HeapPageView(old_guard.view().data()).set_next(new_pid);
-  old_guard.view().set_page_lsn(rec.lsn);
-  old_guard.frame()->MarkDirty(rec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplyRightlinkUpdate(pl, rec.lsn, &old_guard));
   old_guard.Drop();
 
   // Format the new tail in memory; redo reformats lazily if needed.
@@ -125,9 +113,7 @@ StatusOr<Rid> DataStore::Insert(Transaction* txn, Slice record) {
     pl.record = record.ToString();
     pl.EncodeTo(&rec.payload);
     GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-    hv.Append(record);
-    guard.view().set_page_lsn(rec.lsn);
-    guard.frame()->MarkDirty(rec.lsn);
+    GISTCR_RETURN_IF_ERROR(ApplyInsert(pl, rec.lsn, &guard));
     Rid rid;
     rid.page_id = tail_;
     rid.slot = slot;
@@ -154,10 +140,7 @@ Status DataStore::Delete(Transaction* txn, Rid rid) {
   pl.slot = rid.slot;
   pl.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-  hv.SetDeleted(rid.slot, true);
-  guard.view().set_page_lsn(rec.lsn);
-  guard.frame()->MarkDirty(rec.lsn);
-  return Status::OK();
+  return ApplyDeleteMark(pl, true, rec.lsn, &guard);
 }
 
 StatusOr<std::string> DataStore::Read(Rid rid) {
@@ -173,35 +156,26 @@ StatusOr<std::string> DataStore::Read(Rid rid) {
   return hv.Record(rid.slot).ToString();
 }
 
-Status DataStore::ApplyInsert(PageId page, uint16_t slot, Slice record,
-                              Lsn lsn, bool check_page_lsn) {
-  auto frame_or = pool_->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard guard(pool_, frame_or.value());
-  guard.WLatch();
-  HeapPageView hv(guard.view().data());
-  if (!hv.IsFormatted()) hv.Init(page);
-  if (check_page_lsn && guard.view().page_lsn() >= lsn) return Status::OK();
-  hv.AppendAt(slot, record);
-  guard.view().set_page_lsn(lsn);
-  guard.frame()->MarkDirty(lsn);
+Status DataStore::ApplyInsert(const HeapOpPayload& pl, Lsn lsn,
+                              PageGuard* g) {
+  HeapPageView hv(g->view().data());
+  // A grown tail is formatted unlogged; redo formats it on first use.
+  if (!hv.IsFormatted()) hv.Init(pl.page);
+  hv.AppendAt(pl.slot, pl.record);
+  g->view().set_page_lsn(lsn);
+  g->frame()->MarkDirty(lsn);
   return Status::OK();
 }
 
-Status DataStore::ApplyDeleteMark(PageId page, uint16_t slot, bool deleted,
-                                  Lsn lsn, bool check_page_lsn) {
-  auto frame_or = pool_->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard guard(pool_, frame_or.value());
-  guard.WLatch();
-  HeapPageView hv(guard.view().data());
-  if (!hv.IsFormatted() || !hv.SlotExists(slot)) {
-    return Status::Corruption("heap redo: missing slot");
+Status DataStore::ApplyDeleteMark(const HeapOpPayload& pl, bool deleted,
+                                  Lsn lsn, PageGuard* g) {
+  HeapPageView hv(g->view().data());
+  if (!hv.IsFormatted() || !hv.SlotExists(pl.slot)) {
+    return Status::Corruption("heap delete mark: missing slot");
   }
-  if (check_page_lsn && guard.view().page_lsn() >= lsn) return Status::OK();
-  hv.SetDeleted(slot, deleted);
-  guard.view().set_page_lsn(lsn);
-  guard.frame()->MarkDirty(lsn);
+  hv.SetDeleted(pl.slot, deleted);
+  g->view().set_page_lsn(lsn);
+  g->frame()->MarkDirty(lsn);
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 #define GISTCR_DB_DATA_STORE_H_
 
 #include <string>
-#include <vector>
 
 #include "common/mutex.h"
 #include "db/heap_page.h"
@@ -10,6 +9,7 @@
 #include "storage/buffer_pool.h"
 #include "txn/transaction_manager.h"
 #include "util/status.h"
+#include "wal/log_payloads.h"
 
 namespace gistcr {
 
@@ -31,12 +31,8 @@ class DataStore {
   /// Opens an existing store: walks the chain from \p head to find the
   /// tail. Instant restart passes \p tail_hint (the tail computed by log
   /// analysis) to skip the walk entirely — fetching every chain page here
-  /// would force their inline redo and defeat the instant open — and
-  /// \p doomed, the page a still-pending loser undo is about to unlink
-  /// from the chain: the walk must stop short of it so no new record
-  /// lands on a page that is about to be freed.
-  Status Open(PageId head, PageId tail_hint = kInvalidPageId,
-              const std::vector<PageId>& doomed = {});
+  /// would force their inline redo and defeat the instant open.
+  Status Open(PageId head, PageId tail_hint = kInvalidPageId);
 
   /// Appends a record on behalf of \p txn. Does not lock the Rid (the
   /// Database facade X-locks it *before* initiating the index insertion,
@@ -49,12 +45,14 @@ class DataStore {
   /// Reads a record; NotFound for tombstoned or never-written slots.
   StatusOr<std::string> Read(Rid rid);
 
-  /// Physical appliers shared by forward execution, redo and CLR redo.
-  /// When \p check_page_lsn, the update is skipped if page_lsn >= lsn.
-  Status ApplyInsert(PageId page, uint16_t slot, Slice record, Lsn lsn,
-                     bool check_page_lsn);
-  Status ApplyDeleteMark(PageId page, uint16_t slot, bool deleted, Lsn lsn,
-                         bool check_page_lsn);
+  /// The page effect of Heap-Insert, on the heap page \p g holds
+  /// X-latched; stamps \p lsn. Insert calls it after its append, redo
+  /// after the page-LSN test.
+  static Status ApplyInsert(const HeapOpPayload& pl, Lsn lsn, PageGuard* g);
+  /// The page effect of Heap-Delete (\p deleted) and of each heap
+  /// record's undo: sets or clears the slot's tombstone.
+  static Status ApplyDeleteMark(const HeapOpPayload& pl, bool deleted,
+                                Lsn lsn, PageGuard* g);
 
   PageId head() const { return head_; }
   /// Current chain tail (checkpoints persist it as the instant-restart

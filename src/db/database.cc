@@ -4,10 +4,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "db/meta_page.h"
 #include "obs/flight_recorder.h"
@@ -106,8 +110,7 @@ Status Database::InitCommon() {
   alloc_ = std::make_unique<PageAllocator>(pool_.get(), txns_.get());
   data_ = std::make_unique<DataStore>(pool_.get(), txns_.get(), alloc_.get());
   recovery_ = std::make_unique<RecoveryManager>(
-      pool_.get(), &log_, txns_.get(), alloc_.get(), data_.get(), nsn_.get(),
-      &mvcc_);
+      pool_.get(), &log_, txns_.get(), data_.get(), nsn_.get(), &mvcc_);
   txns_->SetUndoApplier(recovery_.get());
   // Re-point every remaining component at this instance's registry (they
   // start on the process fallback). Done before any of *their* worker
@@ -301,9 +304,8 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
     const PageId head = meta.heap_head();
     guard.Drop();
     if (head != kInvalidPageId) {
-      GISTCR_RETURN_IF_ERROR(db->data_->Open(
-          head, db->recovery_->HeapTailHint(),
-          db->recovery_->DoomedHeapPages()));
+      GISTCR_RETURN_IF_ERROR(
+          db->data_->Open(head, db->recovery_->HeapTailHint()));
     }
   }
   db->metrics_.GetGauge("recovery.time_to_open_ns")
@@ -569,11 +571,30 @@ void Database::SimulateCrash() {
 Status Database::ReadMasterPointer(Lsn* lsn) {
   *lsn = kInvalidLsn;
   FILE* f = std::fopen((opts_.path + ".ckpt").c_str(), "r");
-  if (f == nullptr) return Status::OK();  // no checkpoint yet
-  unsigned long long v = 0;
-  const int n = std::fscanf(f, "%llu", &v);
+  if (f == nullptr) {
+    if (errno == ENOENT) return Status::OK();  // no checkpoint yet
+    return Status::IOError("open master pointer");
+  }
+  // WriteMasterPointer renames exactly one LSN and a newline into place.
+  // Anything else is damage: restarting from the log head instead would
+  // stop at the first reclaimed hole and silently skip the rest.
+  char buf[32];
+  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
   std::fclose(f);
-  if (n == 1) *lsn = static_cast<Lsn>(v);
+  buf[n] = '\0';
+  char* end = buf;
+  errno = 0;
+  const unsigned long long v =
+      std::isdigit(static_cast<unsigned char>(buf[0]))
+          ? std::strtoull(buf, &end, 10)
+          : 0;
+  const bool one_lsn =
+      v != kInvalidLsn && errno == 0 &&
+      (std::strcmp(end, "") == 0 || std::strcmp(end, "\n") == 0);
+  if (!one_lsn) {
+    return Status::Corruption("master pointer holds no checkpoint LSN");
+  }
+  *lsn = static_cast<Lsn>(v);
   return Status::OK();
 }
 

@@ -69,12 +69,6 @@ StatusOr<PageId> PageAllocator::Allocate(Transaction* txn) {
         if (GetBit(payload, bit)) continue;
         const PageId found =
             (bitmap_pid - kFirstBitmapPage) * kBitsPerPage + bit;
-        if (std::find(quarantine_.begin(), quarantine_.end(), found) !=
-            quarantine_.end()) {
-          // Freed by a loser the instant-restart undo has not rolled back
-          // yet; its bit is about to be re-set. Skip it.
-          continue;
-        }
         // Log Get-Page, then apply under the X latch we hold.
         LogRecord rec;
         rec.type = LogRecordType::kGetPage;
@@ -83,9 +77,7 @@ StatusOr<PageId> PageAllocator::Allocate(Transaction* txn) {
         pl.bitmap_page = bitmap_pid;
         pl.EncodeTo(&rec.payload);
         GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-        SetBit(payload, bit, true);
-        guard.view().set_page_lsn(rec.lsn);
-        guard.frame()->MarkDirty(rec.lsn);
+        GISTCR_RETURN_IF_ERROR(ApplyBit(found, true, rec.lsn, &guard));
         hint_ = found + 1;
         return found;
       }
@@ -110,9 +102,7 @@ Status PageAllocator::Free(Transaction* txn, PageId page_id) {
     pl.bitmap_page = bitmap_pid;
     pl.EncodeTo(&rec.payload);
     GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-    SetBit(guard.view().payload(), page_id % kBitsPerPage, false);
-    guard.view().set_page_lsn(rec.lsn);
-    guard.frame()->MarkDirty(rec.lsn);
+    GISTCR_RETURN_IF_ERROR(ApplyBit(page_id, false, rec.lsn, &guard));
   }
   // Take mu_ only after the bitmap latch is released: Allocate holds mu_
   // while it WLatches bitmap pages, so latch-then-mu_ here would invert the
@@ -123,29 +113,11 @@ Status PageAllocator::Free(Transaction* txn, PageId page_id) {
 }
 
 Status PageAllocator::ApplyBit(PageId target, bool set_allocated, Lsn lsn,
-                               bool check_page_lsn) {
-  const PageId bitmap_pid = BitmapPageFor(target);
-  auto frame_or = pool_->Fetch(bitmap_pid);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard guard(pool_, frame_or.value());
-  guard.WLatch();
-  if (check_page_lsn && guard.view().page_lsn() >= lsn) {
-    return Status::OK();  // already applied
-  }
-  SetBit(guard.view().payload(), target % kBitsPerPage, set_allocated);
-  guard.view().set_page_lsn(lsn);
-  guard.frame()->MarkDirty(lsn);
+                               PageGuard* g) {
+  SetBit(g->view().payload(), target % kBitsPerPage, set_allocated);
+  g->view().set_page_lsn(lsn);
+  g->frame()->MarkDirty(lsn);
   return Status::OK();
-}
-
-void PageAllocator::SetQuarantine(std::vector<PageId> pages) {
-  MutexLock l(mu_);
-  quarantine_ = std::move(pages);
-}
-
-void PageAllocator::ClearQuarantine() {
-  MutexLock l(mu_);
-  quarantine_.clear();
 }
 
 StatusOr<bool> PageAllocator::IsAllocated(PageId page_id) {

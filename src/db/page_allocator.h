@@ -1,7 +1,6 @@
 #ifndef GISTCR_DB_PAGE_ALLOCATOR_H_
 #define GISTCR_DB_PAGE_ALLOCATOR_H_
 
-#include <vector>
 
 #include "common/mutex.h"
 #include "storage/buffer_pool.h"
@@ -45,11 +44,12 @@ class PageAllocator {
   /// Frees \p page_id on behalf of \p txn, logging Free-Page.
   Status Free(Transaction* txn, PageId page_id);
 
-  /// Redo/undo entry points (recovery and rollback). \p set_allocated
-  /// applies the bit; page-LSN testing is done by the caller-independent
-  /// helper here.
-  Status ApplyBit(PageId target, bool set_allocated, Lsn lsn,
-                  bool check_page_lsn);
+  /// The page effect of Get-Page (\p set_allocated) and Free-Page, and of
+  /// each one's undo: sets \p target's bit on the bitmap page \p g holds
+  /// X-latched and stamps \p lsn. Allocate and Free call it after their
+  /// append, redo after the page-LSN test.
+  static Status ApplyBit(PageId target, bool set_allocated, Lsn lsn,
+                         PageGuard* g);
 
   /// True if the bit for \p page_id is set (tests).
   StatusOr<bool> IsAllocated(PageId page_id);
@@ -58,19 +58,11 @@ class PageAllocator {
     return kFirstBitmapPage + target / kBitsPerPage;
   }
 
-  /// Instant restart: pages freed by loser transactions must not be
-  /// handed out again before the concurrent undo re-sets their bits —
-  /// otherwise the same page would briefly have two owners. Analysis
-  /// quarantines them; undo completion clears the set.
-  void SetQuarantine(std::vector<PageId> pages);
-  void ClearQuarantine();
-
  private:
   BufferPool* pool_;
   TransactionManager* txns_;
   Mutex mu_{GISTCR_LOCK_RANK(kAllocator, "alloc.mu")};  ///< Serializes the free-bit search.
   PageId hint_ GISTCR_GUARDED_BY(mu_) = kFirstAllocatablePage;
-  std::vector<PageId> quarantine_ GISTCR_GUARDED_BY(mu_);
 };
 
 }  // namespace gistcr

@@ -77,6 +77,10 @@ GistCursor::~GistCursor() {
 
 Status GistCursor::Open() {
   GISTCR_CHECK(!open_);
+  if (txn_->isolation() == IsolationLevel::kRepeatableRead) {
+    GISTCR_RETURN_IF_ERROR(gist_->RegisterGlobalPredicate(
+        txn_, spec_.op_id, PredKind::kSearch, query_));
+  }
   GISTCR_RETURN_IF_ERROR(gist_->PushRoot(txn_, &stack_));
   open_ = true;
   return Status::OK();

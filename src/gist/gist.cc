@@ -54,6 +54,9 @@ Status Gist::Create() {
     guard.WLatch();
     NodeView node(guard.view().data());
     node.Init(root, /*level=*/0);
+    // Unlogged index creation (see above): the root and the meta page
+    // carry the bootstrap's last LSN and are flushed before first use.
+    // gistcr-lint: allow(page-lsn-outside-apply)
     guard.view().set_page_lsn(boot->last_lsn());
     guard.frame()->MarkDirty(boot->last_lsn());
   }
@@ -65,6 +68,7 @@ Status Gist::Create() {
     MetaView meta(guard.view().data());
     GISTCR_CHECK(meta.GetRoot(opts_.index_id) == kInvalidPageId);
     meta.SetRoot(opts_.index_id, root);
+    // Unlogged, like the root above. gistcr-lint: allow(page-lsn-outside-apply)
     guard.view().set_page_lsn(boot->last_lsn());
     guard.frame()->MarkDirty(boot->last_lsn());
   }
@@ -130,6 +134,33 @@ void Gist::SignalUnlock(Transaction* txn, PageId node) {
   ctx_.locks->Unlock(txn->id(), LockName{LockSpace::kNode, node});
 }
 
+Status Gist::RegisterGlobalPredicate(Transaction* txn, uint64_t op_id,
+                                     PredKind kind, Slice pred) {
+  if (opts_.pred_mode != PredicateMode::kGlobal) return Status::OK();
+  const bool is_key = kind == PredKind::kInsert;
+  for (;;) {
+    auto conflicts = ctx_.preds->FindConflicts(
+        PredicateManager::kGlobalTable, txn->id(),
+        [&](const PredAttachment& a) {
+          if (is_key) {
+            return a.kind != PredKind::kInsert &&
+                   ext_->Consistent(pred, a.pred);
+          }
+          return a.kind == PredKind::kInsert &&
+                 ext_->Consistent(a.pred, pred);
+        });
+    if (conflicts.empty()) {
+      ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(), op_id,
+                         kind, pred);
+      return Status::OK();
+    }
+    stats_.predicate_waits.Add(1);
+    for (TxnId owner : conflicts) {
+      GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
+    }
+  }
+}
+
 Status Gist::Search(Transaction* txn, Slice query,
                     std::vector<SearchResult>* out) {
   GISTCR_TRACE_SCOPE("gist.search");
@@ -146,25 +177,9 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
                             uint64_t op_id, std::vector<SearchResult>* out) {
   // Pure predicate locking (section 4.2, ablation mode): one tree-global
   // check-then-register step before the traversal starts.
-  if (attach && opts_.pred_mode == PredicateMode::kGlobal) {
-    for (;;) {
-      auto conflicts = ctx_.preds->FindConflicts(
-          PredicateManager::kGlobalTable, txn->id(),
-          [&](const PredAttachment& a) {
-            // Scans conflict with registered insert/delete keys.
-            return a.kind == PredKind::kInsert &&
-                   ext_->Consistent(a.pred, query);
-          });
-      if (conflicts.empty()) {
-        ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(), op_id,
-                           attach_kind, query);
-        break;
-      }
-      stats_.predicate_waits.Add(1);
-      for (TxnId owner : conflicts) {
-        GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
-      }
-    }
+  if (attach) {
+    GISTCR_RETURN_IF_ERROR(
+        RegisterGlobalPredicate(txn, op_id, attach_kind, query));
   }
   const ReadSpec spec{query, attach_kind,
                       attach && opts_.pred_mode == PredicateMode::kHybrid,

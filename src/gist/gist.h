@@ -218,6 +218,15 @@ class Gist {
   Status SignalLock(Transaction* txn, PageId node);
   void SignalUnlock(Transaction* txn, PageId node);
 
+  /// kGlobal ablation (pure predicate locking, section 4.2): checks
+  /// \p pred against the tree-global predicate list, waits out every
+  /// conflicting owner, then registers it. An insert or delete key
+  /// (PredKind::kInsert) conflicts with registered scans and probes
+  /// consistent with it; a scan or probe with registered keys consistent
+  /// with its query. No-op in kHybrid.
+  Status RegisterGlobalPredicate(Transaction* txn, uint64_t op_id,
+                                 PredKind kind, Slice pred);
+
   // --- search ----------------------------------------------------------
   /// What a traversal asks of every node it visits; fixed for the whole
   /// traversal (one Search call, one unique probe, or one GistCursor).

@@ -1,4 +1,5 @@
 #include "gist/gist.h"
+#include "gist/gist_apply.h"
 #include "gist/tree_latch.h"
 #include "obs/op_context.h"
 #include "obs/trace.h"
@@ -26,25 +27,8 @@ Status Gist::Delete(Transaction* txn, Slice key, Rid rid) {
 
   // Pure predicate locking ablation: deletes register their key too
   // (section 4.2) and wait out conflicting scans up front.
-  if (opts_.pred_mode == PredicateMode::kGlobal) {
-    for (;;) {
-      auto conflicts = ctx_.preds->FindConflicts(
-          PredicateManager::kGlobalTable, txn->id(),
-          [&](const PredAttachment& a) {
-            return a.kind != PredKind::kInsert &&
-                   ext_->Consistent(key, a.pred);
-          });
-      if (conflicts.empty()) {
-        ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(), op_id,
-                           PredKind::kInsert, key);
-        break;
-      }
-      stats_.predicate_waits.Add(1);
-      for (TxnId owner : conflicts) {
-        GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
-      }
-    }
-  }
+  GISTCR_RETURN_IF_ERROR(
+      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
 
   TreeLatch tree(&tree_latch_, /*exclusive=*/true,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
@@ -113,9 +97,7 @@ Status Gist::Delete(Transaction* txn, Slice key, Rid rid) {
       pl.entry = node.GetEntry(static_cast<uint16_t>(idx));
       pl.EncodeTo(&rec.payload);
       GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-      node.set_entry_del_txn(static_cast<uint16_t>(idx), txn->id());
-      g.view().set_page_lsn(rec.lsn);
-      g.frame()->MarkDirty(rec.lsn);
+      GISTCR_RETURN_IF_ERROR(ApplyMarkLeafEntry(pl, txn->id(), rec.lsn, &g));
       // Version-store shadow of the mark (DESIGN.md section 14): snapshots
       // begun before this delete's commit stamp keep seeing the entry.
       ctx_.mvcc->NoteDelete(rid.Pack(), txn->id());

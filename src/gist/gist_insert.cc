@@ -3,6 +3,7 @@
 
 #include "db/meta_page.h"
 #include "gist/gist.h"
+#include "gist/gist_apply.h"
 #include "gist/tree_latch.h"
 #include "obs/op_context.h"
 #include "obs/trace.h"
@@ -319,7 +320,7 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   }
 
   // NSN: dedicated counter bumps before logging; LSN mode uses the split
-  // record's own LSN (encoded as 0; redo substitutes rec.lsn).
+  // record's own LSN (encoded as 0; ApplySplit substitutes it).
   if (ctx_.nsn->source() == NsnSource::kCounter) {
     pl.new_nsn = ctx_.nsn->BumpCounter();
   } else {
@@ -333,33 +334,8 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   // Split record logged, neither page touched yet (redo must reconstruct
   // both halves from the record alone).
   GISTCR_CRASHPOINT("split.after_log_append");
-  const Nsn new_nsn = pl.new_nsn != 0 ? pl.new_nsn : rec.lsn;
-
-  // Apply to the original node: drop moved entries, shrink BP, bump NSN,
-  // point the rightlink at the new sibling.
-  for (const IndexEntry& m : pl.moved) {
-    const int idx = node.FindByKeyValue(m.key, m.value);
-    GISTCR_CHECK(idx >= 0);
-    node.RemoveEntry(static_cast<uint16_t>(idx));
-  }
-  GISTCR_RETURN_IF_ERROR(node.SetBp(pl.orig_bp_after));
-  node.set_nsn(new_nsn);
-  node.set_rightlink(new_pid);
-  g->view().set_page_lsn(rec.lsn);
-  g->frame()->MarkDirty(rec.lsn);
-
-  // Apply to the new sibling: it inherits the original's prior NSN and
-  // rightlink (Figure 2).
-  NodeView nn(ng.view().data());
-  nn.Init(new_pid, pl.level);
-  for (const IndexEntry& m : pl.moved) {
-    GISTCR_RETURN_IF_ERROR(nn.InsertEntry(m));
-  }
-  GISTCR_RETURN_IF_ERROR(nn.SetBp(pl.new_bp));
-  nn.set_nsn(pl.old_nsn);
-  nn.set_rightlink(pl.old_rightlink);
-  ng.view().set_page_lsn(rec.lsn);
-  ng.frame()->MarkDirty(rec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, g));
+  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, &ng));
 
   // Hybrid locking bookkeeping (section 4.3 case 1): predicates consistent
   // with the new sibling's BP are replicated there; signaling locks are
@@ -380,7 +356,6 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
 
   // Install the new sibling's parent entry and refresh the original's.
   {
-    NodeView pn(parent.view().data());
     LogRecord add;
     add.type = LogRecordType::kInternalEntryAdd;
     EntryOpPayload ap;
@@ -388,10 +363,9 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
     ap.entry = parent_entry;
     ap.EncodeTo(&add.payload);
     GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &add));
-    GISTCR_RETURN_IF_ERROR(pn.InsertEntry(parent_entry));
-    parent.view().set_page_lsn(add.lsn);
-    parent.frame()->MarkDirty(add.lsn);
+    GISTCR_RETURN_IF_ERROR(ApplyInternalEntry(add.type, ap, add.lsn, &parent));
 
+    NodeView pn(parent.view().data());
     const int idx = pn.FindByValue(orig_pid);
     GISTCR_CHECK(idx >= 0);
     LogRecord upd;
@@ -403,10 +377,7 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
     up.old_bp = pn.entry_key(static_cast<uint16_t>(idx)).ToString();
     up.EncodeTo(&upd.payload);
     GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &upd));
-    GISTCR_RETURN_IF_ERROR(
-        pn.SetEntryKey(static_cast<uint16_t>(idx), pl.orig_bp_after));
-    parent.view().set_page_lsn(upd.lsn);
-    parent.frame()->MarkDirty(upd.lsn);
+    GISTCR_RETURN_IF_ERROR(ApplyInternalEntry(upd.type, up, upd.lsn, &parent));
   }
   return Status::OK();
 }
@@ -493,29 +464,8 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   rec.type = LogRecordType::kSplit;
   pl.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  const Nsn new_nsn = pl.new_nsn != 0 ? pl.new_nsn : rec.lsn;
-
-  for (const IndexEntry& m : pl.moved) {
-    const int idx = node.FindByKeyValue(m.key, m.value);
-    GISTCR_CHECK(idx >= 0);
-    node.RemoveEntry(static_cast<uint16_t>(idx));
-  }
-  GISTCR_RETURN_IF_ERROR(node.SetBp(pl.orig_bp_after));
-  node.set_nsn(new_nsn);
-  node.set_rightlink(sib_pid);
-  g->view().set_page_lsn(rec.lsn);
-  g->frame()->MarkDirty(rec.lsn);
-
-  NodeView sn(sg.view().data());
-  sn.Init(sib_pid, pl.level);
-  for (const IndexEntry& m : pl.moved) {
-    GISTCR_RETURN_IF_ERROR(sn.InsertEntry(m));
-  }
-  GISTCR_RETURN_IF_ERROR(sn.SetBp(pl.new_bp));
-  sn.set_nsn(pl.old_nsn);
-  sn.set_rightlink(pl.old_rightlink);
-  sg.view().set_page_lsn(rec.lsn);
-  sg.frame()->MarkDirty(rec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, g));
+  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, &sg));
 
   Slice new_bp(pl.new_bp);
   ctx_.preds->ReplicateOnSplit(old_root, sib_pid,
@@ -540,25 +490,13 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   rrec.type = LogRecordType::kRootChange;
   rp.EncodeTo(&rrec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rrec));
-
-  NodeView rn(rg.view().data());
-  rn.Init(new_root, rp.new_root_level);
-  for (const IndexEntry& e : rp.root_entries) {
-    GISTCR_RETURN_IF_ERROR(rn.InsertEntry(e));
-  }
-  GISTCR_RETURN_IF_ERROR(rn.SetBp(rp.root_bp));
-  rg.view().set_page_lsn(rrec.lsn);
-  rg.frame()->MarkDirty(rrec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplyRootChange(rp, rrec.lsn, &rg));
 
   // New root built and logged; the meta page still points at the old root
   // but has been X-latched since before the Split record was appended.
   GISTCR_CRASHPOINT("root.before_meta_update");
   if (hooks_.during_root_grow) hooks_.during_root_grow();
-  MetaView meta(mg.view().data());
-  meta.SetRoot(opts_.index_id, new_root);
-  mg.view().set_page_lsn(rrec.lsn);
-  mg.frame()->MarkDirty(rrec.lsn);
-  return Status::OK();
+  return ApplyRootChange(rp, rrec.lsn, &mg);
 }
 
 // ---------------------------------------------------------------------
@@ -599,10 +537,7 @@ Status Gist::UpdateBp(Transaction* txn, PageGuard* g, const std::string& bp,
     pp.new_bp = bp;
     pp.EncodeTo(&rec.payload);
     GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-    GISTCR_RETURN_IF_ERROR(node.SetBp(bp));
-    g->view().set_page_lsn(rec.lsn);
-    g->frame()->MarkDirty(rec.lsn);
-    return Status::OK();
+    return ApplyParentEntryUpdate(pp, rec.lsn, g);
   }
 
   // Recurse upward first (latches climb; updates apply on unwind, i.e.
@@ -618,9 +553,6 @@ Status Gist::UpdateBp(Transaction* txn, PageGuard* g, const std::string& bp,
 
   // Apply this level: one redo-only Parent-Entry-Update covering the
   // child's own BP and its slot in the parent.
-  NodeView pn(parent.view().data());
-  const int idx = pn.FindByValue(pid);
-  GISTCR_CHECK(idx >= 0);
   LogRecord rec;
   rec.type = LogRecordType::kParentEntryUpdate;
   ParentEntryUpdatePayload pp;
@@ -630,12 +562,8 @@ Status Gist::UpdateBp(Transaction* txn, PageGuard* g, const std::string& bp,
   pp.new_bp = bp;
   pp.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  GISTCR_RETURN_IF_ERROR(pn.SetEntryKey(static_cast<uint16_t>(idx), bp));
-  parent.view().set_page_lsn(rec.lsn);
-  parent.frame()->MarkDirty(rec.lsn);
-  GISTCR_RETURN_IF_ERROR(node.SetBp(bp));
-  g->view().set_page_lsn(rec.lsn);
-  g->frame()->MarkDirty(rec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplyParentEntryUpdate(pp, rec.lsn, &parent));
+  GISTCR_RETURN_IF_ERROR(ApplyParentEntryUpdate(pp, rec.lsn, g));
 
   // Percolation (section 4.3 case 2): predicates on the parent that are
   // consistent with the child's expanded BP but were not with the old one
@@ -709,13 +637,7 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
   rec.type = LogRecordType::kGarbageCollection;
   pl.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  for (const IndexEntry& e : pl.removed) {
-    const int idx = node.FindByKeyValue(e.key, e.value);
-    GISTCR_CHECK(idx >= 0);
-    node.RemoveEntry(static_cast<uint16_t>(idx));
-  }
-  leaf->view().set_page_lsn(rec.lsn);
-  leaf->frame()->MarkDirty(rec.lsn);
+  GISTCR_RETURN_IF_ERROR(ApplyGarbageCollection(pl, rec.lsn, leaf));
   // GC removal applied and logged; the NTA-End committing it is not.
   GISTCR_CRASHPOINT("gc.before_nta_end");
   GISTCR_RETURN_IF_ERROR(ctx_.txns->NtaEnd(txn, nta));
@@ -741,25 +663,8 @@ Status Gist::Insert(Transaction* txn, Slice key, Rid rid) {
 
   // Pure predicate locking (ablation): verify against the global table and
   // register the key before touching the tree (section 4.2).
-  if (opts_.pred_mode == PredicateMode::kGlobal) {
-    for (;;) {
-      auto conflicts = ctx_.preds->FindConflicts(
-          PredicateManager::kGlobalTable, txn->id(),
-          [&](const PredAttachment& a) {
-            return a.kind != PredKind::kInsert &&
-                   ext_->Consistent(key, a.pred);
-          });
-      if (conflicts.empty()) {
-        ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(), op_id,
-                           PredKind::kInsert, key);
-        break;
-      }
-      stats_.predicate_waits.Add(1);
-      for (TxnId owner : conflicts) {
-        GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
-      }
-    }
-  }
+  GISTCR_RETURN_IF_ERROR(
+      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
 
   TreeLatch tree(&tree_latch_, /*exclusive=*/true,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
@@ -856,9 +761,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
     pl.entry = entry;
     pl.EncodeTo(&rec.payload);
     GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-    GISTCR_RETURN_IF_ERROR(node.InsertEntry(entry));
-    leaf.view().set_page_lsn(rec.lsn);
-    leaf.frame()->MarkDirty(rec.lsn);
+    GISTCR_RETURN_IF_ERROR(ApplyAddLeafEntry(pl, rec.lsn, &leaf));
     // Version-store shadow of the Add-Leaf-Entry (DESIGN.md section 14):
     // a pending record commit-stamping later makes the entry visible to
     // snapshots; rollback clears it via RecoveryManager::UndoRecord.
@@ -942,6 +845,8 @@ Status Gist::InsertUnique(Transaction* txn, Slice key, Rid rid) {
   GISTCR_RETURN_IF_ERROR(
       ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
                        LockMode::kExclusive, /*wait=*/true));
+  GISTCR_RETURN_IF_ERROR(
+      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
   TreeLatch tree(&tree_latch_, /*exclusive=*/true,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
   st = InsertCore(txn, key, rid, op_id, &tree);

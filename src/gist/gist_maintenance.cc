@@ -2,6 +2,7 @@
 
 #include "db/meta_page.h"
 #include "gist/gist.h"
+#include "gist/gist_apply.h"
 #include "gist/tree_latch.h"
 #include "obs/trace.h"
 #include "storage/fault_injector.h"
@@ -39,13 +40,8 @@ Status Gist::ShrinkChildBp(Transaction* txn, PageGuard* parent,
   pl.new_bp = actual;
   pl.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  GISTCR_RETURN_IF_ERROR(pn.SetEntryKey(static_cast<uint16_t>(idx), actual));
-  parent->view().set_page_lsn(rec.lsn);
-  parent->frame()->MarkDirty(rec.lsn);
-  GISTCR_RETURN_IF_ERROR(cn.SetBp(actual));
-  child->view().set_page_lsn(rec.lsn);
-  child->frame()->MarkDirty(rec.lsn);
-  return Status::OK();
+  GISTCR_RETURN_IF_ERROR(ApplyParentEntryUpdate(pl, rec.lsn, parent));
+  return ApplyParentEntryUpdate(pl, rec.lsn, child);
 }
 
 Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
@@ -149,11 +145,7 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
     pl.entry = pn.GetEntry(static_cast<uint16_t>(idx));
     pl.EncodeTo(&rec.payload);
     st = ctx_.txns->AppendTxnLog(txn, &rec);
-    if (st.ok()) {
-      pn.RemoveEntry(static_cast<uint16_t>(idx));
-      parent->view().set_page_lsn(rec.lsn);
-      parent->frame()->MarkDirty(rec.lsn);
-    }
+    if (st.ok()) st = ApplyInternalEntry(rec.type, pl, rec.lsn, parent);
   }
   // 2. Rewire the owner's rightlink around the victim.
   // Parent entry removed, chain still routed through the victim; the open
@@ -165,7 +157,6 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
     }
   }
   if (st.ok()) {
-    NodeView on(owner.view().data());
     LogRecord rec;
     rec.type = LogRecordType::kRightlinkUpdate;
     RightlinkUpdatePayload pl;
@@ -174,11 +165,7 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
     pl.new_rightlink = cn.rightlink();
     pl.EncodeTo(&rec.payload);
     st = ctx_.txns->AppendTxnLog(txn, &rec);
-    if (st.ok()) {
-      on.set_rightlink(pl.new_rightlink);
-      owner.view().set_page_lsn(rec.lsn);
-      owner.frame()->MarkDirty(rec.lsn);
-    }
+    if (st.ok()) st = ApplyRightlinkUpdate(pl, rec.lsn, &owner);
   }
   // 3. Return the page to the allocator.
   if (st.ok()) {

@@ -57,6 +57,20 @@ class NodeView {
   PageId rightlink() const { return DecodeFixed32(d_ + kNodeHeaderOffset + 8); }
   void set_rightlink(PageId p) { EncodeFixed32(d_ + kNodeHeaderOffset + 8, p); }
 
+  /// Writes the split-detection pair together, as a split installs it
+  /// (paper section 10.1) and its undo restores it.
+  void SetLinks(Nsn nsn, PageId rightlink) {
+    set_nsn(nsn);
+    set_rightlink(rightlink);
+  }
+  /// Points the rightlink at \p next if it points at \p expected; false
+  /// (and no change) otherwise.
+  bool SwapRightlink(PageId expected, PageId next) {
+    if (rightlink() != expected) return false;
+    set_rightlink(next);
+    return true;
+  }
+
   uint16_t level() const { return DecodeFixed16(d_ + kNodeHeaderOffset + 12); }
   bool is_leaf() const { return level() == 0; }
 

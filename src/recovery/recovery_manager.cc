@@ -4,8 +4,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "db/heap_page.h"
-#include "db/meta_page.h"
+#include "gist/gist_apply.h"
 #include "gist/node.h"
 #include "obs/trace.h"
 #include "storage/fault_injector.h"
@@ -22,15 +21,10 @@ Status FetchX(BufferPool* pool, PageId pid, PageGuard* out) {
   return Status::OK();
 }
 
-void Stamp(PageGuard* g, Lsn lsn) {
-  g->view().set_page_lsn(lsn);
-  g->frame()->MarkDirty(lsn);
-}
-
-/// The single page a CLR's redo mutates. UndoRecord appends leaf-entry
-/// CLRs under the target leaf's X latch with override_page naming it, and
-/// every other undo action is page-local by construction, so kClr always
-/// decomposes to exactly one page in instant-restart plans.
+/// The single page a CLR's redo mutates, the one UndoRecord latched when
+/// it appended the CLR: for a leaf entry, the leaf the entry was found on
+/// (override_page); otherwise the page the compensated record names. So
+/// kClr decomposes to exactly one page in instant-restart plans.
 PageId ClrTargetPage(const ClrPayload& clr) {
   switch (clr.compensated_type) {
     case LogRecordType::kAddLeafEntry:
@@ -74,8 +68,8 @@ PageId ClrTargetPage(const ClrPayload& clr) {
 }
 
 /// Appends the ids of every page whose image \p rec's redo mutates —
-/// the per-page decomposition restart plans and redoes with. Must stay
-/// in lockstep with the page checks in RedoRecordOnPage.
+/// the per-page decomposition restart plans and redoes with. Must name
+/// exactly the pages the record's applier accepts (gist/gist_apply.h).
 ///
 /// Reads only the fixed leading fields of each payload (every layout in
 /// log_payloads.h puts its page ids first, before any variable-length
@@ -139,15 +133,15 @@ void PagesOfRecord(const LogRecord& rec, std::vector<PageId>* out) {
 struct FootItem {
   Lsn lsn;
   LogRecordType type;
-  uint64_t arg;  // packed rid (leaf/heap ops) or page id (free/grow)
+  uint64_t arg;  // packed rid (leaf/heap ops) or page id (grow)
 };
 
 /// Decodes what undoing \p rec will touch before the database opens: the
-/// rid a leaf or heap content record wrote (its lock is re-acquired), the
-/// page a Free-Page released (quarantined until the abort settles it), or
-/// the page an un-NtaEnd'd heap grow linked in (the undo unlinks it).
-/// False for records with no footprint. Like PagesOfRecord it reads only
-/// fixed leading payload fields.
+/// rid a leaf or heap content record wrote (its lock is re-acquired), or
+/// the page an un-NtaEnd'd heap grow linked in (the undo unlinks it, so
+/// the heap tail hint stops short of it). False for records with no
+/// footprint. Like PagesOfRecord it reads only fixed leading payload
+/// fields.
 bool FootprintOf(const LogRecord& rec, FootItem* out) {
   const char* p = rec.payload.data();
   const size_t n = rec.payload.size();
@@ -170,10 +164,6 @@ bool FootprintOf(const LogRecord& rec, FootItem* out) {
       *out = {rec.lsn, rec.type, rid.Pack()};
       return true;
     }
-    case LogRecordType::kFreePage:  // PageAllocPayload: target_page(4) ...
-      if (n < 4) return false;
-      *out = {rec.lsn, rec.type, DecodeFixed32(p)};
-      return true;
     case LogRecordType::kRightlinkUpdate:
       // {page, old_rightlink, new_rightlink}: heap-chain growth is the
       // only rightlink update with no old link (the tail had no successor).
@@ -393,15 +383,13 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   txns_->SetNextTxnId(max_txn + 1);
   GISTCR_CRASHPOINT("recovery.after_analysis");
 
-  // --- Losers: locks, quarantine, doomed chain links ---------------------
+  // --- Losers: locks and doomed chain links ------------------------------
   // Re-acquire each loser's lock footprint before the database opens —
   // its uncommitted effects stay blocking for new transactions exactly as
-  // live 2PL had them — and find what its undo will retract: pages it
-  // freed (quarantined until the bits are re-set) and heap-chain links it
-  // will unlink (the data store must not adopt those pages as its tail).
+  // live 2PL had them — and find the heap-chain links its undo will
+  // retract (the tail hint must not pass them).
   losers_.clear();
-  doomed_heap_.clear();
-  std::vector<PageId> quarantine;
+  std::vector<PageId> doomed_heap;
   for (const auto& [id, loser] : att) {
     stats_.loser_txns++;
     m_losers_->Add(1);
@@ -411,25 +399,18 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
     GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
         id, LockName{LockSpace::kTxn, id}, LockMode::kExclusive));
     for (const FootItem& item : loser.footprint) {
-      switch (item.type) {
-        case LogRecordType::kFreePage:
-          quarantine.push_back(static_cast<PageId>(item.arg));
-          break;
-        case LogRecordType::kRightlinkUpdate:
-          doomed_heap_.push_back(static_cast<PageId>(item.arg));
-          break;
-        default:  // leaf or heap content: the rid its undo rewrites
-          GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
-              id, LockName{LockSpace::kRecord, item.arg},
-              LockMode::kExclusive));
-          break;
+      if (item.type == LogRecordType::kRightlinkUpdate) {
+        doomed_heap.push_back(static_cast<PageId>(item.arg));
+        continue;
       }
+      // Leaf or heap content: the rid its undo rewrites.
+      GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
+          id, LockName{LockSpace::kRecord, item.arg}, LockMode::kExclusive));
     }
     Transaction* txn = txns_->ResurrectForUndo(id, loser.last);
     txn->set_first_lsn(loser.first);
     losers_.push_back(txn);
   }
-  alloc_->SetQuarantine(std::move(quarantine));
   txns_->SetRecoveryUndoActive(true);
 
   // --- Heap tail hint: follow the grow links from the checkpoint's tail,
@@ -440,8 +421,8 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
     for (;;) {
       auto it = heap_links.find(heap_tail_hint_);
       if (it == heap_links.end()) break;
-      if (std::find(doomed_heap_.begin(), doomed_heap_.end(), it->second) !=
-          doomed_heap_.end()) {
+      if (std::find(doomed_heap.begin(), doomed_heap.end(), it->second) !=
+          doomed_heap.end()) {
         break;
       }
       heap_tail_hint_ = it->second;
@@ -463,7 +444,52 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
       [this](PageId pid) { gate_.CancelPage(pid); });
   pool_->ArmRecoveryHook();
   m_analysis_ns_->Record(obs::NowNanos() - t0);
+
+  // --- Before open: roll back every nested top action a loser left open.
+  // Its pages (a split's new sibling, a page it freed or linked in) must
+  // not take new work that the background undo would then take away.
+  // Newest record first across all losers, as ARIES undo goes: one
+  // loser's split may have moved an entry another's open split installed.
+  std::vector<std::pair<Lsn, Transaction*>> heads;
+  for (Transaction* txn : losers_) heads.emplace_back(txn->last_lsn(), txn);
+  for (;;) {
+    auto newest = std::max_element(heads.begin(), heads.end());
+    if (newest == heads.end() || newest->first == kInvalidLsn) break;
+    GISTCR_RETURN_IF_ERROR(
+        UndoUnfinishedNtaStep(newest->second, &newest->first));
+  }
   return Status::OK();
+}
+
+Status RecoveryManager::UndoUnfinishedNtaStep(Transaction* txn, Lsn* next) {
+  // The open action is the head of the backchain, back to the last
+  // content record, NTA-End or Begin; CLRs jump over what an earlier
+  // rollback already compensated.
+  LogRecord rec;
+  GISTCR_RETURN_IF_ERROR(log_->ReadRecord(*next, &rec));
+  switch (rec.type) {
+    case LogRecordType::kClr:
+      *next = rec.undo_next;
+      return Status::OK();
+    case LogRecordType::kAbort:
+    case LogRecordType::kParentEntryUpdate:  // redo-only
+      *next = rec.prev_lsn;
+      return Status::OK();
+    case LogRecordType::kSplit:
+    case LogRecordType::kRootChange:
+    case LogRecordType::kInternalEntryAdd:
+    case LogRecordType::kInternalEntryUpdate:
+    case LogRecordType::kInternalEntryDelete:
+    case LogRecordType::kRightlinkUpdate:
+    case LogRecordType::kGetPage:
+    case LogRecordType::kFreePage:
+    case LogRecordType::kGarbageCollection:
+      *next = rec.prev_lsn;
+      return UndoRecord(txn, rec);
+    default:  // content, NTA-End or Begin: no action is open
+      *next = kInvalidLsn;
+      return Status::OK();
+  }
 }
 
 Status RecoveryManager::RunInstantBackground(const std::atomic<bool>& stop) {
@@ -482,9 +508,8 @@ Status RecoveryManager::RunInstantBackground(const std::atomic<bool>& stop) {
     if (st.ok()) st = txns_->Abort(txn);
     if (!st.ok()) return st;  // stay armed: losers keep their locks
   }
-  // Loser effects are fully retracted: freed pages may circulate again
-  // and snapshot reads no longer risk seeing un-retracted versions.
-  alloc_->ClearQuarantine();
+  // Loser effects are fully retracted: snapshot reads no longer risk
+  // seeing un-retracted versions.
   txns_->SetRecoveryUndoActive(false);
   m_undo_ns_->Record(obs::NowNanos() - phase_t0);
 
@@ -546,216 +571,81 @@ Status RecoveryManager::RedoRecord(const LogRecord& rec) {
 }
 
 Status RecoveryManager::RedoRecordOnPage(const LogRecord& rec, PageId pid) {
+  PageGuard g;
+  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
+  if (g.view().page_lsn() >= rec.lsn) return Status::OK();
+  return ApplyRedo(rec, &g);
+}
+
+Status RecoveryManager::ApplyRedo(const LogRecord& rec, PageGuard* g) {
   const Lsn lsn = rec.lsn;
   switch (rec.type) {
     case LogRecordType::kSplit: {
       SplitPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("split payload");
-      const Nsn new_nsn = pl.new_nsn != 0 ? pl.new_nsn : lsn;
-      if (pid == pl.orig_page) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.orig_page, &g));
-        if (g.view().page_lsn() < lsn) {
-          NodeView node(g.view().data());
-          for (const IndexEntry& m : pl.moved) {
-            const int idx = node.FindByKeyValue(m.key, m.value);
-            if (idx < 0) return Corrupt("split redo: moved entry missing");
-            node.RemoveEntry(static_cast<uint16_t>(idx));
-          }
-          GISTCR_RETURN_IF_ERROR(node.SetBp(pl.orig_bp_after));
-          node.set_nsn(new_nsn);
-          node.set_rightlink(pl.new_page);
-          Stamp(&g, lsn);
-        }
-      }
-      if (pid == pl.new_page) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.new_page, &g));
-        if (g.view().page_lsn() < lsn) {
-          NodeView node(g.view().data());
-          node.Init(pl.new_page, pl.level);
-          for (const IndexEntry& m : pl.moved) {
-            GISTCR_RETURN_IF_ERROR(node.InsertEntry(m));
-          }
-          GISTCR_RETURN_IF_ERROR(node.SetBp(pl.new_bp));
-          node.set_nsn(pl.old_nsn);
-          node.set_rightlink(pl.old_rightlink);
-          Stamp(&g, lsn);
-        }
-      }
-      return Status::OK();
+      return ApplySplit(pl, lsn, g);
     }
     case LogRecordType::kRootChange: {
       RootChangePayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("rootchange payload");
-      if (pid == pl.new_root) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.new_root, &g));
-        if (g.view().page_lsn() < lsn) {
-          NodeView node(g.view().data());
-          node.Init(pl.new_root, pl.new_root_level);
-          for (const IndexEntry& e : pl.root_entries) {
-            GISTCR_RETURN_IF_ERROR(node.InsertEntry(e));
-          }
-          GISTCR_RETURN_IF_ERROR(node.SetBp(pl.root_bp));
-          Stamp(&g, lsn);
-        }
-      }
-      if (pid == pl.meta_page) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.meta_page, &g));
-        if (g.view().page_lsn() < lsn) {
-          MetaView meta(g.view().data());
-          meta.SetRoot(pl.index_id, pl.new_root);
-          Stamp(&g, lsn);
-        }
-      }
-      return Status::OK();
+      return ApplyRootChange(pl, lsn, g);
     }
     case LogRecordType::kParentEntryUpdate: {
       ParentEntryUpdatePayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("peu payload");
-      if (pid == pl.child_page) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.child_page, &g));
-        if (g.view().page_lsn() < lsn) {
-          NodeView node(g.view().data());
-          GISTCR_RETURN_IF_ERROR(node.SetBp(pl.new_bp));
-          Stamp(&g, lsn);
-        }
-      }
-      if (pl.parent_page != kInvalidPageId && pid == pl.parent_page) {
-        PageGuard g;
-        GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.parent_page, &g));
-        if (g.view().page_lsn() < lsn) {
-          NodeView node(g.view().data());
-          const int idx = node.FindByValue(pl.child_value);
-          if (idx < 0) return Corrupt("peu redo: entry missing");
-          GISTCR_RETURN_IF_ERROR(
-              node.SetEntryKey(static_cast<uint16_t>(idx), pl.new_bp));
-          Stamp(&g, lsn);
-        }
-      }
-      return Status::OK();
+      return ApplyParentEntryUpdate(pl, lsn, g);
     }
     case LogRecordType::kInternalEntryAdd:
     case LogRecordType::kInternalEntryUpdate:
     case LogRecordType::kInternalEntryDelete: {
       EntryOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("entryop payload");
-      if (pid != pl.page) return Status::OK();
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-      if (g.view().page_lsn() >= lsn) return Status::OK();
-      NodeView node(g.view().data());
-      if (rec.type == LogRecordType::kInternalEntryAdd) {
-        GISTCR_RETURN_IF_ERROR(node.InsertEntry(pl.entry));
-      } else if (rec.type == LogRecordType::kInternalEntryUpdate) {
-        const int idx = node.FindByValue(pl.entry.value);
-        if (idx < 0) return Corrupt("ieu redo: entry missing");
-        GISTCR_RETURN_IF_ERROR(
-            node.SetEntryKey(static_cast<uint16_t>(idx), pl.entry.key));
-      } else {
-        const int idx = node.FindByValue(pl.entry.value);
-        if (idx < 0) return Corrupt("ied redo: entry missing");
-        node.RemoveEntry(static_cast<uint16_t>(idx));
-      }
-      Stamp(&g, lsn);
-      return Status::OK();
+      return ApplyInternalEntry(rec.type, pl, lsn, g);
     }
     case LogRecordType::kAddLeafEntry: {
       EntryOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("addleaf payload");
-      if (pid != pl.page) return Status::OK();
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-      if (g.view().page_lsn() >= lsn) return Status::OK();
-      NodeView node(g.view().data());
-      GISTCR_RETURN_IF_ERROR(node.InsertEntry(pl.entry));
-      Stamp(&g, lsn);
-      return Status::OK();
+      return ApplyAddLeafEntry(pl, lsn, g);
     }
     case LogRecordType::kMarkLeafEntry: {
       EntryOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("markleaf payload");
-      if (pid != pl.page) return Status::OK();
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-      if (g.view().page_lsn() >= lsn) return Status::OK();
-      NodeView node(g.view().data());
-      const int idx = node.FindByKeyValue(pl.entry.key, pl.entry.value);
-      if (idx < 0) return Corrupt("markleaf redo: entry missing");
-      node.set_entry_del_txn(static_cast<uint16_t>(idx), rec.txn_id);
-      Stamp(&g, lsn);
-      return Status::OK();
+      return ApplyMarkLeafEntry(pl, rec.txn_id, lsn, g);
     }
     case LogRecordType::kGarbageCollection: {
       GarbageCollectionPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("gc payload");
-      if (pid != pl.page) return Status::OK();
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-      if (g.view().page_lsn() >= lsn) return Status::OK();
-      NodeView node(g.view().data());
-      for (const IndexEntry& e : pl.removed) {
-        const int idx = node.FindByKeyValue(e.key, e.value);
-        if (idx < 0) return Corrupt("gc redo: entry missing");
-        node.RemoveEntry(static_cast<uint16_t>(idx));
-      }
-      Stamp(&g, lsn);
-      return Status::OK();
+      return ApplyGarbageCollection(pl, lsn, g);
     }
     case LogRecordType::kGetPage:
     case LogRecordType::kFreePage: {
       PageAllocPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("alloc payload");
-      if (pid != PageAllocator::BitmapPageFor(pl.target_page)) {
-        return Status::OK();
-      }
-      return alloc_->ApplyBit(pl.target_page,
-                              rec.type == LogRecordType::kGetPage, lsn,
-                              /*check_page_lsn=*/true);
+      return PageAllocator::ApplyBit(
+          pl.target_page, rec.type == LogRecordType::kGetPage, lsn, g);
     }
     case LogRecordType::kRightlinkUpdate: {
       RightlinkUpdatePayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("rightlink payload");
-      if (pid != pl.page) return Status::OK();
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-      if (g.view().page_lsn() >= lsn) return Status::OK();
-      if (g.view().page_type() == PageType::kHeap) {
-        HeapPageView(g.view().data()).set_next(pl.new_rightlink);
-      } else if (g.view().page_type() == PageType::kGistNode) {
-        NodeView(g.view().data()).set_rightlink(pl.new_rightlink);
-      } else {
-        return Corrupt("rightlink redo: unexpected page type");
-      }
-      Stamp(&g, lsn);
-      return Status::OK();
+      return ApplyRightlinkUpdate(pl, lsn, g);
     }
     case LogRecordType::kHeapInsert: {
       HeapOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("heap payload");
-      if (pid != pl.page) return Status::OK();
-      return data_->ApplyInsert(pl.page, pl.slot, pl.record, lsn, true);
+      return DataStore::ApplyInsert(pl, lsn, g);
     }
     case LogRecordType::kHeapDelete: {
       HeapOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("heap payload");
-      if (pid != pl.page) return Status::OK();
-      return data_->ApplyDeleteMark(pl.page, pl.slot, true, lsn, true);
+      return DataStore::ApplyDeleteMark(pl, true, lsn, g);
     }
     case LogRecordType::kClr: {
       ClrPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("clr payload");
-      if (pid != ClrTargetPage(pl)) {
-        return Status::OK();
-      }
-      return RedoClrAction(pl.compensated_type, pl.original,
-                           pl.override_page, lsn);
+      return ApplyUndo(pl, lsn, g);
     }
     default:
-      return Status::OK();  // txn control, NTA-End, checkpoint: no page
+      return Corrupt("redo: record has no page");
   }
 }
 
@@ -763,193 +653,82 @@ Status RecoveryManager::RedoRecordOnPage(const LogRecord& rec, PageId pid) {
 // Undo (Table 1 right column); shared by live rollback and restart
 // ---------------------------------------------------------------------
 
-Status RecoveryManager::ApplyRemoveLeafEntry(PageId page,
-                                             const EntryOpPayload& pl,
-                                             Lsn lsn, bool check_lsn) {
-  PageId pid = page;
-  for (int guard = 0; guard < 1 << 20; guard++) {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-    if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-    NodeView node(g.view().data());
-    const int idx = node.FindByKeyValue(pl.entry.key, pl.entry.value);
-    if (idx >= 0) {
-      node.RemoveEntry(static_cast<uint16_t>(idx));
-      Stamp(&g, lsn);
-      return Status::OK();
-    }
-    // The entry migrated right between locate and apply (live rollback
-    // under concurrency); keep chasing.
-    if (node.nsn() <= pl.nsn || node.rightlink() == kInvalidPageId) {
-      return Corrupt("undo add-leaf: entry not found");
-    }
-    pid = node.rightlink();
-  }
-  return Corrupt("undo add-leaf: rightlink cycle");
-}
-
-Status RecoveryManager::ApplyUnmarkLeafEntry(PageId page,
-                                             const EntryOpPayload& pl,
-                                             Lsn lsn, bool check_lsn) {
-  PageId pid = page;
-  for (int guard = 0; guard < 1 << 20; guard++) {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-    if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-    NodeView node(g.view().data());
-    const int idx = node.FindByKeyValue(pl.entry.key, pl.entry.value);
-    if (idx >= 0) {
-      node.set_entry_del_txn(static_cast<uint16_t>(idx), kInvalidTxnId);
-      Stamp(&g, lsn);
-      return Status::OK();
-    }
-    if (node.nsn() <= pl.nsn || node.rightlink() == kInvalidPageId) {
-      return Corrupt("undo mark-leaf: entry not found");
-    }
-    pid = node.rightlink();
-  }
-  return Corrupt("undo mark-leaf: rightlink cycle");
-}
-
-Status RecoveryManager::ApplyUndoSplit(const SplitPayload& pl, Lsn lsn,
-                                       bool check_lsn) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.orig_page, &g));
-  if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-  NodeView node(g.view().data());
-  for (const IndexEntry& m : pl.moved) {
-    GISTCR_RETURN_IF_ERROR(node.InsertEntry(m));
-  }
-  GISTCR_RETURN_IF_ERROR(node.SetBp(pl.orig_bp_before));
-  node.set_nsn(pl.old_nsn);
-  node.set_rightlink(pl.old_rightlink);
-  Stamp(&g, lsn);
-  // New page: "no action necessary" (Table 1) — the preceding Get-Page's
-  // undo returns it to the allocator.
-  return Status::OK();
-}
-
-Status RecoveryManager::ApplyUndoInternal(LogRecordType t,
-                                          const EntryOpPayload& pl, Lsn lsn,
-                                          bool check_lsn) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-  if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-  NodeView node(g.view().data());
-  if (t == LogRecordType::kInternalEntryAdd) {
-    const int idx = node.FindByValue(pl.entry.value);
-    if (idx < 0) return Corrupt("undo iea: entry missing");
-    node.RemoveEntry(static_cast<uint16_t>(idx));
-  } else if (t == LogRecordType::kInternalEntryUpdate) {
-    const int idx = node.FindByValue(pl.entry.value);
-    if (idx < 0) return Corrupt("undo ieu: entry missing");
-    GISTCR_RETURN_IF_ERROR(
-        node.SetEntryKey(static_cast<uint16_t>(idx), pl.old_bp));
-  } else {  // kInternalEntryDelete
-    GISTCR_RETURN_IF_ERROR(node.InsertEntry(pl.entry));
-  }
-  Stamp(&g, lsn);
-  return Status::OK();
-}
-
-Status RecoveryManager::ApplyUndoRightlink(const RightlinkUpdatePayload& pl,
-                                           Lsn lsn, bool check_lsn) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.page, &g));
-  if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-  // Retract only the link this record installed. Under instant restart a
-  // regrow can overwrite a doomed link before the loser's undo reaches it
-  // (DataStore::Open stops the chain short of a doomed page, so a
-  // concurrent Insert re-grows over it); blindly restoring old_rightlink
-  // would then unlink the *live* regrown page. The comparison is
-  // deterministic under per-page LSN-ordered replay, so CLR redo takes the
-  // same branch. Stamp regardless: the page-LSN must advance past every
-  // record whose effect (possibly a no-op) is accounted for.
-  if (g.view().page_type() == PageType::kHeap) {
-    HeapPageView hv(g.view().data());
-    if (hv.next() == pl.new_rightlink) hv.set_next(pl.old_rightlink);
-  } else if (g.view().page_type() == PageType::kGistNode) {
-    NodeView node(g.view().data());
-    if (node.rightlink() == pl.new_rightlink) {
-      node.set_rightlink(pl.old_rightlink);
-    }
-  } else {
-    return Corrupt("undo rightlink: unexpected page type");
-  }
-  Stamp(&g, lsn);
-  return Status::OK();
-}
-
-Status RecoveryManager::ApplyUndoRootChange(const RootChangePayload& pl,
-                                            Lsn lsn, bool check_lsn) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pl.meta_page, &g));
-  if (check_lsn && g.view().page_lsn() >= lsn) return Status::OK();
-  MetaView meta(g.view().data());
-  meta.SetRoot(pl.index_id, pl.old_root);
-  Stamp(&g, lsn);
-  return Status::OK();
-}
-
-Status RecoveryManager::RedoClrAction(LogRecordType t, Slice original,
-                                      PageId override_page, Lsn lsn) {
-  switch (t) {
-    case LogRecordType::kAddLeafEntry: {
-      EntryOpPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr addleaf payload");
-      const PageId page =
-          override_page != kInvalidPageId ? override_page : pl.page;
-      return ApplyRemoveLeafEntry(page, pl, lsn, /*check_lsn=*/true);
-    }
+Status RecoveryManager::ApplyUndo(const ClrPayload& clr, Lsn lsn,
+                                  PageGuard* g) {
+  const Slice original(clr.original);
+  switch (clr.compensated_type) {
+    case LogRecordType::kAddLeafEntry:
     case LogRecordType::kMarkLeafEntry: {
       EntryOpPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr markleaf payload");
-      const PageId page =
-          override_page != kInvalidPageId ? override_page : pl.page;
-      return ApplyUnmarkLeafEntry(page, pl, lsn, /*check_lsn=*/true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo leaf payload");
+      if (clr.compensated_type == LogRecordType::kAddLeafEntry) {
+        return ApplyUndoAddLeafEntry(pl, lsn, g);
+      }
+      return ApplyMarkLeafEntry(pl, kInvalidTxnId, lsn, g);
     }
     case LogRecordType::kSplit: {
       SplitPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr split payload");
-      return ApplyUndoSplit(pl, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo split payload");
+      return ApplyUndoSplit(pl, lsn, g);
     }
     case LogRecordType::kInternalEntryAdd:
     case LogRecordType::kInternalEntryUpdate:
     case LogRecordType::kInternalEntryDelete: {
       EntryOpPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr entryop payload");
-      return ApplyUndoInternal(t, pl, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo entry payload");
+      return ApplyUndoInternalEntry(clr.compensated_type, pl, lsn, g);
     }
     case LogRecordType::kGetPage:
     case LogRecordType::kFreePage: {
       PageAllocPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr alloc payload");
-      return alloc_->ApplyBit(pl.target_page,
-                              t == LogRecordType::kFreePage, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo alloc payload");
+      return PageAllocator::ApplyBit(
+          pl.target_page,
+          clr.compensated_type == LogRecordType::kFreePage, lsn, g);
     }
     case LogRecordType::kRightlinkUpdate: {
       RightlinkUpdatePayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr rightlink payload");
-      return ApplyUndoRightlink(pl, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo rl payload");
+      return ApplyUndoRightlinkUpdate(pl, lsn, g);
     }
     case LogRecordType::kRootChange: {
       RootChangePayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr rootchange payload");
-      return ApplyUndoRootChange(pl, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo root payload");
+      return ApplyUndoRootChange(pl, lsn, g);
     }
-    case LogRecordType::kHeapInsert: {
-      HeapOpPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr heap payload");
-      return data_->ApplyDeleteMark(pl.page, pl.slot, true, lsn, true);
-    }
+    case LogRecordType::kHeapInsert:
     case LogRecordType::kHeapDelete: {
       HeapOpPayload pl;
-      if (!pl.DecodeFrom(original)) return Corrupt("clr heap payload");
-      return data_->ApplyDeleteMark(pl.page, pl.slot, false, lsn, true);
+      if (!pl.DecodeFrom(original)) return Corrupt("undo heap payload");
+      return DataStore::ApplyDeleteMark(
+          pl, clr.compensated_type == LogRecordType::kHeapInsert, lsn, g);
     }
     default:
       return Corrupt("clr: uncompensatable type");
   }
+}
+
+Status RecoveryManager::LatchLeafEntry(const EntryOpPayload& pl,
+                                       PageGuard* out) {
+  PageId pid = pl.page;
+  for (int guard = 0; guard < 1 << 20; guard++) {
+    PageGuard g;
+    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
+    if (g.view().page_type() != PageType::kGistNode) {
+      return Corrupt("logical undo: lost leaf chain");
+    }
+    NodeView node(g.view().data());
+    if (node.FindByKeyValue(pl.entry.key, pl.entry.value) >= 0) {
+      *out = std::move(g);
+      return Status::OK();
+    }
+    // The entry moved right with a split since it was logged.
+    if (node.nsn() <= pl.nsn || node.rightlink() == kInvalidPageId) {
+      return Corrupt("logical undo: entry not found");
+    }
+    pid = node.rightlink();
+  }
+  return Corrupt("logical undo: rightlink cycle");
 }
 
 Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
@@ -969,114 +748,44 @@ Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
   clr.override_page = kInvalidPageId;
   clr.original = rec.payload;
 
-  // Logical undo of leaf content: chase the NSN-guided rightlink chain
-  // under X latches until the entry's current leaf is found, then append
-  // the CLR *while still holding that latch* before mutating. Logging
-  // under the latch pins override_page to exactly where the entry is at
-  // the CLR's LSN — instant restart relies on that to attribute the CLR's
-  // redo to a single page plan (the entry cannot migrate between locate
-  // and log, unlike the old locate-log-apply sequence).
-  //
-  // Page first, version record second: while the aborted entry is still
-  // on the leaf its pending version record must exist, or a concurrent
-  // snapshot scan finds no chain, treats the entry as ancient and emits
-  // the dirty insert. Once the entry is off the page (latch dropped,
-  // frame version bumped) the record is unreachable and safe to retract.
-  if (rec.type == LogRecordType::kAddLeafEntry ||
-      rec.type == LogRecordType::kMarkLeafEntry) {
-    EntryOpPayload pl;
-    if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo payload");
-    PageId pid = pl.page;
-    for (int guard = 0; guard < 1 << 20; guard++) {
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-      if (g.view().page_type() != PageType::kGistNode) {
-        return Corrupt("logical undo: lost leaf chain");
-      }
-      NodeView node(g.view().data());
-      const int idx = node.FindByKeyValue(pl.entry.key, pl.entry.value);
-      if (idx < 0) {
-        if (node.nsn() <= pl.nsn || node.rightlink() == kInvalidPageId) {
-          return Corrupt("logical undo: entry not found");
-        }
-        pid = node.rightlink();
-        continue;
-      }
-      clr.override_page = pid;
-      LogRecord crec;
-      crec.type = LogRecordType::kClr;
-      crec.undo_next = rec.prev_lsn;
-      clr.EncodeTo(&crec.payload);
-      GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &crec));
-      if (rec.type == LogRecordType::kAddLeafEntry) {
-        node.RemoveEntry(static_cast<uint16_t>(idx));
-      } else {
-        node.set_entry_del_txn(static_cast<uint16_t>(idx), kInvalidTxnId);
-      }
-      Stamp(&g, crec.lsn);
-      g.Drop();
-      if (rec.type == LogRecordType::kAddLeafEntry) {
-        mvcc_->UndoInsert(pl.entry.value, rec.txn_id);
-      } else {
-        mvcc_->UndoDelete(pl.entry.value, rec.txn_id);
-      }
-      return Status::OK();
-    }
-    return Corrupt("logical undo: rightlink cycle");
+  // X-latch the one page the undo changes, then append the CLR under that
+  // latch and apply it: a writer that slipped onto the page between the
+  // append and the latch would have its newer page LSN overwritten by the
+  // CLR's. Leaf content is undone logically (section 9.2): the entry may
+  // have moved right with a split, so chase the NSN-guided rightlink chain
+  // to its current leaf, and log that leaf as override_page.
+  const bool leaf = rec.type == LogRecordType::kAddLeafEntry ||
+                    rec.type == LogRecordType::kMarkLeafEntry;
+  EntryOpPayload leaf_pl;
+  PageGuard g;
+  if (leaf) {
+    if (!leaf_pl.DecodeFrom(rec.payload)) return Corrupt("undo payload");
+    GISTCR_RETURN_IF_ERROR(LatchLeafEntry(leaf_pl, &g));
+    clr.override_page = g.page_id();
+  } else {
+    const PageId pid = ClrTargetPage(clr);
+    if (pid == kInvalidPageId) return Corrupt("undo: record has no page");
+    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
   }
-
   LogRecord crec;
   crec.type = LogRecordType::kClr;
   crec.undo_next = rec.prev_lsn;
   clr.EncodeTo(&crec.payload);
   GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &crec));
+  GISTCR_RETURN_IF_ERROR(ApplyUndo(clr, crec.lsn, &g));
+  g.Drop();
 
-  // Apply the undo action physically (no page-LSN test on the forward
-  // path; the pages are current).
-  switch (rec.type) {
-    case LogRecordType::kSplit: {
-      SplitPayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo split payload");
-      return ApplyUndoSplit(pl, crec.lsn, false);
-    }
-    case LogRecordType::kInternalEntryAdd:
-    case LogRecordType::kInternalEntryUpdate:
-    case LogRecordType::kInternalEntryDelete: {
-      EntryOpPayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo entry payload");
-      return ApplyUndoInternal(rec.type, pl, crec.lsn, false);
-    }
-    case LogRecordType::kGetPage:
-    case LogRecordType::kFreePage: {
-      PageAllocPayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo alloc payload");
-      return alloc_->ApplyBit(pl.target_page,
-                              rec.type == LogRecordType::kFreePage, crec.lsn,
-                              false);
-    }
-    case LogRecordType::kRightlinkUpdate: {
-      RightlinkUpdatePayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo rl payload");
-      return ApplyUndoRightlink(pl, crec.lsn, false);
-    }
-    case LogRecordType::kRootChange: {
-      RootChangePayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo root payload");
-      return ApplyUndoRootChange(pl, crec.lsn, false);
-    }
-    case LogRecordType::kHeapInsert: {
-      HeapOpPayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo heap payload");
-      return data_->ApplyDeleteMark(pl.page, pl.slot, true, crec.lsn, false);
-    }
-    case LogRecordType::kHeapDelete: {
-      HeapOpPayload pl;
-      if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo heap payload");
-      return data_->ApplyDeleteMark(pl.page, pl.slot, false, crec.lsn, false);
-    }
-    default:
-      return Status::OK();
+  // Page first, version record second: while the aborted entry is still
+  // on the leaf its pending version record must exist, or a concurrent
+  // snapshot scan finds no chain, treats the entry as ancient and emits
+  // the dirty insert. Once the entry is off the page (latch dropped,
+  // frame version bumped) the record is unreachable and safe to retract.
+  if (rec.type == LogRecordType::kAddLeafEntry) {
+    mvcc_->UndoInsert(leaf_pl.entry.value, rec.txn_id);
+  } else if (rec.type == LogRecordType::kMarkLeafEntry) {
+    mvcc_->UndoDelete(leaf_pl.entry.value, rec.txn_id);
   }
+  return Status::OK();
 }
 
 }  // namespace gistcr

@@ -32,7 +32,8 @@ namespace gistcr {
 ///
 /// Restart is instant (DESIGN.md section 16): StartInstant's one analysis
 /// scan builds a per-page redo *plan* and re-acquires the losers' locks,
-/// then the database opens. Redo happens per page — inline on first touch
+/// rolls back any nested top action a loser left open, then the database
+/// opens. Redo happens per page — inline on first touch
 /// via the buffer-pool recovery hook, or from RunInstantBackground's
 /// drainer in recLSN order — and loser undo runs as ordinary aborting
 /// transactions through the normal lock/latch protocol, concurrent with
@@ -43,10 +44,9 @@ class RecoveryManager : public UndoApplier {
   /// delete-mark must not leave a pending version record behind (partial
   /// rollback keeps the transaction alive, so commit would stamp it).
   RecoveryManager(BufferPool* pool, LogManager* log, TransactionManager* txns,
-                  PageAllocator* alloc, DataStore* data, GlobalNsn* nsn,
-                  MvccManager* mvcc)
-      : pool_(pool), log_(log), txns_(txns), alloc_(alloc), data_(data),
-        nsn_(nsn), mvcc_(mvcc) {
+                  DataStore* data, GlobalNsn* nsn, MvccManager* mvcc)
+      : pool_(pool), log_(log), txns_(txns), data_(data), nsn_(nsn),
+        mvcc_(mvcc) {
     AttachMetrics(nullptr);
   }
   GISTCR_DISALLOW_COPY_AND_ASSIGN(RecoveryManager);
@@ -56,13 +56,13 @@ class RecoveryManager : public UndoApplier {
   /// init.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
-  /// Instant restart, phase one (log-only): one analysis scan from the
-  /// redo floor logged by \p checkpoint_lsn (kInvalidLsn: from the log
-  /// start) builds the per-page redo plans, quarantines loser-freed pages,
-  /// re-acquires the losers' locks and arms the buffer-pool recovery hook.
-  /// On return the database may open for business; no page has been
-  /// redone yet. Corruption if the log cannot be read from the floor up
-  /// to the checkpoint.
+  /// Instant restart, phase one: one analysis scan from the redo floor
+  /// logged by \p checkpoint_lsn (kInvalidLsn: from the log start) builds
+  /// the per-page redo plans, re-acquires the losers' locks and arms the
+  /// buffer-pool recovery hook; then each loser's unfinished nested top
+  /// action is undone (its pages replay inline). On return the database
+  /// may open for business. Corruption if the log cannot be read from the
+  /// floor up to the checkpoint.
   Status StartInstant(Lsn checkpoint_lsn);
 
   /// Instant restart, phase two (background thread): undoes the losers as
@@ -79,10 +79,6 @@ class RecoveryManager : public UndoApplier {
   /// Heap tail computed by the last StartInstant analysis (kInvalidPageId:
   /// no checkpoint hint was available; DataStore::Open must walk).
   PageId HeapTailHint() const { return heap_tail_hint_; }
-
-  /// Heap pages whose chain links belong to losers and will be unlinked by
-  /// the concurrent undo (DataStore::Open stops short of them).
-  const std::vector<PageId>& DoomedHeapPages() const { return doomed_heap_; }
 
   /// What a checkpoint logged: its own LSN, for the master pointer, and
   /// its redo floor — the lowest of the log end before it took its
@@ -103,8 +99,9 @@ class RecoveryManager : public UndoApplier {
   /// (public for targeted tests).
   Status RedoRecord(const LogRecord& rec);
 
-  /// UndoApplier: undoes one record on behalf of a rollback, writing the
-  /// CLR. Used both by live aborts and restart undo.
+  /// UndoApplier: undoes one record on behalf of a rollback: X-latches
+  /// the page the undo changes, appends the CLR under that latch, applies
+  /// it. Used both by live aborts and restart undo.
   Status UndoRecord(Transaction* txn, const LogRecord& rec) override;
 
   /// Restart counters. They settle only once RunInstantBackground has
@@ -119,29 +116,30 @@ class RecoveryManager : public UndoApplier {
   const RestartStats& restart_stats() const { return stats_; }
 
  private:
-  // Physical appliers shared by forward-undo and CLR redo. Each latches
-  // the target page; when \p check_lsn, skips if page_lsn >= lsn.
-  Status ApplyRemoveLeafEntry(PageId page, const EntryOpPayload& pl, Lsn lsn,
-                              bool check_lsn);
-  Status ApplyUnmarkLeafEntry(PageId page, const EntryOpPayload& pl, Lsn lsn,
-                              bool check_lsn);
-  Status ApplyUndoSplit(const SplitPayload& pl, Lsn lsn, bool check_lsn);
-  Status ApplyUndoInternal(LogRecordType t, const EntryOpPayload& pl,
-                           Lsn lsn, bool check_lsn);
-  Status ApplyUndoRightlink(const RightlinkUpdatePayload& pl, Lsn lsn,
-                            bool check_lsn);
-  Status ApplyUndoRootChange(const RootChangePayload& pl, Lsn lsn,
-                             bool check_lsn);
-
-  /// Applies the undo action of \p compensated_type (used when redoing a
-  /// CLR). \p override_page is where a logical undo found the entry.
-  Status RedoClrAction(LogRecordType compensated_type, Slice original,
-                       PageId override_page, Lsn lsn);
-
-  /// Redo of one record restricted to the image of page \p pid. A record
-  /// touching two pages (split, root change) is applied once per page,
-  /// each under that page's own plan.
+  /// Redo of one record restricted to the image of page \p pid: fetch it
+  /// X-latched, test its page LSN, apply. A record touching two pages
+  /// (split, root change) is applied once per page, each under that
+  /// page's own plan.
   Status RedoRecordOnPage(const LogRecord& rec, PageId pid);
+
+  /// Decodes \p rec and calls its page applier on \p g.
+  Status ApplyRedo(const LogRecord& rec, PageGuard* g);
+
+  /// Decodes the record \p clr compensates and calls its undo applier on
+  /// \p g, the page ClrTargetPage names: live rollback, restart undo and
+  /// CLR redo all come here.
+  Status ApplyUndo(const ClrPayload& clr, Lsn lsn, PageGuard* g);
+
+  /// Logical undo's leaf chase (section 9.2): X-latches the leaf that now
+  /// holds \p pl's entry, following rightlinks from the logged leaf past
+  /// splits newer than the logged NSN.
+  Status LatchLeafEntry(const EntryOpPayload& pl, PageGuard* out);
+
+  /// One step of undoing loser \p txn's unfinished nested top action
+  /// (DESIGN.md section 16.4): reads the record at *\p next, undoes it if
+  /// it is a structure modification, and moves *\p next down the
+  /// backchain — to kInvalidLsn once no action is open.
+  Status UndoUnfinishedNtaStep(Transaction* txn, Lsn* next);
 
   /// RecoveryGate replay callback: reads each planned record and applies
   /// it to \p pid. The page-LSN test skips whatever already reached disk.
@@ -154,7 +152,6 @@ class RecoveryManager : public UndoApplier {
   BufferPool* pool_;
   LogManager* log_;
   TransactionManager* txns_;
-  PageAllocator* alloc_;
   DataStore* data_;
   GlobalNsn* nsn_;
   MvccManager* mvcc_;
@@ -164,7 +161,6 @@ class RecoveryManager : public UndoApplier {
   /// Losers resurrected by StartInstant, awaiting their background abort.
   std::vector<Transaction*> losers_;
   PageId heap_tail_hint_ = kInvalidPageId;
-  std::vector<PageId> doomed_heap_;
 
   obs::Counter* m_analyzed_ = nullptr;
   obs::Counter* m_redone_ = nullptr;

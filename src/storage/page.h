@@ -78,6 +78,8 @@ class PageView {
     for (uint32_t i = 0; i < kPageSize; i++) data_[i] = 0;
     set_page_id(id);
     set_page_type(type);
+    // A formatted page holds no logged effect yet: its LSN is the null
+    // one, below every record. gistcr-lint: allow(page-lsn-outside-apply)
     set_page_lsn(kInvalidLsn);
   }
 

@@ -16,8 +16,8 @@ namespace gistcr {
 
 /// Applies the *undo* action of a log record (Table 1 right column) on
 /// behalf of rollback, writing the corresponding CLR through the
-/// transaction's backchain. Implemented by the Database facade, which
-/// routes to the GiST / heap undo code.
+/// transaction's backchain. Implemented by RecoveryManager, which routes
+/// to the GiST, heap and bitmap undo appliers.
 class UndoApplier {
  public:
   virtual ~UndoApplier() = default;

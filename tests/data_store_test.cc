@@ -183,13 +183,19 @@ TEST_F(PageAllocatorTest, ApplyBitIdempotentUnderPageLsnTest) {
   auto a = db_->allocator()->Allocate(txn);
   ASSERT_OK(a.status());
   ASSERT_OK(db_->Commit(txn));
-  // Re-applying an older "set" with check enabled is a no-op; with a newer
-  // LSN it applies.
-  ASSERT_OK(db_->allocator()->ApplyBit(a.value(), false, /*lsn=*/1,
-                                       /*check_page_lsn=*/true));
+  // Redo of a Free-Page older than the bitmap page is a no-op; with a
+  // newer LSN ApplyBit applies it.
+  LogRecord rec;
+  rec.type = LogRecordType::kFreePage;
+  PageAllocPayload pl;
+  pl.target_page = a.value();
+  pl.bitmap_page = PageAllocator::BitmapPageFor(a.value());
+  pl.EncodeTo(&rec.payload);
+  rec.lsn = 1;
+  ASSERT_OK(db_->recovery()->RedoRecord(rec));
   EXPECT_TRUE(db_->allocator()->IsAllocated(a.value()).value());
-  const Lsn high = db_->log()->last_lsn() + 1000;
-  ASSERT_OK(db_->allocator()->ApplyBit(a.value(), false, high, true));
+  rec.lsn = db_->log()->last_lsn() + 1000;
+  ASSERT_OK(db_->recovery()->RedoRecord(rec));
   EXPECT_FALSE(db_->allocator()->IsAllocated(a.value()).value());
 }
 

@@ -18,7 +18,9 @@
 ///      the next restart needs, and a checkpoint inside another never
 ///      moves the master back;
 ///   5. snapshot reads fall back to repeatable read only while loser undo
-///      runs.
+///      runs;
+///   6. a loser's unfinished nested top action is rolled back before the
+///      database opens, so no new work lands on a page its undo takes away.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -405,6 +407,41 @@ TEST(InstantRestartTest, HoleBelowCheckpointFailsOpen) {
   RemoveDbFiles(path);
 }
 
+// A master pointer that names no LSN is damage, not "no checkpoint yet":
+// read as the latter, analysis starts at the reclaimed log head, stops at
+// the hole, and opens a database that silently lost committed keys. Only
+// a missing file means no checkpoint.
+TEST(InstantRestartTest, CorruptMasterPointerFailsOpen) {
+  const std::string path = TestPath("instant_master");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext));
+    Gist* gist = db->GetIndex(1).value();
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db->InsertRecord(txn, gist, BtreeExtension::MakeKey(1), "v")
+                  .status());
+    ASSERT_OK(db->Commit(txn));
+    ASSERT_OK(db->Checkpoint());
+    db->SimulateCrash();
+  }
+  for (const char* master : {"garbage\n", "", "12 34\n", "77x\n"}) {
+    FILE* f = std::fopen((path + ".ckpt").c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(master, f);
+    std::fclose(f);
+    auto db_or = Database::Open(dopts);
+    EXPECT_TRUE(db_or.status().IsCorruption())
+        << "master \"" << master << "\": " << db_or.status().ToString();
+  }
+  RemoveDbFiles(path);
+}
+
 // A checkpoint taken before anything is appended after a restart logs a
 // floor the next restart can start from.
 TEST(InstantRestartTest, CheckpointRightAfterOpenRestarts) {
@@ -678,6 +715,189 @@ TEST(InstantRestartTest, SnapshotDowngradesWhileLoserUndoRuns) {
   EXPECT_TRUE(txn->is_snapshot());
   ASSERT_OK(db->Commit(txn));
   db.reset();
+  RemoveDbFiles(path);
+}
+
+// ---------------------------------------------------------------------
+// 6. A loser's unfinished nested top action is undone before open.
+// ---------------------------------------------------------------------
+
+/// Crash image: 8 committed keys fill the root leaf (max_entries 8), then a
+/// loser's insert splits it (a root grow) and stops short of the split's
+/// NTA-End — the state `split.before_nta_commit` marks.
+void BuildUnfinishedSplitImage(const DatabaseOptions& dopts) {
+  static BtreeExtension ext;
+  auto db_or = Database::Create(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  GistOptions gopts;
+  gopts.max_entries = 8;
+  ASSERT_OK(db->CreateIndex(1, &ext, gopts));
+  Gist* gist = db->GetIndex(1).value();
+  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  for (int64_t k = 0; k < 8; k++) {
+    ASSERT_OK(db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "v")
+                  .status());
+  }
+  ASSERT_OK(db->Commit(txn));
+  Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+  gist->test_hooks().before_split_nta_end = [] {
+    return Status::IOError("crash before NTA-End");
+  };
+  EXPECT_TRUE(db->InsertRecord(loser, gist, BtreeExtension::MakeKey(100),
+                               "l")
+                  .status()
+                  .IsIOError());
+  gist->test_hooks().before_split_nta_end = nullptr;
+  ASSERT_OK(db->log()->FlushAll());
+  db->SimulateCrash();
+}
+
+// New work must not land on a page the loser's pending undo will take
+// away. Keys committed into the loser's split sibling while its undo waits
+// were lost when the undo merged the sibling back and freed it; Open now
+// rolls the loser's unfinished split back before it returns.
+TEST(InstantRestartTest, UnfinishedSplitUndoneBeforeNewWork) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("instant_unfinished_split");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  BuildUnfinishedSplitImage(dopts);
+  if (HasFatalFailure()) return;
+
+  // Park the loser's (content) undo until the new work has committed.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPointHook("instant.undo", [&] {
+    parked.set_value();
+    released.wait();
+  });
+  auto db_or = Database::Open(dopts);
+  if (!db_or.ok()) FaultInjector::Global().Reset();
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  const bool was_parked = parked.get_future().wait_for(
+                              std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+  GistOptions gopts;
+  gopts.max_entries = 8;
+  Status st = db->OpenIndex(1, &ext, gopts);
+  Gist* gist = st.ok() ? db->GetIndex(1).value() : nullptr;
+  for (int64_t k = 20; k < 25 && st.ok() && was_parked; k++) {
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    st = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "n")
+             .status();
+    if (st.ok()) st = db->Commit(txn);
+  }
+  release.set_value();
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(was_parked);
+  ASSERT_OK(st);
+
+  ASSERT_OK(db->WaitForRecovery());
+  ASSERT_OK(gist->CheckInvariants());
+  Transaction* reader = db->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(reader, BtreeExtension::MakeRange(0, 1000),
+                         &results));
+  ASSERT_OK(db->Commit(reader));
+  std::vector<int64_t> keys;
+  for (const SearchResult& r : results) {
+    keys.push_back(BtreeExtension::Lo(r.key));
+  }
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 20, 21, 22,
+                                        23, 24}));
+  db.reset();
+  RemoveDbFiles(path);
+}
+
+// Two losers' unfinished splits are undone newest record first. Loser 1
+// splits a leaf, filling the root; loser 2's split then has to split the
+// root, which moves loser 1's leaf entries to the root's new sibling.
+// Undoing loser 1 first would look for those entries in the old root.
+TEST(InstantRestartTest, UnfinishedSplitsUndoneNewestFirst) {
+  const std::string path = TestPath("instant_two_splits");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  GistOptions gopts;
+  gopts.max_entries = 4;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext, gopts));
+    Gist* gist = db->GetIndex(1).value();
+    auto insert = [&](Transaction* txn, int64_t k) {
+      return db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "v")
+          .status();
+    };
+    // Leaves [0,10] [20,30] [40..70] under a root with room for one more.
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    for (int64_t k = 0; k < 80; k += 10) ASSERT_OK(insert(txn, k));
+    ASSERT_OK(db->Commit(txn));
+    ASSERT_EQ(gist->Height().value(), 2u);
+    gist->test_hooks().before_split_nta_end = [] {
+      return Status::IOError("crash before NTA-End");
+    };
+    Transaction* loser1 = db->Begin(IsolationLevel::kReadCommitted);
+    EXPECT_TRUE(insert(loser1, 80).IsIOError());  // splits [40..70]
+    Transaction* loser2 = db->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(insert(loser2, 1));
+    ASSERT_OK(insert(loser2, 2));
+    EXPECT_TRUE(insert(loser2, 3).IsIOError());  // grows the root first
+    gist->test_hooks().before_split_nta_end = nullptr;
+    ASSERT_EQ(gist->Height().value(), 3u);
+    ASSERT_OK(db->log()->FlushAll());
+    db->SimulateCrash();
+  }
+  std::map<int64_t, uint64_t> live =
+      crash::LiveKeys(RecoverDump(path, gopts.max_entries));
+  std::vector<int64_t> keys;
+  for (const auto& [k, rid] : live) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<int64_t>{0, 10, 20, 30, 40, 50, 60, 70}));
+  RemoveDbFiles(path);
+}
+
+// A crash inside that pre-open undo recovers like any other: the CLRs it
+// wrote let the next restart resume, and two more restarts agree.
+TEST(InstantRestartTest, CrashInPreOpenUndoThenRecoverTwice) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("instant_preopen_undo");
+  for (int skip = 0; skip < 3; skip++) {
+    RemoveDbFiles(path);
+    DatabaseOptions dopts;
+    dopts.path = path;
+    BuildUnfinishedSplitImage(dopts);
+    if (HasFatalFailure()) return;
+    // Dies inside Open: the loser's split is undone before Open returns.
+    ASSERT_EQ(ForkAndWait([&] {
+                FaultInjector::Global().Reset();
+                FaultInjector::Global().ArmCrashPoint(
+                    "recovery.mid_undo", skip,
+                    FaultInjector::CrashAction::kExit);
+                auto db_or = Database::Open(dopts);
+                std::_Exit(db_or.ok() ? 5 : 3);
+              }),
+              FaultInjector::kCrashExitCode)
+        << "skip " << skip;
+    std::vector<IndexEntry> first = RecoverDump(path, 8);
+    std::vector<IndexEntry> second = RecoverDump(path, 8);
+    ExpectSameEntries(first, second);
+    std::map<int64_t, uint64_t> live = crash::LiveKeys(first);
+    EXPECT_EQ(live.size(), 8u) << "skip " << skip;
+    EXPECT_EQ(live.count(100), 0u);
+  }
   RemoveDbFiles(path);
 }
 

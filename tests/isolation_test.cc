@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "access/btree_extension.h"
+#include "gist/cursor.h"
 #include "tests/test_util.h"
 
 namespace gistcr {
@@ -555,6 +556,49 @@ TEST_F(GlobalPredicateTest, SearchBlocksOnRegisteredInsertKey) {
   EXPECT_FALSE(scan_done.load());
   ASSERT_OK(db_->Commit(t1));
   scanner.join();
+}
+
+TEST_F(GlobalPredicateTest, CursorBlocksPhantomInsert) {
+  // A repeatable-read cursor registers its predicate like Search does.
+  Transaction* t1 = db_->Begin(IsolationLevel::kRepeatableRead);
+  GistCursor cursor(gist_, t1, BtreeExtension::MakeRange(10, 20));
+  ASSERT_OK(cursor.Open());
+  SearchResult r;
+  bool done = false;
+  ASSERT_OK(cursor.Next(&r, &done));
+  EXPECT_TRUE(done);
+  std::atomic<bool> insert_done{false};
+  std::thread inserter([&] {
+    Transaction* t2 = db_->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db_->InsertRecord(t2, gist_, BtreeExtension::MakeKey(15), "v")
+                  .status());
+    insert_done = true;
+    ASSERT_OK(db_->Commit(t2));
+  });
+  std::this_thread::sleep_for(150ms);
+  EXPECT_FALSE(insert_done.load());
+  ASSERT_OK(db_->Commit(t1));
+  inserter.join();
+}
+
+TEST_F(GlobalPredicateTest, UniqueInsertBlocksOnScan) {
+  // A unique insert checks its key against registered scans exactly as a
+  // plain insert does.
+  Transaction* t1 = db_->Begin(IsolationLevel::kRepeatableRead);
+  EXPECT_TRUE(Scan(t1, 10, 20).empty());
+  std::atomic<bool> insert_done{false};
+  std::thread inserter([&] {
+    Transaction* t2 = db_->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db_->InsertRecord(t2, gist_, BtreeExtension::MakeKey(15), "v",
+                                /*unique=*/true)
+                  .status());
+    insert_done = true;
+    ASSERT_OK(db_->Commit(t2));
+  });
+  std::this_thread::sleep_for(150ms);
+  EXPECT_FALSE(insert_done.load());
+  ASSERT_OK(db_->Commit(t1));
+  inserter.join();
 }
 
 }  // namespace

@@ -125,6 +125,14 @@ Rules
       cannot come back as an environment variable that no test or
       benchmark runs with.
 
+  page-lsn-outside-apply
+      set_page_lsn may be called only inside an `Apply*`-named function.
+      Each log record's page effect is written once, in its applier, which
+      the forward path calls after its append and redo calls after the
+      page-LSN test (DESIGN.md section 10); a page LSN stamped anywhere
+      else is a second copy of some record's effect, free to drift from
+      what redo repeats.
+
 Escape hatches
 --------------
   // gistcr-lint: allow(<rule>)        on the offending line or the line
@@ -165,6 +173,7 @@ RULES = (
     "wal-append-after-unlatch",
     "redo-appends-wal",
     "env-override",
+    "page-lsn-outside-apply",
 )
 
 # --- directive extraction & source stripping -------------------------------
@@ -821,6 +830,13 @@ REDO_SIG_RE = re.compile(
     r"^\s*[\w:<>,*&\s]*?\b(?:\w+::)?((?:Redo|Apply|Replay)\w*)\s*\(")
 REDO_WAL_APPEND_RE = re.compile(
     r"(?:\.|->)\s*(?:AppendTxnLog|Append)\s*\(")
+
+# page-lsn-outside-apply: page-LSN writes only inside Apply* appliers
+# (the accessor's own definition in storage/page.h aside).
+APPLY_SIG_RE = re.compile(
+    r"^\s*[\w:<>,*&\s]*?\b(?:\w+::)?(Apply\w*)\s*\(")
+PAGE_LSN_WRITE_RE = re.compile(r"\bset_page_lsn\s*\(")
+PAGE_LSN_DEF_RE = re.compile(r"\bvoid\s+set_page_lsn\s*\(")
 PREDICATE_ATTACH_RE = re.compile(
     r"(?:\.|->)\s*Attach(?:AndFindConflicts|Predicate)?\s*\("
     r"|\bSignalLock\s*\(")
@@ -860,6 +876,41 @@ CONTROL_KEYWORDS = (
     "sizeof", "new", "delete", "co_return", "co_await",
 )
 CALL_STMT_RE = re.compile(r"^\s*((?:\w+\s*(?:\(\s*\))?\s*(?:\.|->|::)\s*)*)(\w+)\s*\(")
+
+
+def function_bodies(lines, sig_re):
+    """Yields (name, first, end) for each function *definition* whose
+    signature matches sig_re: lines[first:end] span the signature through
+    the brace-matched body. A `;` before any `{` marks a declaration (or a
+    call statement) and is skipped, as is a match preceded by return, `=`,
+    `.` or `->` (a call)."""
+    i, n = 0, len(lines)
+    while i < n:
+        m = sig_re.match(lines[i])
+        if not m or lines[i][: m.start(1)].strip().endswith(
+                ("return", "=", ".", "->")):
+            i += 1
+            continue
+        depth = 0
+        opened = False
+        j = i
+        while j < n:
+            for c in lines[j]:
+                if c == "{":
+                    depth += 1
+                    opened = True
+                elif c == "}":
+                    depth -= 1
+            if not opened and ";" in lines[j]:
+                break
+            j += 1
+            if opened and depth <= 0:
+                break
+        if not opened:
+            i += 1
+            continue
+        yield m.group(1), i, j
+        i = j if j > i else i + 1
 
 
 class FileLinter:
@@ -1073,6 +1124,7 @@ class FileLinter:
         self.check_snapshot_paths(lines, per_line_allows, file_allows)
         self.check_redo_paths(lines, per_line_allows, file_allows)
         self.check_env_reads(lines, per_line_allows, file_allows)
+        self.check_page_lsn_writes(lines, per_line_allows, file_allows)
         return self.findings
 
     def check_snapshot_paths(self, lines, per_line_allows, file_allows):
@@ -1084,34 +1136,7 @@ class FileLinter:
         unit here is the whole function, not a brace depth.
         """
         rule = "predicate-attach-on-snapshot-path"
-        i, n = 0, len(lines)
-        while i < n:
-            m = SNAPSHOT_SIG_RE.match(lines[i])
-            if not m or lines[i][: m.start(1)].strip().endswith(
-                    ("return", "=", ".", "->")):
-                i += 1
-                continue
-            name = m.group(1)
-            # Brace-match from the signature. A `;` before any `{` means
-            # this was a declaration (or a call statement), not a body.
-            depth = 0
-            opened = False
-            j = i
-            while j < n:
-                for c in lines[j]:
-                    if c == "{":
-                        depth += 1
-                        opened = True
-                    elif c == "}":
-                        depth -= 1
-                if not opened and ";" in lines[j]:
-                    break
-                j += 1
-                if opened and depth <= 0:
-                    break
-            if not opened:
-                i += 1
-                continue
+        for name, i, j in function_bodies(lines, SNAPSHOT_SIG_RE):
             for k in range(i, j):
                 if PREDICATE_ATTACH_RE.search(lines[k]) or \
                         BLOCKING_LOCK_RE.search(lines[k]):
@@ -1125,7 +1150,6 @@ class FileLinter:
                         "must touch zero lock-manager state "
                         "(DESIGN.md section 14.3)",
                     ))
-            i = j if j > i else i + 1
 
     def check_redo_paths(self, lines, per_line_allows, file_allows):
         """Second pass: redo-appends-wal.
@@ -1135,34 +1159,7 @@ class FileLinter:
         whole-function scoping as check_snapshot_paths.
         """
         rule = "redo-appends-wal"
-        i, n = 0, len(lines)
-        while i < n:
-            m = REDO_SIG_RE.match(lines[i])
-            if not m or lines[i][: m.start(1)].strip().endswith(
-                    ("return", "=", ".", "->")):
-                i += 1
-                continue
-            name = m.group(1)
-            # Brace-match from the signature; `;` before any `{` means a
-            # declaration (or call statement), not a body.
-            depth = 0
-            opened = False
-            j = i
-            while j < n:
-                for c in lines[j]:
-                    if c == "{":
-                        depth += 1
-                        opened = True
-                    elif c == "}":
-                        depth -= 1
-                if not opened and ";" in lines[j]:
-                    break
-                j += 1
-                if opened and depth <= 0:
-                    break
-            if not opened:
-                i += 1
-                continue
+        for name, i, j in function_bodies(lines, REDO_SIG_RE):
             for k in range(i, j):
                 if REDO_WAL_APPEND_RE.search(lines[k]):
                     if rule in file_allows or \
@@ -1174,7 +1171,26 @@ class FileLinter:
                         "replays logged history and must never append "
                         "records of its own (DESIGN.md section 16.6)",
                     ))
-            i = j if j > i else i + 1
+
+    def check_page_lsn_writes(self, lines, per_line_allows, file_allows):
+        """Second pass: page-lsn-outside-apply. Flags set_page_lsn calls
+        on lines outside every Apply*-named function body."""
+        rule = "page-lsn-outside-apply"
+        inside = set()
+        for _name, i, j in function_bodies(lines, APPLY_SIG_RE):
+            inside.update(range(i, j))
+        for k, line in enumerate(lines):
+            if k in inside or not PAGE_LSN_WRITE_RE.search(line) or \
+                    PAGE_LSN_DEF_RE.search(line):
+                continue
+            if rule in file_allows or \
+                    rule in per_line_allows.get(k + 1, set()):
+                continue
+            self.findings.append((
+                k + 1, rule,
+                "page LSN written outside an Apply* applier; append the "
+                "record, then call its applier (DESIGN.md section 10)",
+            ))
 
     def check_env_reads(self, lines, per_line_allows, file_allows):
         """env-override, over logical lines: a line ending in a backslash
