@@ -36,7 +36,11 @@ void BM_InsertWithScanners(benchmark::State& state) {
         gist->Search(txn, BtreeExtension::MakeRange(lo, lo + 49), &results));
     scanners.push_back(txn);
   }
-  db->preds()->ResetStats();
+  obs::Counter* checks = db->metrics()->GetCounter("pred.conflict_checks");
+  obs::Counter* scanned =
+      db->metrics()->GetCounter("pred.predicates_scanned");
+  const uint64_t checks0 = checks->load();
+  const uint64_t scanned0 = scanned->load();
 
   // Inserts land far above every scanned range: no conflicts, so we
   // measure pure conflict-check overhead.
@@ -55,12 +59,11 @@ void BM_InsertWithScanners(benchmark::State& state) {
   }
   state.SetItemsProcessed(items);
 
-  const auto stats = db->preds()->GetStats();
+  const uint64_t n_checks = checks->load() - checks0;
   state.counters["preds_scanned_per_check"] =
-      stats.conflict_checks == 0
-          ? 0.0
-          : static_cast<double>(stats.predicates_scanned) /
-                static_cast<double>(stats.conflict_checks);
+      n_checks == 0 ? 0.0
+                    : static_cast<double>(scanned->load() - scanned0) /
+                          static_cast<double>(n_checks);
   state.counters["attached_total"] =
       static_cast<double>(db->preds()->TotalAttachments());
   state.SetLabel(std::string(mode == PredicateMode::kHybrid ? "hybrid"

@@ -74,7 +74,8 @@ void BM_RestartTime(benchmark::State& state) {
     auto reopened = reopened_or.MoveValue();
     BENCH_CHECK_OK(reopened->WaitForRecovery());
     const auto end = std::chrono::steady_clock::now();
-    undone = reopened->recovery()->restart_stats().records_undone;
+    undone =
+        reopened->metrics()->GetCounter("recovery.records_undone")->load();
     state.SetIterationTime(
         std::chrono::duration<double>(end - start).count());
     reopened.reset();

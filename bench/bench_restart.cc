@@ -233,8 +233,10 @@ ModeResult RecoverOnce(const Config& cfg, BtreeExtension* ext,
 
   RESTART_CHECK_OK(db->WaitForRecovery());
   r.drain_ms = MsSince(t0);
-  r.records_redone = db->recovery()->restart_stats().records_redone.load();
-  r.records_undone = db->recovery()->restart_stats().records_undone.load();
+  r.records_redone =
+      db->metrics()->GetCounter("recovery.records_redone")->load();
+  r.records_undone =
+      db->metrics()->GetCounter("recovery.records_undone")->load();
 
   // Equivalence input: count every surviving entry. The ramp key range is
   // identical across modes, so equal counts mean equal recovered states

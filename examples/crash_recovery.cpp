@@ -92,13 +92,15 @@ int main(int argc, char** argv) {
                  recovered.ToString().c_str());
     return 1;
   }
-  const auto& rs = db->recovery()->restart_stats();
+  auto restart_count = [&](const char* name) {
+    return static_cast<unsigned long>(db->metrics()->GetCounter(name)->load());
+  };
   std::printf("[restart] analyzed %lu records, redid %lu, "
               "rolled back %lu loser txn(s) undoing %lu records\n",
-              static_cast<unsigned long>(rs.records_analyzed),
-              static_cast<unsigned long>(rs.records_redone),
-              static_cast<unsigned long>(rs.loser_txns),
-              static_cast<unsigned long>(rs.records_undone));
+              restart_count("recovery.records_analyzed"),
+              restart_count("recovery.records_redone"),
+              restart_count("recovery.loser_txns"),
+              restart_count("recovery.records_undone"));
 
   if (!db->OpenIndex(1, &btree, gopts).ok()) return 1;
   Gist* index = db->GetIndex(1).value();

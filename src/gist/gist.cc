@@ -187,11 +187,22 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
 
   TreeLatch tree(&tree_latch_, /*exclusive=*/false,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
+  return Traverse(txn, spec, &tree, out);
+}
+
+Status Gist::Traverse(Transaction* txn, const ReadSpec& spec, TreeLatch* tree,
+                      std::vector<SearchResult>* out) {
   std::vector<StackEntry> stack;
   GISTCR_RETURN_IF_ERROR(PushRoot(txn, &stack));
   std::unordered_set<uint64_t> seen;
   while (!stack.empty()) {
-    GISTCR_RETURN_IF_ERROR(VisitNext(txn, spec, &stack, &seen, out, &tree));
+    GISTCR_RETURN_IF_ERROR(VisitNext(txn, spec, &stack, &seen, out, tree));
+    if (spec.target != nullptr && spec.target->found.page != kInvalidPageId) {
+      // Delete found its entry: the pointers still stacked are not
+      // visited, so their signaling locks go now.
+      for (const StackEntry& e : stack) SignalUnlock(txn, e.page);
+      break;
+    }
   }
   return Status::OK();
 }
@@ -204,6 +215,7 @@ Status Gist::PushRoot(Transaction* txn, std::vector<StackEntry>* stack) {
   // pointer like any other). An older memorized value is always safe — at
   // worst it costs an extra rightlink check.
   const Nsn root_mem = ctx_.nsn->Current();
+  if (hooks_.before_root_read) hooks_.before_root_read();
   auto root_or = GetRoot();
   GISTCR_RETURN_IF_ERROR(root_or.status());
   const PageId root = root_or.value();
@@ -266,6 +278,19 @@ Status Gist::VisitNext(Transaction* txn, const ReadSpec& spec,
       break;
     }
 
+    if (spec.target != nullptr) {
+      // Delete (section 7): find the live (key, rid); no record locks and
+      // no predicate attach. Found: the leaf keeps its signaling lock, so
+      // it cannot be retired before Delete latches it again to mark.
+      const int idx =
+          node.FindByKeyValue(spec.target->key, spec.target->value);
+      if (idx >= 0 && node.entry_del_txn(static_cast<uint16_t>(idx)) ==
+                          kInvalidTxnId) {
+        spec.target->found = {e.page, node.nsn()};
+        return Status::OK();
+      }
+      break;
+    }
     if (snapshot) {
       GISTCR_RETURN_IF_ERROR(
           FilterLeafSnapshot(txn, spec.query, node, seen, out));

@@ -79,6 +79,11 @@ struct GistTestHooks {
   std::function<void(PageId leaf)> after_locate_leaf;
   std::function<void(PageId node)> before_visit_node;
   std::function<void()> after_root_push;
+  /// Fires in PushRoot between memorizing the global NSN and reading the
+  /// root pointer: a root grow run here must leave an NSN above the
+  /// memorized value on the old root, so the traversal follows its
+  /// rightlink (the Delete root-step regression test pins that order).
+  std::function<void()> before_root_read;
   /// Crash injection: returning non-OK after the split's page updates but
   /// before its NTA-End aborts the operation mid-structure-modification —
   /// the restart-recovery scenario of paper section 9.
@@ -228,8 +233,18 @@ class Gist {
                                  PredKind kind, Slice pred);
 
   // --- search ----------------------------------------------------------
+  /// Delete's leaf action (section 7): the live (key, value) to find, and
+  /// where VisitNext reports the leaf it was found on and that leaf's NSN
+  /// at the time (the delimiter for LatchEntryLeaf).
+  struct EntryTarget {
+    Slice key;
+    uint64_t value;
+    StackEntry found{kInvalidPageId, 0};
+  };
+
   /// What a traversal asks of every node it visits; fixed for the whole
-  /// traversal (one Search call, one unique probe, or one GistCursor).
+  /// traversal (one Search call, one unique probe, one GistCursor, or one
+  /// Delete).
   struct ReadSpec {
     Slice query;
     /// Predicate kind attached by hybrid_attach: kSearch for scans,
@@ -238,6 +253,8 @@ class Gist {
     /// Attach the predicate to every visited node (section 4.3).
     bool hybrid_attach;
     uint64_t op_id;
+    /// Delete: instead of filtering leaves, look for this entry.
+    EntryTarget* target = nullptr;
   };
 
   /// Core traversal shared by Search and unique probes. \p attach: the
@@ -248,15 +265,24 @@ class Gist {
                         bool attach, uint64_t op_id,
                         std::vector<SearchResult>* out);
 
-  /// Figure 3's root step, shared by SearchInternal and GistCursor::Open:
+  /// The Figure 3 traversal loop shared by SearchInternal and Delete:
+  /// PushRoot, then VisitNext until the stack is empty or, for a Delete,
+  /// spec.target is found. \p tree is the caller's kCoarse tree latch.
+  Status Traverse(Transaction* txn, const ReadSpec& spec,
+                  internal::TreeLatch* tree, std::vector<SearchResult>* out);
+
+  /// Figure 3's root step, shared by Traverse and GistCursor::Open:
   /// memorize the global NSN, read the root pointer, protect it with a
   /// signaling lock (not for snapshot reads; see VisitNext), and push it.
   Status PushRoot(Transaction* txn, std::vector<StackEntry>* stack);
 
-  /// Pops and visits one stack entry per Figure 3, shared by the Search
-  /// loop and GistCursor: S-latch the node, compensate for splits since
-  /// the pointer was memorized (Figure 2), then push consistent children
-  /// (internal node) or filter qualifying entries into \p out (leaf).
+  /// Pops and visits one stack entry per Figure 3, shared by Traverse and
+  /// GistCursor: S-latch the node, compensate for splits since the
+  /// pointer was memorized (Figure 2), then push consistent children
+  /// (internal node) or filter qualifying entries into \p out (leaf). A
+  /// Delete's leaf visit instead looks for spec.target's live entry and,
+  /// when it finds it, keeps the leaf's signaling lock for Delete to
+  /// release after the mark.
   ///
   /// The transaction's isolation level picks the leaf filter: snapshot
   /// transactions read through FilterLeafSnapshot, everyone else through
@@ -321,6 +347,21 @@ class Gist {
   /// Root growth (B-link upward split) inside an open NTA.
   Status GrowRoot(Transaction* txn, PageGuard* root);
 
+  /// The split plan both split steps share: allocates the right sibling
+  /// and returns it X-latched in \p sib, and fills \p pl from PickSplit
+  /// over the X-latched \p g's entries. The NSN is left to LogSplit.
+  Status PlanSplit(Transaction* txn, PageGuard* g, PageGuard* sib,
+                   SplitPayload* pl);
+
+  /// The logged split both split steps share: takes the split's NSN
+  /// (counter mode), appends the Split record, applies it to \p g and
+  /// \p sib, and replicates predicates and signaling locks onto the
+  /// sibling (sections 4.3 and 7.2). Call once the parent has room (or,
+  /// for a root grow, the meta page is X-latched), so no reader can
+  /// memorize the NSN and still miss the split.
+  Status LogSplit(Transaction* txn, SplitPayload* pl, PageGuard* g,
+                  PageGuard* sib);
+
   /// Figure 4 updateBP: recursive upward latching, top-down application on
   /// unwind, one Parent-Entry-Update per level, predicate percolation.
   Status UpdateBp(Transaction* txn, PageGuard* node, const std::string& bp,
@@ -333,10 +374,10 @@ class Gist {
                              size_t idx, PageId child, PageGuard* out);
   Status FindParentExhaustive(PageId child, PageGuard* out);
 
-  /// Re-locates the leaf holding (key,rid) after latches were released
-  /// (post lock wait), guided by the memorized NSN.
-  Status ChaseToEntry(Transaction* txn, PageId start, Nsn memorized,
-                      Slice key, uint64_t value, PageGuard* out, int* slot);
+  /// LatchEntryLeaf (gist_apply.h) for the forward path, counting the
+  /// rightlinks it follows as traversal restarts.
+  Status LatchEntry(PageId start, Nsn nsn, Slice key, uint64_t value,
+                    PageGuard* out);
 
   /// Opportunistic leaf GC (committed-deleted entries) to make room before
   /// splitting. Leaf is X-latched.
@@ -354,8 +395,12 @@ class Gist {
                          Slice key, bool exclusive);
 
   // --- maintenance -----------------------------------------------------
-  Status GcRecurse(Transaction* txn, PageId node, uint64_t* removed,
-                   uint64_t* deleted_nodes);
+  /// The one node walker (GC's population snapshot, FindParentExhaustive,
+  /// DumpEntries): breadth-first over every node reachable from the root
+  /// by child pointers and rightlinks, each S-latched alone while
+  /// \p visit reads it. \p visit returns false to end the walk.
+  Status WalkTree(const std::function<bool(PageId, const NodeView&)>& visit);
+
   Status TryDeleteChild(Transaction* txn, PageGuard* parent, PageId child,
                         bool* deleted);
   Status ShrinkChildBp(Transaction* txn, PageGuard* parent, PageGuard* child);

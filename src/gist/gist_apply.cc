@@ -222,4 +222,27 @@ Status ApplyUndoRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
   return Status::OK();
 }
 
+Status LatchEntryLeaf(BufferPool* pool, PageId start, Nsn nsn, Slice key,
+                      uint64_t value, PageGuard* out, uint32_t* hops) {
+  PageId pid = start;
+  // Rightlinks form no cycle; the bound turns a corrupt chain into an
+  // error instead of a hang.
+  for (int guard = 0; guard < (1 << 20); guard++) {
+    auto frame_or = pool->Fetch(pid);
+    GISTCR_RETURN_IF_ERROR(frame_or.status());
+    PageGuard g(pool, frame_or.value());
+    g.WLatch();
+    if (g.view().page_type() != PageType::kGistNode) break;
+    NodeView node(g.view().data());
+    if (node.FindByKeyValue(key, value) >= 0) {
+      *out = std::move(g);
+      return Status::OK();
+    }
+    if (node.nsn() <= nsn || node.rightlink() == kInvalidPageId) break;
+    pid = node.rightlink();
+    ++*hops;
+  }
+  return Status::Corruption("leaf entry lost: not in its rightlink chain");
+}
+
 }  // namespace gistcr

@@ -58,6 +58,17 @@ Status ApplyUndoAddLeafEntry(const EntryOpPayload& pl, Lsn lsn, PageGuard* g);
 Status ApplyUndoRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
                                 PageGuard* g);
 
+/// The one leaf-entry chase (paper section 9.2), for every operation that
+/// re-finds a leaf entry it saw or logged earlier: insert re-positioning
+/// after a predicate wait, Delete's mark, and logical undo. X-latches
+/// into \p out the leaf holding (\p key, \p value), starting at \p start
+/// and following rightlinks only while a node's NSN exceeds \p nsn — the
+/// splits since the entry was seen there, which are the only way it can
+/// have moved. Adds the rightlinks followed to *\p hops. Corruption if
+/// the chain ends without the entry.
+Status LatchEntryLeaf(BufferPool* pool, PageId start, Nsn nsn, Slice key,
+                      uint64_t value, PageGuard* out, uint32_t* hops);
+
 }  // namespace gistcr
 
 #endif  // GISTCR_GIST_GIST_APPLY_H_

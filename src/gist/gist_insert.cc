@@ -162,33 +162,11 @@ Status Gist::LatchParentForChild(Transaction* txn,
 
 Status Gist::FindParentExhaustive(PageId child, PageGuard* out) {
   for (int attempt = 0; attempt < 16; attempt++) {
-    auto root_or = GetRoot();
-    GISTCR_RETURN_IF_ERROR(root_or.status());
-    std::vector<PageId> frontier{root_or.value()};
-    std::unordered_set<PageId> visited;
     PageId found = kInvalidPageId;
-    while (!frontier.empty() && found == kInvalidPageId) {
-      const PageId pid = frontier.back();
-      frontier.pop_back();
-      if (!visited.insert(pid).second) continue;
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/false, &g));
-      if (PageView(g.view().data()).page_type() != PageType::kGistNode) {
-        continue;
-      }
-      NodeView node(g.view().data());
-      if (node.rightlink() != kInvalidPageId) {
-        frontier.push_back(node.rightlink());
-      }
-      if (node.is_leaf()) continue;
-      if (node.FindByValue(child) >= 0) {
-        found = pid;
-        break;
-      }
-      for (uint16_t i = 0; i < node.count(); i++) {
-        frontier.push_back(static_cast<PageId>(node.entry_value(i)));
-      }
-    }
+    GISTCR_RETURN_IF_ERROR(WalkTree([&](PageId pid, const NodeView& node) {
+      if (!node.is_leaf() && node.FindByValue(child) >= 0) found = pid;
+      return found == kInvalidPageId;
+    }));
     if (found == kInvalidPageId) continue;
     PageGuard g;
     GISTCR_RETURN_IF_ERROR(FetchLatched(found, /*exclusive=*/true, &g));
@@ -221,11 +199,77 @@ Status Gist::SplitNode(Transaction* txn, PageGuard* node,
   return ctx_.txns->NtaEnd(txn, nta);
 }
 
+Status Gist::PlanSplit(Transaction* txn, PageGuard* g, PageGuard* sib,
+                       SplitPayload* pl) {
+  auto pid_or = ctx_.alloc->Allocate(txn);
+  GISTCR_RETURN_IF_ERROR(pid_or.status());
+  // Fresh-page materialization (no disk read, never contended) under the
+  // caller's split latches — the NTA must install the sibling atomically.
+  auto frame_or = ctx_.pool->NewPage(pid_or.value());
+  GISTCR_RETURN_IF_ERROR(frame_or.status());
+  *sib = PageGuard(ctx_.pool, frame_or.value());
+  sib->WLatch();
+
+  const NodeView node(g->view().data());
+  std::vector<IndexEntry> entries = node.GetAllEntries(true);
+  GISTCR_CHECK(entries.size() >= 2);
+  std::vector<bool> to_right;
+  ext_->PickSplit(entries, &to_right);
+  GISTCR_CHECK(to_right.size() == entries.size());
+  pl->orig_page = g->page_id();
+  pl->new_page = sib->page_id();
+  pl->level = node.level();
+  pl->old_nsn = node.nsn();
+  pl->old_rightlink = node.rightlink();  // kInvalidPageId for a root
+  std::vector<IndexEntry> kept;
+  for (size_t i = 0; i < entries.size(); i++) {
+    (to_right[i] ? pl->moved : kept).push_back(std::move(entries[i]));
+  }
+  GISTCR_CHECK(!pl->moved.empty() && !kept.empty());
+  pl->orig_bp_before = node.bp().ToString();
+  pl->orig_bp_after = ext_->UnionAll(kept, Slice());
+  pl->new_bp = ext_->UnionAll(pl->moved, Slice());
+  return Status::OK();
+}
+
+Status Gist::LogSplit(Transaction* txn, SplitPayload* pl, PageGuard* g,
+                      PageGuard* sib) {
+  // The NSN: a dedicated counter bumps here, after the caller closed the
+  // windows in which a reader could memorize it and still miss the split;
+  // LSN mode uses the split record's own LSN (encoded as 0; ApplySplit
+  // substitutes it).
+  pl->new_nsn = ctx_.nsn->source() == NsnSource::kCounter
+                    ? ctx_.nsn->BumpCounter()
+                    : 0;
+  LogRecord rec;
+  rec.type = LogRecordType::kSplit;
+  pl->EncodeTo(&rec.payload);
+  GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
+  // Split record logged, neither page touched yet (redo must reconstruct
+  // both halves from the record alone).
+  GISTCR_CRASHPOINT("split.after_log_append");
+  GISTCR_RETURN_IF_ERROR(ApplySplit(*pl, rec.lsn, g));
+  GISTCR_RETURN_IF_ERROR(ApplySplit(*pl, rec.lsn, sib));
+
+  // Hybrid locking bookkeeping (section 4.3 case 1): predicates consistent
+  // with the new sibling's BP are replicated there; signaling locks are
+  // copied so indirectly referenced nodes stay deletion-protected
+  // (section 7.2).
+  const Slice new_bp(pl->new_bp);
+  ctx_.preds->ReplicateOnSplit(pl->orig_page, pl->new_page,
+                               [&](const PredAttachment& a) {
+                                 return PredConsistentWithBp(new_bp, a);
+                               });
+  ctx_.locks->ReplicateSharedHolders(
+      LockName{LockSpace::kNode, pl->orig_page},
+      LockName{LockSpace::kNode, pl->new_page});
+  return Status::OK();
+}
+
 Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
                             std::vector<StackEntry>* stack,
                             size_t ancestors) {
   stats_.splits.Add(1);
-  NodeView node(g->view().data());
   const PageId orig_pid = g->page_id();
 
   // Root handling: if this node is the current root, grow upward instead
@@ -249,42 +293,9 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   PageGuard parent;
   GISTCR_RETURN_IF_ERROR(
       LatchParentForChild(txn, stack, ancestors - 1, orig_pid, &parent));
-  // Allocate the right sibling.
-  auto new_pid_or = ctx_.alloc->Allocate(txn);
-  GISTCR_RETURN_IF_ERROR(new_pid_or.status());
-  const PageId new_pid = new_pid_or.value();
-  // Fresh-page materialization (no disk read, never contended) under the
-  // split latches — the NTA must install the sibling atomically.
-  // gistcr-lint: allow(io-under-latch)
-  auto frame_or = ctx_.pool->NewPage(new_pid);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard ng(ctx_.pool, frame_or.value());
-  ng.WLatch();
-
-  // Distribute entries.
-  std::vector<IndexEntry> entries = node.GetAllEntries(true);
-  GISTCR_CHECK(entries.size() >= 2);
-  std::vector<bool> to_right;
-  ext_->PickSplit(entries, &to_right);
-  GISTCR_CHECK(to_right.size() == entries.size());
+  PageGuard ng;
   SplitPayload pl;
-  pl.orig_page = orig_pid;
-  pl.new_page = new_pid;
-  pl.level = node.level();
-  pl.old_nsn = node.nsn();
-  pl.old_rightlink = node.rightlink();
-  std::vector<IndexEntry> kept;
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (to_right[i]) {
-      pl.moved.push_back(entries[i]);
-    } else {
-      kept.push_back(entries[i]);
-    }
-  }
-  GISTCR_CHECK(!pl.moved.empty() && !kept.empty());
-  pl.orig_bp_before = node.bp().ToString();
-  pl.orig_bp_after = ext_->UnionAll(kept, Slice());
-  pl.new_bp = ext_->UnionAll(pl.moved, Slice());
+  GISTCR_RETURN_IF_ERROR(PlanSplit(txn, g, &ng, &pl));
 
   // Make room in the parent BEFORE this split takes its NSN. A reader of
   // our parent entry must either memorize a counter value below the new
@@ -296,7 +307,7 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   // lose the moved keys.
   IndexEntry parent_entry;
   parent_entry.key = pl.new_bp;
-  parent_entry.value = new_pid;
+  parent_entry.value = pl.new_page;
   for (;;) {
     NodeView pn(parent.view().data());
     if (!NodeIsFull(pn, parent_entry)) break;
@@ -319,35 +330,7 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
     }
   }
 
-  // NSN: dedicated counter bumps before logging; LSN mode uses the split
-  // record's own LSN (encoded as 0; ApplySplit substitutes it).
-  if (ctx_.nsn->source() == NsnSource::kCounter) {
-    pl.new_nsn = ctx_.nsn->BumpCounter();
-  } else {
-    pl.new_nsn = 0;
-  }
-
-  LogRecord rec;
-  rec.type = LogRecordType::kSplit;
-  pl.EncodeTo(&rec.payload);
-  GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  // Split record logged, neither page touched yet (redo must reconstruct
-  // both halves from the record alone).
-  GISTCR_CRASHPOINT("split.after_log_append");
-  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, g));
-  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, &ng));
-
-  // Hybrid locking bookkeeping (section 4.3 case 1): predicates consistent
-  // with the new sibling's BP are replicated there; signaling locks are
-  // copied so indirectly referenced nodes stay deletion-protected
-  // (section 7.2).
-  Slice new_bp(pl.new_bp);
-  ctx_.preds->ReplicateOnSplit(orig_pid, new_pid,
-                               [&](const PredAttachment& a) {
-                                 return PredConsistentWithBp(new_bp, a);
-                               });
-  ctx_.locks->ReplicateSharedHolders(LockName{LockSpace::kNode, orig_pid},
-                                     LockName{LockSpace::kNode, new_pid});
+  GISTCR_RETURN_IF_ERROR(LogSplit(txn, &pl, g, &ng));
 
   // Both halves written and chained; the parent has no entry for the new
   // sibling yet (reachable only via the rightlink — the B-link invariant
@@ -384,47 +367,14 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
 
 Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   stats_.root_grows.Add(1);
-  NodeView node(g->view().data());
   const PageId old_root = g->page_id();
 
   // Split the root's content sideways first (ordinary Split record; the
   // old root keeps its page id and gains a rightlink to the sibling), then
   // hang both under a brand-new root and move the meta pointer up.
-  auto sib_or = ctx_.alloc->Allocate(txn);
-  GISTCR_RETURN_IF_ERROR(sib_or.status());
-  const PageId sib_pid = sib_or.value();
-  auto sib_frame_or = ctx_.pool->NewPage(sib_pid);
-  GISTCR_RETURN_IF_ERROR(sib_frame_or.status());
-  PageGuard sg(ctx_.pool, sib_frame_or.value());
-  sg.WLatch();
-
-  std::vector<IndexEntry> entries = node.GetAllEntries(true);
-  GISTCR_CHECK(entries.size() >= 2);
-  std::vector<bool> to_right;
-  ext_->PickSplit(entries, &to_right);
-  GISTCR_CHECK(to_right.size() == entries.size());
-
+  PageGuard sg;
   SplitPayload pl;
-  pl.orig_page = old_root;
-  pl.new_page = sib_pid;
-  pl.level = node.level();
-  pl.old_nsn = node.nsn();
-  pl.old_rightlink = node.rightlink();  // kInvalidPageId for a root
-  std::vector<IndexEntry> kept;
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (to_right[i]) {
-      pl.moved.push_back(entries[i]);
-    } else {
-      kept.push_back(entries[i]);
-    }
-  }
-  GISTCR_CHECK(!pl.moved.empty() && !kept.empty());
-  pl.orig_bp_before = node.bp().ToString();
-  pl.orig_bp_after = ext_->UnionAll(kept, Slice());
-  pl.new_bp = ext_->UnionAll(pl.moved, Slice());
-  if (ctx_.nsn->source() == NsnSource::kCounter) {
-    pl.new_nsn = ctx_.nsn->BumpCounter();
-  }
+  GISTCR_RETURN_IF_ERROR(PlanSplit(txn, g, &sg, &pl));
 
   // Allocate and latch the new root before any record is logged, so the
   // meta page can be latched next (kNodeLatch < kMetaLatch) and held
@@ -440,16 +390,16 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   PageGuard rg(ctx_.pool, root_frame_or.value());
   rg.WLatch();
 
-  // X-latch the meta page BEFORE the NSN-assigning Split record is
-  // appended. Readers memorize the global counter and then read the root
-  // pointer from the meta page; if the Split's LSN were assigned while the
-  // meta page was still readable, a reader could memorize a counter >= the
-  // new NSN yet still descend via the stale root pointer — the strict
-  // `nsn > memorized` test at the shrunken old root would then hide the
-  // moved keys and the reader would never follow the rightlink. Holding
-  // the meta latch from before the append to after SetRoot closes that
-  // window: any root-pointer read completing after the append also sees
-  // the new root.
+  // X-latch the meta page BEFORE the split takes its NSN (the Split
+  // record's LSN, or the counter bump in LogSplit). Readers memorize the
+  // global counter and then read the root pointer from the meta page; if
+  // the NSN were assigned while the meta page was still readable, a
+  // reader could memorize a counter >= the new NSN yet still descend via
+  // the stale root pointer — the strict `nsn > memorized` test at the
+  // shrunken old root would then hide the moved keys and the reader would
+  // never follow the rightlink. Holding the meta latch from before the
+  // NSN to after SetRoot closes that window: any root-pointer read
+  // completing after the NSN also sees the new root.
   //
   // The meta page is pinned hot (page 0, touched by every tree open);
   // fetching it under the node latches cannot block on real I/O, and
@@ -460,20 +410,7 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   PageGuard mg(ctx_.pool, meta_or.value());
   mg.WLatch();
 
-  LogRecord rec;
-  rec.type = LogRecordType::kSplit;
-  pl.EncodeTo(&rec.payload);
-  GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, g));
-  GISTCR_RETURN_IF_ERROR(ApplySplit(pl, rec.lsn, &sg));
-
-  Slice new_bp(pl.new_bp);
-  ctx_.preds->ReplicateOnSplit(old_root, sib_pid,
-                               [&](const PredAttachment& a) {
-                                 return PredConsistentWithBp(new_bp, a);
-                               });
-  ctx_.locks->ReplicateSharedHolders(LockName{LockSpace::kNode, old_root},
-                                     LockName{LockSpace::kNode, sib_pid});
+  GISTCR_RETURN_IF_ERROR(LogSplit(txn, &pl, g, &sg));
 
   // New root above both.
   RootChangePayload rp;
@@ -483,7 +420,7 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
   rp.new_root = new_root;
   rp.new_root_level = static_cast<uint16_t>(pl.level + 1);
   rp.root_entries.push_back({pl.orig_bp_after, old_root, kInvalidTxnId});
-  rp.root_entries.push_back({pl.new_bp, sib_pid, kInvalidTxnId});
+  rp.root_entries.push_back({pl.new_bp, pl.new_page, kInvalidTxnId});
   rp.root_bp = ext_->Union(pl.orig_bp_after, pl.new_bp);
 
   LogRecord rrec;
@@ -583,31 +520,14 @@ Status Gist::UpdateBp(Transaction* txn, PageGuard* g, const std::string& bp,
 // Insert driver (paper section 6)
 // ---------------------------------------------------------------------
 
-Status Gist::ChaseToEntry(Transaction* txn, PageId start, Nsn memorized,
-                          Slice key, uint64_t value, PageGuard* out,
-                          int* slot) {
-  (void)txn;
-  PageId pid = start;
-  for (;;) {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/true, &g));
-    NodeView node(g.view().data());
-    const int idx = node.FindByKeyValue(key, value);
-    if (idx >= 0) {
-      *out = std::move(g);
-      *slot = idx;
-      return Status::OK();
-    }
-    const PageId rl = node.rightlink();
-    const bool split_since = node.nsn() > memorized;
-    g.Drop();
-    if (!split_since || rl == kInvalidPageId) {
-      return Status::Corruption("leaf entry lost while re-positioning");
-    }
-    stats_.rightlink_follows.Add(1);
-    obs::BumpRestarts();
-    pid = rl;
-  }
+Status Gist::LatchEntry(PageId start, Nsn nsn, Slice key, uint64_t value,
+                        PageGuard* out) {
+  uint32_t hops = 0;
+  const Status st = LatchEntryLeaf(ctx_.pool, start, nsn, key, value, out,
+                                   &hops);
+  for (uint32_t i = 0; i < hops; i++) obs::BumpRestarts();
+  stats_.rightlink_follows.Add(hops);
+  return st;
 }
 
 Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
@@ -792,9 +712,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
         GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
       }
       tree->Acquire();
-      int slot;
-      GISTCR_RETURN_IF_ERROR(
-          ChaseToEntry(txn, lpid, mem, key, rid.Pack(), &leaf, &slot));
+      GISTCR_RETURN_IF_ERROR(LatchEntry(lpid, mem, key, rid.Pack(), &leaf));
       // Loop: re-check the predicate list of wherever the entry lives now.
     }
   }

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <deque>
 
 #include "db/meta_page.h"
 #include "gist/gist.h"
@@ -193,40 +194,17 @@ Status Gist::GarbageCollect(Transaction* txn, uint64_t* entries_removed,
   TreeLatch tree(&tree_latch_, /*exclusive=*/true,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
 
-  // Phase A: snapshot the node population (single-latch BFS).
-  auto root_or = GetRoot();
-  GISTCR_RETURN_IF_ERROR(root_or.status());
-  if (root_or.value() == kInvalidPageId) {
-    return Status::NotFound("index has no root");
-  }
+  // Phase A: snapshot the node population.
   std::vector<std::pair<PageId, uint16_t>> internals;  // (pid, level)
   std::vector<PageId> leaves;
-  {
-    std::vector<PageId> frontier{root_or.value()};
-    std::unordered_set<PageId> visited;
-    while (!frontier.empty()) {
-      const PageId pid = frontier.back();
-      frontier.pop_back();
-      if (!visited.insert(pid).second) continue;
-      PageGuard g;
-      GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/false, &g));
-      if (PageView(g.view().data()).page_type() != PageType::kGistNode) {
-        continue;
-      }
-      NodeView node(g.view().data());
-      if (node.rightlink() != kInvalidPageId) {
-        frontier.push_back(node.rightlink());
-      }
-      if (node.is_leaf()) {
-        leaves.push_back(pid);
-        continue;
-      }
+  GISTCR_RETURN_IF_ERROR(WalkTree([&](PageId pid, const NodeView& node) {
+    if (node.is_leaf()) {
+      leaves.push_back(pid);
+    } else {
       internals.emplace_back(pid, node.level());
-      for (uint16_t i = 0; i < node.count(); i++) {
-        frontier.push_back(static_cast<PageId>(node.entry_value(i)));
-      }
     }
-  }
+    return true;
+  }));
 
   // Phase B: collect committed-deleted leaf entries.
   for (PageId pid : leaves) {
@@ -351,35 +329,47 @@ Status Gist::CheckInvariants() {
   return CheckNode(root_or.value(), Slice(), 0, false, &rids, &visited);
 }
 
-Status Gist::DumpEntries(std::vector<IndexEntry>* out) {
+Status Gist::WalkTree(
+    const std::function<bool(PageId, const NodeView&)>& visit) {
   auto root_or = GetRoot();
   GISTCR_RETURN_IF_ERROR(root_or.status());
-  std::vector<PageId> frontier{root_or.value()};
+  if (root_or.value() == kInvalidPageId) {
+    return Status::NotFound("index has no root");
+  }
+  std::deque<PageId> frontier{root_or.value()};
   std::unordered_set<PageId> visited;
   while (!frontier.empty()) {
-    const PageId pid = frontier.back();
-    frontier.pop_back();
+    const PageId pid = frontier.front();
+    frontier.pop_front();
     if (!visited.insert(pid).second) continue;
     PageGuard g;
     GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/false, &g));
+    // A node retired since its pointer was read: skip it.
     if (PageView(g.view().data()).page_type() != PageType::kGistNode) {
       continue;
     }
-    NodeView node(g.view().data());
+    const NodeView node(g.view().data());
+    if (!visit(pid, node)) return Status::OK();
     if (node.rightlink() != kInvalidPageId) {
       frontier.push_back(node.rightlink());
     }
-    if (node.is_leaf()) {
-      for (const IndexEntry& e : node.GetAllEntries(true)) {
-        out->push_back(e);
-      }
-    } else {
-      for (uint16_t i = 0; i < node.count(); i++) {
-        frontier.push_back(static_cast<PageId>(node.entry_value(i)));
-      }
+    if (node.is_leaf()) continue;
+    for (uint16_t i = 0; i < node.count(); i++) {
+      frontier.push_back(static_cast<PageId>(node.entry_value(i)));
     }
   }
   return Status::OK();
+}
+
+Status Gist::DumpEntries(std::vector<IndexEntry>* out) {
+  return WalkTree([out](PageId, const NodeView& node) {
+    if (node.is_leaf()) {
+      for (IndexEntry& e : node.GetAllEntries(true)) {
+        out->push_back(std::move(e));
+      }
+    }
+    return true;
+  });
 }
 
 StatusOr<uint32_t> Gist::Height() {

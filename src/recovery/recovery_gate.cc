@@ -25,9 +25,7 @@ void RecoveryGate::Arm(
     pages_.emplace(pid, std::move(e));
   }
   replay_ = std::move(replay);
-  if (m_pending_ != nullptr) {
-    m_pending_->Set(static_cast<double>(pages_.size()));
-  }
+  m_pending_->Set(static_cast<double>(pages_.size()));
   armed_.store(true, std::memory_order_release);
 }
 
@@ -36,7 +34,7 @@ void RecoveryGate::Disarm() {
   armed_.store(false, std::memory_order_release);
   pages_.clear();
   replay_ = nullptr;
-  if (m_pending_ != nullptr) m_pending_->Set(0);
+  m_pending_->Set(0);
   cv_.NotifyAll();
 }
 
@@ -85,9 +83,7 @@ Status RecoveryGate::EnsureRecovered(PageId pid, bool inline_caller) {
         it->second.owner = std::thread::id();
       }
     }
-    if (m_pending_ != nullptr) {
-      m_pending_->Set(static_cast<double>(pages_.size()));
-    }
+    m_pending_->Set(static_cast<double>(pages_.size()));
     cv_.NotifyAll();
   }
   if (st.ok()) {
@@ -109,9 +105,7 @@ void RecoveryGate::CancelPage(PageId pid) {
       continue;
     }
     pages_.erase(it);
-    if (m_pending_ != nullptr) {
-      m_pending_->Set(static_cast<double>(pages_.size()));
-    }
+    m_pending_->Set(static_cast<double>(pages_.size()));
     cv_.NotifyAll();
     return;
   }

@@ -44,6 +44,8 @@ class RecoveryGate {
   RecoveryGate() = default;
   GISTCR_DISALLOW_COPY_AND_ASSIGN(RecoveryGate);
 
+  /// Points the gate's recovery.* metrics at \p reg (null: process
+  /// fallback). Must run before Arm; RecoveryManager's constructor does.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
   /// Installs the per-page plans and the replay callback and opens the

@@ -301,10 +301,9 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   };
   std::map<TxnId, AttEntry> att;
   bool reached_checkpoint = false;
-  Status scan_st = log_->ScanRange(redo_start, end_lsn, [&](
+  Status scan_st = log_->Scan(redo_start, end_lsn, [&](
                                        const LogRecord& rec) {
     reached_checkpoint |= rec.lsn == checkpoint_lsn;
-    stats_.records_analyzed++;
     m_analyzed_->Add(1);
     if (rec.txn_id != kInvalidTxnId) {
       max_txn = std::max(max_txn, rec.txn_id);
@@ -391,7 +390,6 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   losers_.clear();
   std::vector<PageId> doomed_heap;
   for (const auto& [id, loser] : att) {
-    stats_.loser_txns++;
     m_losers_->Add(1);
     if (!loser.whole) {
       return Corrupt("loser backchain reaches below the redo floor");
@@ -551,7 +549,6 @@ Status RecoveryManager::ReplayPagePlan(PageId pid,
     LogRecord rec;
     GISTCR_RETURN_IF_ERROR(log_->ReadRecord(*it, &rec));
     GISTCR_RETURN_IF_ERROR(RedoRecordOnPage(rec, pid));
-    stats_.records_redone++;
     m_redone_->Add(1);
   }
   return Status::OK();
@@ -708,29 +705,6 @@ Status RecoveryManager::ApplyUndo(const ClrPayload& clr, Lsn lsn,
   }
 }
 
-Status RecoveryManager::LatchLeafEntry(const EntryOpPayload& pl,
-                                       PageGuard* out) {
-  PageId pid = pl.page;
-  for (int guard = 0; guard < 1 << 20; guard++) {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-    if (g.view().page_type() != PageType::kGistNode) {
-      return Corrupt("logical undo: lost leaf chain");
-    }
-    NodeView node(g.view().data());
-    if (node.FindByKeyValue(pl.entry.key, pl.entry.value) >= 0) {
-      *out = std::move(g);
-      return Status::OK();
-    }
-    // The entry moved right with a split since it was logged.
-    if (node.nsn() <= pl.nsn || node.rightlink() == kInvalidPageId) {
-      return Corrupt("logical undo: entry not found");
-    }
-    pid = node.rightlink();
-  }
-  return Corrupt("logical undo: rightlink cycle");
-}
-
 Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
   // Fires once per record rolled back — crash-during-undo coverage (the
   // CLR chain must let a second restart skip already-compensated work).
@@ -740,7 +714,6 @@ Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
       rec.type == LogRecordType::kGarbageCollection) {
     return Status::OK();
   }
-  stats_.records_undone++;
   m_undone_->Add(1);
 
   ClrPayload clr;
@@ -760,7 +733,10 @@ Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
   PageGuard g;
   if (leaf) {
     if (!leaf_pl.DecodeFrom(rec.payload)) return Corrupt("undo payload");
-    GISTCR_RETURN_IF_ERROR(LatchLeafEntry(leaf_pl, &g));
+    uint32_t hops = 0;
+    GISTCR_RETURN_IF_ERROR(LatchEntryLeaf(pool_, leaf_pl.page, leaf_pl.nsn,
+                                          leaf_pl.entry.key,
+                                          leaf_pl.entry.value, &g, &hops));
     clr.override_page = g.page_id();
   } else {
     const PageId pid = ClrTargetPage(clr);

@@ -104,17 +104,6 @@ class RecoveryManager : public UndoApplier {
   /// it. Used both by live aborts and restart undo.
   Status UndoRecord(Transaction* txn, const LogRecord& rec) override;
 
-  /// Restart counters. They settle only once RunInstantBackground has
-  /// finished (fields are atomics because inline redo on user threads
-  /// races the background drainer).
-  struct RestartStats {
-    std::atomic<uint64_t> records_analyzed{0};
-    std::atomic<uint64_t> records_redone{0};
-    std::atomic<uint64_t> loser_txns{0};
-    std::atomic<uint64_t> records_undone{0};
-  };
-  const RestartStats& restart_stats() const { return stats_; }
-
  private:
   /// Redo of one record restricted to the image of page \p pid: fetch it
   /// X-latched, test its page LSN, apply. A record touching two pages
@@ -129,11 +118,6 @@ class RecoveryManager : public UndoApplier {
   /// \p g, the page ClrTargetPage names: live rollback, restart undo and
   /// CLR redo all come here.
   Status ApplyUndo(const ClrPayload& clr, Lsn lsn, PageGuard* g);
-
-  /// Logical undo's leaf chase (section 9.2): X-latches the leaf that now
-  /// holds \p pl's entry, following rightlinks from the logged leaf past
-  /// splits newer than the logged NSN.
-  Status LatchLeafEntry(const EntryOpPayload& pl, PageGuard* out);
 
   /// One step of undoing loser \p txn's unfinished nested top action
   /// (DESIGN.md section 16.4): reads the record at *\p next, undoes it if
@@ -155,13 +139,15 @@ class RecoveryManager : public UndoApplier {
   DataStore* data_;
   GlobalNsn* nsn_;
   MvccManager* mvcc_;
-  RestartStats stats_;
 
   RecoveryGate gate_;
   /// Losers resurrected by StartInstant, awaiting their background abort.
   std::vector<Transaction*> losers_;
   PageId heap_tail_hint_ = kInvalidPageId;
 
+  /// Restart counters (recovery.*): they settle only once
+  /// RunInstantBackground has finished, since inline redo on user threads
+  /// races the background drainer.
   obs::Counter* m_analyzed_ = nullptr;
   obs::Counter* m_redone_ = nullptr;
   obs::Counter* m_losers_ = nullptr;

@@ -27,7 +27,6 @@ void PredicateManager::AttachLocked(PageId node, TxnId txn, uint64_t op_id,
   lst.push_back(PredAttachment{next_id_++, txn, op_id, kind, pred.ToString()});
   auto& nodes = by_txn_[txn];
   if (nodes.empty() || nodes.back() != node) nodes.push_back(node);
-  stats_.attaches++;
   m_attaches_->Add(1);
 }
 
@@ -43,10 +42,8 @@ std::vector<TxnId> PredicateManager::AttachAndFindConflicts(
   MutexLock l(mu_);
   std::vector<TxnId> owners;
   auto& lst = by_node_[node];
-  stats_.conflict_checks++;
   m_conflict_checks_->Add(1);
   for (const auto& a : lst) {
-    stats_.predicates_scanned++;
     m_predicates_scanned_->Add(1);
     if (a.txn == txn) continue;
     if (conflicts(a)) {
@@ -64,11 +61,9 @@ std::vector<TxnId> PredicateManager::FindConflicts(PageId node, TxnId self,
   MutexLock l(mu_);
   std::vector<TxnId> owners;
   auto it = by_node_.find(node);
-  stats_.conflict_checks++;
   m_conflict_checks_->Add(1);
   if (it == by_node_.end()) return owners;
   for (const auto& a : it->second) {
-    stats_.predicates_scanned++;
     m_predicates_scanned_->Add(1);
     if (a.txn == self) continue;
     if (conflicts(a)) {
@@ -125,7 +120,6 @@ void PredicateManager::ReplicateOnSplit(
   for (const auto* a : to_copy) copies.push_back(*a);
   for (const auto& a : copies) {
     AttachLocked(new_node, a.txn, a.op_id, a.kind, a.pred);
-    stats_.replications++;
     m_replications_->Add(1);
   }
 }
@@ -142,7 +136,6 @@ void PredicateManager::Percolate(
   }
   for (const auto& a : copies) {
     AttachLocked(child, a.txn, a.op_id, a.kind, a.pred);
-    stats_.percolations++;
     m_percolations_->Add(1);
   }
 }
@@ -162,16 +155,6 @@ size_t PredicateManager::TotalAttachments() {
     n += lst.size();
   }
   return n;
-}
-
-PredicateManager::Stats PredicateManager::GetStats() {
-  MutexLock l(mu_);
-  return stats_;
-}
-
-void PredicateManager::ResetStats() {
-  MutexLock l(mu_);
-  stats_ = Stats();
 }
 
 }  // namespace gistcr

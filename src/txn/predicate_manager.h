@@ -54,9 +54,11 @@ class PredicateManager {
   PredicateManager();
   GISTCR_DISALLOW_COPY_AND_ASSIGN(PredicateManager);
 
-  /// Re-points the manager's metrics at \p reg (null: process fallback);
-  /// mirrors the Stats struct into registry counters. Call before
-  /// concurrent use; the Database facade does so at init.
+  /// Re-points the manager's pred.* counters at \p reg (null: process
+  /// fallback): attaches, conflict_checks (calls that scanned a list),
+  /// predicates_scanned (attachments examined in checks), replications and
+  /// percolations. Call before concurrent use; the Database facade does so
+  /// at init.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
   using ConflictFn = std::function<bool(const PredAttachment&)>;
@@ -107,16 +109,6 @@ class PredicateManager {
   /// Total number of attachments (tests / benchmarks).
   size_t TotalAttachments();
 
-  struct Stats {
-    uint64_t attaches = 0;
-    uint64_t conflict_checks = 0;     ///< Calls that scanned a list.
-    uint64_t predicates_scanned = 0;  ///< Attachments examined in checks.
-    uint64_t replications = 0;
-    uint64_t percolations = 0;
-  };
-  Stats GetStats();
-  void ResetStats();
-
  private:
   void AttachLocked(PageId node, TxnId txn, uint64_t op_id, PredKind kind,
                     Slice pred) GISTCR_REQUIRES(mu_);
@@ -134,7 +126,6 @@ class PredicateManager {
   // txn -> nodes that may hold its attachments (superset; pruned on use).
   std::unordered_map<TxnId, std::vector<PageId>> by_txn_
       GISTCR_GUARDED_BY(mu_);
-  Stats stats_ GISTCR_GUARDED_BY(mu_);
 };
 
 }  // namespace gistcr

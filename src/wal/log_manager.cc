@@ -20,17 +20,6 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'I', 'S', 'T', 'W', 'A', 'L', '1'};
 
-/// One batch handed from the appender state to the flusher's unlocked I/O
-/// section. The data pointer aims into flushing_, which no thread mutates
-/// while the flush is in flight (flush_in_flight_ brackets it).
-struct BatchIo {
-  int fd = -1;
-  const char* data = nullptr;
-  size_t size = 0;
-  Lsn base = kInvalidLsn;  ///< file offset of the batch's first byte
-  Lsn last = kInvalidLsn;  ///< LSN of the batch's final record
-};
-
 }  // namespace
 
 LogManager::LogManager() { AttachMetrics(nullptr); }
@@ -88,9 +77,9 @@ Status LogManager::Open(const std::string& path) {
   requested_lsn_ = kInvalidLsn;
   durable_lsn_.store(buffer_base_ > kFirstLsn ? buffer_base_ - 1 : kInvalidLsn,
                      std::memory_order_release);
-  // last_lsn_ is refined by Scan during recovery; a conservative value (the
-  // end of the durable log) is fine for NSN purposes because it only has to
-  // be >= every NSN already assigned.
+  // last_lsn_ starts at the end of the durable log, at or above every
+  // record in the file: for NSN purposes it only has to be >= every NSN
+  // already assigned, and every Append raises it from here.
   last_lsn_.store(buffer_base_ > kFirstLsn ? buffer_base_ - 1 : kInvalidLsn,
                   std::memory_order_release);
   flusher_stop_ = false;
@@ -113,41 +102,12 @@ void LogManager::Close() {
   // any in-flight batch has already landed or been spliced back.
   GISTCR_DCHECK(!flush_in_flight_);
   if (!buffer_.empty()) {
-    BatchIo io;
-    io.fd = fd_;
-    io.data = buffer_.data();
-    io.size = buffer_.size();
-    io.base = buffer_base_;
-    io.last = last_lsn_.load(std::memory_order_acquire);
+    const BatchIo io = CutBatchLocked();
     l.Unlock();
-    GISTCR_TRACE_SCOPE("wal.flush");
-    const char* p = io.data;
-    size_t remaining = io.size;
-    off_t offset = static_cast<off_t>(io.base);
-    bool ok = true;
-    while (remaining > 0) {
-      ssize_t n = ::pwrite(io.fd, p, remaining, offset);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      p += n;
-      offset += n;
-      remaining -= static_cast<size_t>(n);
-    }
-    if (ok && sync_on_flush_.load(std::memory_order_relaxed)) {
-      ok = ::fdatasync(io.fd) == 0;
-    }
-    if (ok && durable_cb_) durable_cb_(io.last);
+    uint64_t io_ns = 0;
+    const Status st = WriteBatch(io, /*flusher=*/false, &io_ns);
     l.Lock();
-    if (ok) {
-      buffer_base_ += buffer_.size();
-      buffer_.clear();
-      pending_records_ = 0;
-      pending_commits_ = 0;
-      durable_lsn_.store(io.last, std::memory_order_release);
-    }
+    FinishBatchLocked(io, st);
   }
   ::close(fd_);
   fd_ = -1;
@@ -206,108 +166,118 @@ void LogManager::FlusherLoop() {
     while (!flusher_stop_ && !WantsFlushLocked()) work_cv_.Wait(mu_);
     if (flusher_stop_) return;
     m_flusher_wakeups_->Add(1);
-
-    // Cut the batch: everything appended so far moves to flushing_; later
-    // appends extend the (now empty) tail buffer and are covered by the
-    // next fsync. Batches cut at record boundaries by construction.
-    GISTCR_DCHECK(flushing_.empty());
-    flushing_ = std::move(buffer_);
-    buffer_.clear();
-    inflight_records_ = pending_records_;
-    inflight_commits_ = pending_commits_;
-    pending_records_ = 0;
-    pending_commits_ = 0;
-    BatchIo io;
-    io.fd = fd_;
-    io.data = flushing_.data();
-    io.size = flushing_.size();
-    io.base = buffer_base_;
-    io.last = last_lsn_.load(std::memory_order_acquire);
-    flush_in_flight_ = true;
+    const BatchIo io = CutBatchLocked();
     l.Unlock();
-
-    // The I/O section: no mutex held. One pwrite + fdatasync retires every
-    // record in the batch — this is the group commit. io.data points into
-    // flushing_, which only this thread touches until flush_in_flight_
-    // drops (readers may *read* it under mu_; that is race-free).
-    Status st;
+    // One pwrite + fdatasync retires every record in the batch — this is
+    // the group commit.
     uint64_t io_ns = 0;
-    {
-      GISTCR_TRACE_SCOPE("wal.flush");
-      const uint64_t t0 = obs::NowNanos();
-      const char* p = io.data;
-      size_t remaining = io.size;
-      off_t offset = static_cast<off_t>(io.base);
-      while (remaining > 0) {
-        ssize_t n = ::pwrite(io.fd, p, remaining, offset);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          st = Status::IOError("pwrite log: " +
-                               std::string(std::strerror(errno)));
-          break;
-        }
-        p += n;
-        offset += n;
-        remaining -= static_cast<size_t>(n);
-      }
-      if (st.ok()) {
-        st = FaultInjector::Global().CheckCrashPoint("wal.before_fsync");
-      }
-      if (st.ok() && sync_on_flush_.load(std::memory_order_relaxed)) {
-        if constexpr (kFaultInjectionCompiled) {
-          if (FaultInjector::Global().io_faults_active() &&
-              FaultInjector::Global().TakeSyncFailure()) {
-            st = Status::IOError("injected log sync failure");
-          }
-        }
-        if (st.ok() && ::fdatasync(io.fd) != 0) {
-          st = Status::IOError("fdatasync log");
-        }
-      }
-      if (st.ok()) {
-        st = FaultInjector::Global().CheckCrashPoint("wal.after_fsync");
-      }
-      if (st.ok()) {
-        io_ns = obs::NowNanos() - t0;
-        m_fsync_ns_->Record(io_ns);
-      }
-    }
-
-    // Durable fan-out, still outside the mutex: consumers (the MVCC
-    // timestamp oracle) learn the batch landed before any Flush waiter
-    // wakes, so a commit whose waiter resumes is already stamp-visible.
-    if (st.ok() && durable_cb_) durable_cb_(io.last);
-
+    const Status st = WriteBatch(io, /*flusher=*/true, &io_ns);
     l.Lock();
-    flush_in_flight_ = false;
     if (st.ok()) {
-      buffer_base_ += flushing_.size();
-      flushing_.clear();
-      durable_lsn_.store(io.last, std::memory_order_release);
+      m_fsync_ns_->Record(io_ns);
       m_flushes_->Add(1);
       m_batch_records_->Record(inflight_records_);
       if (inflight_commits_ > 0) m_batch_commits_->Record(inflight_commits_);
       m_batch_bytes_->Record(io.size);
       last_flush_ns_ = io_ns;
     } else {
-      // Splice the batch back in front of the newer tail so a later flush
-      // request retries it; fan the error out to every blocked waiter and
-      // drop the outstanding request so a persistent error does not spin
-      // the flusher (the next Flush call re-arms it).
-      flushing_.append(buffer_);
-      buffer_ = std::move(flushing_);
-      flushing_.clear();
-      pending_records_ += inflight_records_;
-      pending_commits_ += inflight_commits_;
-      requested_lsn_ = kInvalidLsn;
-      last_error_ = st;
-      error_gen_++;
       m_flusher_errors_->Add(1);
     }
-    inflight_records_ = 0;
-    inflight_commits_ = 0;
-    durable_cv_.NotifyAll();
+    FinishBatchLocked(io, st);
   }
+}
+
+LogManager::BatchIo LogManager::CutBatchLocked() {
+  // Everything appended so far moves to flushing_; later appends extend
+  // the (now empty) tail buffer and are covered by the next batch.
+  // Batches cut at record boundaries by construction.
+  GISTCR_DCHECK(flushing_.empty());
+  flushing_ = std::move(buffer_);
+  buffer_.clear();
+  inflight_records_ = pending_records_;
+  inflight_commits_ = pending_commits_;
+  pending_records_ = 0;
+  pending_commits_ = 0;
+  flush_in_flight_ = true;
+  BatchIo io;
+  io.fd = fd_;
+  io.data = flushing_.data();
+  io.size = flushing_.size();
+  io.base = buffer_base_;
+  io.last = last_lsn_.load(std::memory_order_acquire);
+  return io;
+}
+
+Status LogManager::WriteBatch(const BatchIo& io, bool flusher,
+                              uint64_t* io_ns) {
+  // No mutex held. io.data points into flushing_, which only this thread
+  // touches until flush_in_flight_ drops (readers may *read* it under
+  // mu_; that is race-free).
+  GISTCR_TRACE_SCOPE("wal.flush");
+  const uint64_t t0 = obs::NowNanos();
+  Status st;
+  const char* p = io.data;
+  size_t remaining = io.size;
+  off_t offset = static_cast<off_t>(io.base);
+  while (remaining > 0) {
+    ssize_t n = ::pwrite(io.fd, p, remaining, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      st = Status::IOError("pwrite log: " + std::string(std::strerror(errno)));
+      break;
+    }
+    p += n;
+    offset += n;
+    remaining -= static_cast<size_t>(n);
+  }
+  if (st.ok() && flusher) {
+    st = FaultInjector::Global().CheckCrashPoint("wal.before_fsync");
+  }
+  if (st.ok() && sync_on_flush_.load(std::memory_order_relaxed)) {
+    if constexpr (kFaultInjectionCompiled) {
+      if (flusher && FaultInjector::Global().io_faults_active() &&
+          FaultInjector::Global().TakeSyncFailure()) {
+        st = Status::IOError("injected log sync failure");
+      }
+    }
+    if (st.ok() && ::fdatasync(io.fd) != 0) {
+      st = Status::IOError("fdatasync log");
+    }
+  }
+  if (st.ok() && flusher) {
+    st = FaultInjector::Global().CheckCrashPoint("wal.after_fsync");
+  }
+  *io_ns = obs::NowNanos() - t0;
+  // Durable fan-out, still outside the mutex: consumers (the MVCC
+  // timestamp oracle) learn the batch landed before any Flush waiter
+  // wakes, so a commit whose waiter resumes is already stamp-visible.
+  if (st.ok() && durable_cb_) durable_cb_(io.last);
+  return st;
+}
+
+void LogManager::FinishBatchLocked(const BatchIo& io, const Status& st) {
+  flush_in_flight_ = false;
+  if (st.ok()) {
+    buffer_base_ += flushing_.size();
+    flushing_.clear();
+    durable_lsn_.store(io.last, std::memory_order_release);
+  } else {
+    // Splice the batch back in front of the newer tail so a later flush
+    // request retries it; fan the error out to every blocked waiter and
+    // drop the outstanding request so a persistent error does not spin
+    // the flusher (the next Flush call re-arms it).
+    flushing_.append(buffer_);
+    buffer_ = std::move(flushing_);
+    flushing_.clear();
+    pending_records_ += inflight_records_;
+    pending_commits_ += inflight_commits_;
+    requested_lsn_ = kInvalidLsn;
+    last_error_ = st;
+    error_gen_++;
+  }
+  inflight_records_ = 0;
+  inflight_commits_ = 0;
+  durable_cv_.NotifyAll();
 }
 
 Status LogManager::Flush(Lsn lsn) {
@@ -414,7 +384,7 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec) {
   return Status::OK();
 }
 
-Status LogManager::Scan(Lsn from,
+Status LogManager::Scan(Lsn from, Lsn upto,
                         const std::function<bool(const LogRecord&)>& fn) {
   Lsn lsn = from == kInvalidLsn ? kFirstLsn : from;
   for (;;) {
@@ -423,26 +393,11 @@ Status LogManager::Scan(Lsn from,
     if (st.IsNotFound()) break;           // clean end of log
     if (st.IsCorruption()) break;         // torn tail after a crash
     GISTCR_RETURN_IF_ERROR(st);
-    {
-      // Keep last_lsn_ monotone through recovery scans.
-      Lsn cur = last_lsn_.load(std::memory_order_acquire);
-      while (cur < rec.lsn &&
-             !last_lsn_.compare_exchange_weak(cur, rec.lsn)) {
-      }
-    }
+    if (upto != kInvalidLsn && rec.lsn > upto) break;
     if (!fn(rec)) break;
     lsn += rec.SerializedSize();
   }
   return Status::OK();
-}
-
-Status LogManager::ScanRange(Lsn from, Lsn upto,
-                             const std::function<bool(const LogRecord&)>& fn) {
-  if (upto == kInvalidLsn) return Scan(from, fn);
-  return Scan(from, [&](const LogRecord& rec) {
-    if (rec.lsn > upto) return false;
-    return fn(rec);
-  });
 }
 
 uint64_t LogManager::TotalBytes() const {
@@ -465,18 +420,26 @@ LogManager::FlusherStats LogManager::GetFlusherStats() const {
 }
 
 StatusOr<uint64_t> LogManager::ReclaimBefore(Lsn lsn) {
-  MutexLock l(mu_);
-  GISTCR_CHECK(fd_ >= 0);
   // Never touch the magic header, the unflushed tail, or already-reclaimed
   // space; punch only whole 4 KiB blocks so the filesystem can free them.
   constexpr uint64_t kBlock = 4096;
-  const Lsn already = reclaimed_before_.load(std::memory_order_acquire);
-  Lsn limit = std::min<Lsn>(lsn, buffer_base_);
-  const uint64_t start = ((already + kBlock - 1) / kBlock) * kBlock;
-  const uint64_t end = (limit / kBlock) * kBlock;
+  int fd = -1;
+  uint64_t start = 0, end = 0;
+  {
+    MutexLock l(mu_);
+    GISTCR_CHECK(fd_ >= 0);
+    fd = fd_;
+    const Lsn already = reclaimed_before_.load(std::memory_order_acquire);
+    start = ((already + kBlock - 1) / kBlock) * kBlock;
+    end = (std::min<Lsn>(lsn, buffer_base_) / kBlock) * kBlock;
+  }
   if (end <= start) return static_cast<uint64_t>(0);
 #ifdef FALLOC_FL_PUNCH_HOLE
-  if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+  // The punch runs without mu_, so appends and flushes never wait behind
+  // the filesystem. The range is durable (below buffer_base_, which only
+  // grows) and no longer needed, so nothing reads or writes it meanwhile;
+  // reclaimed_before_ moves only here, and reclaims never overlap.
+  if (::fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
                   static_cast<off_t>(start),
                   static_cast<off_t>(end - start)) != 0) {
     return static_cast<uint64_t>(0);  // unsupported filesystem: best effort
@@ -484,6 +447,7 @@ StatusOr<uint64_t> LogManager::ReclaimBefore(Lsn lsn) {
   reclaimed_before_.store(end, std::memory_order_release);
   return end - start;
 #else
+  (void)fd;
   return static_cast<uint64_t>(0);
 #endif
 }

@@ -84,18 +84,15 @@ class LogManager {
   /// tail). Sets rec->lsn.
   Status ReadRecord(Lsn lsn, LogRecord* rec);
 
-  /// Iterates durable+buffered records with lsn >= from, in LSN order. The
-  /// callback may return false to stop. Stops cleanly at the first torn or
-  /// corrupt record (the crash-truncated tail).
-  Status Scan(Lsn from, const std::function<bool(const LogRecord&)>& fn);
-
-  /// Bounded variant of Scan: stops after the record whose LSN is \p upto
-  /// (inclusive; kInvalidLsn = unbounded, identical to Scan). Instant
-  /// restart uses this to keep per-page redo planning confined to the
-  /// [redo_start, end-of-log-at-analysis] window while new user appends
-  /// extend the log concurrently.
-  Status ScanRange(Lsn from, Lsn upto,
-                   const std::function<bool(const LogRecord&)>& fn);
+  /// Iterates durable+buffered records with from <= lsn <= upto, in LSN
+  /// order (\p from kInvalidLsn: from the log start; \p upto kInvalidLsn:
+  /// to the log end). The callback may return false to stop. Stops cleanly
+  /// at the first torn or corrupt record (the crash-truncated tail).
+  /// Instant restart bounds its analysis at the log end it saw, so redo
+  /// planning stays confined to that window while new user appends extend
+  /// the log concurrently.
+  Status Scan(Lsn from, Lsn upto,
+              const std::function<bool(const LogRecord&)>& fn);
 
   /// First valid LSN in the log (just past the file magic).
   static constexpr Lsn kFirstLsn = 8;
@@ -129,8 +126,9 @@ class LogManager {
   /// the file (LSNs stay byte offsets, so nothing else changes). The caller
   /// must guarantee no record below \p lsn can ever be needed again —
   /// i.e., \p lsn <= min(checkpoint LSN, every DPT rec_lsn, every active
-  /// transaction's first_lsn). Best effort: returns the bytes reclaimed, 0
-  /// if the filesystem does not support hole punching.
+  /// transaction's first_lsn) — and must not run two reclaims at once, or
+  /// one concurrently with Close. Best effort: returns the bytes
+  /// reclaimed, 0 if the filesystem does not support hole punching.
   StatusOr<uint64_t> ReclaimBefore(Lsn lsn);
 
   /// Lowest LSN still readable (everything below was reclaimed).
@@ -153,8 +151,35 @@ class LogManager {
   FlusherStats GetFlusherStats() const;
 
  private:
+  /// One batch handed from the appender state to an unlocked I/O section.
+  /// The data pointer aims into flushing_, which no thread mutates while
+  /// the flush is in flight (flush_in_flight_ brackets it).
+  struct BatchIo {
+    int fd = -1;
+    const char* data = nullptr;
+    size_t size = 0;
+    Lsn base = kInvalidLsn;  ///< file offset of the batch's first byte
+    Lsn last = kInvalidLsn;  ///< LSN of the batch's final record
+  };
+
   /// Flusher thread body: sleep until a flush is wanted, batch, write.
   void FlusherLoop();
+
+  /// Cuts everything appended so far into flushing_ as the next batch.
+  BatchIo CutBatchLocked() GISTCR_REQUIRES(mu_);
+
+  /// The write path both the flusher and Close's final drain run, with
+  /// mu_ released: pwrite the batch at its offset, fdatasync it (when sync
+  /// is on), then fan the durable LSN out. \p flusher marks the flusher's
+  /// own call, the only one that checks the wal.* crash points and
+  /// injected sync faults; *\p io_ns gets the write+sync time.
+  Status WriteBatch(const BatchIo& io, bool flusher, uint64_t* io_ns);
+
+  /// Publishes a written batch as durable, or after a failed write splices
+  /// it back in front of the newer tail for retry and fans \p st out to
+  /// every waiter; wakes the waiters either way.
+  void FinishBatchLocked(const BatchIo& io, const Status& st)
+      GISTCR_REQUIRES(mu_);
 
   /// True when the flusher has work: someone requested durability beyond
   /// durable_lsn(), or the tail buffer outgrew the flush-ahead cap.

@@ -127,10 +127,11 @@ TEST_F(CrashFuzzTest, EveryLogPrefixRecoversConsistently) {
     // cut is a state a real crash could produce.
     ASSERT_OK(db->log()->FlushAll());
     // Collect record boundaries for cut points.
-    ASSERT_OK(db->log()->Scan(kInvalidLsn, [&](const LogRecord& rec) {
-      record_lsns.push_back(rec.lsn + rec.SerializedSize());
-      return true;
-    }));
+    ASSERT_OK(db->log()->Scan(
+        kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+          record_lsns.push_back(rec.lsn + rec.SerializedSize());
+          return true;
+        }));
     db->SimulateCrash();  // discard volatile state; files stay
   }
 

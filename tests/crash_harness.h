@@ -223,30 +223,31 @@ inline Status ComputeOracle(const std::string& path, Oracle* out) {
   LogManager log;
   GISTCR_RETURN_IF_ERROR(log.Open(path + ".wal"));
   std::unordered_map<TxnId, TxnAgg> txns;
-  GISTCR_RETURN_IF_ERROR(log.Scan(kInvalidLsn, [&](const LogRecord& rec) {
-    if (rec.txn_id == kInvalidTxnId) return true;
-    TxnAgg& agg = txns[rec.txn_id];
-    EntryOpPayload pl;
-    switch (rec.type) {
-      case LogRecordType::kCommit:
-        agg.committed = true;
-        break;
-      case LogRecordType::kAddLeafEntry:
-        if (pl.DecodeFrom(rec.payload)) {
-          agg.adds.emplace_back(BtreeExtension::Lo(pl.entry.key),
-                                pl.entry.value);
+  GISTCR_RETURN_IF_ERROR(log.Scan(
+      kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+        if (rec.txn_id == kInvalidTxnId) return true;
+        TxnAgg& agg = txns[rec.txn_id];
+        EntryOpPayload pl;
+        switch (rec.type) {
+          case LogRecordType::kCommit:
+            agg.committed = true;
+            break;
+          case LogRecordType::kAddLeafEntry:
+            if (pl.DecodeFrom(rec.payload)) {
+              agg.adds.emplace_back(BtreeExtension::Lo(pl.entry.key),
+                                    pl.entry.value);
+            }
+            break;
+          case LogRecordType::kMarkLeafEntry:
+            if (pl.DecodeFrom(rec.payload)) {
+              agg.marks.push_back(BtreeExtension::Lo(pl.entry.key));
+            }
+            break;
+          default:
+            break;
         }
-        break;
-      case LogRecordType::kMarkLeafEntry:
-        if (pl.DecodeFrom(rec.payload)) {
-          agg.marks.push_back(BtreeExtension::Lo(pl.entry.key));
-        }
-        break;
-      default:
-        break;
-    }
-    return true;
-  }));
+        return true;
+      }));
   out->visible.clear();
   for (const auto& [id, agg] : txns) {
     (void)id;

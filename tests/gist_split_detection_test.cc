@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "access/btree_extension.h"
@@ -188,6 +190,71 @@ TEST_F(SplitDetectionTest, SearcherFollowsChainBuiltDuringPause) {
     EXPECT_TRUE(found.count(k)) << "lost key " << k;
   }
   EXPECT_GT(gist_->stats().rightlink_follows.load(), 1u);
+}
+
+TEST_F(SplitDetectionTest, DeleteRootStepSeesRootGrow) {
+  // A delete runs Figure 3's root step like any read: memorize the global
+  // NSN, then read the root pointer. A root grow in between moves the
+  // target key to the old root's new sibling; the memorized value lies
+  // below the old root's new NSN, so the delete follows the rightlink and
+  // marks the key. Read in the other order, the pointer names the old
+  // root but the memorized value already covers the grow: the moved key
+  // looks absent and the delete returns NotFound.
+  Transaction* setup = db_->Begin();
+  std::vector<Rid> rids;
+  for (int64_t k = 0; k < 4; k++) {
+    auto rid_or =
+        db_->InsertRecord(setup, gist_, BtreeExtension::MakeKey(k), "v");
+    ASSERT_OK(rid_or.status());
+    rids.push_back(rid_or.value());
+  }
+  ASSERT_OK(db_->Commit(setup));
+  const PageId old_root = gist_->root_hint();
+
+  std::atomic<bool> fired{false};
+  gist_->test_hooks().before_root_read = [&] {
+    if (fired.exchange(true)) return;
+    // A fifth key overfills the root leaf: the root grows, and the
+    // median cut moves keys 2 and 3 to the new sibling.
+    std::thread grower([&] {
+      Transaction* txn = db_->Begin();
+      Insert(txn, 4);
+      ASSERT_OK(db_->Commit(txn));
+    });
+    grower.join();
+  };
+
+  Transaction* deleter = db_->Begin();
+  ASSERT_OK(
+      db_->DeleteRecord(deleter, gist_, BtreeExtension::MakeKey(3), rids[3]));
+  gist_->test_hooks().before_root_read = nullptr;
+  ASSERT_TRUE(fired.load());
+
+  // The scenario held: the root grew, and key 3 left the old root.
+  ASSERT_NE(gist_->root_hint(), old_root);
+  const NodeInfo old_info = ReadNode(old_root);
+  ASSERT_NE(old_info.rightlink, kInvalidPageId);
+  {
+    auto fr = db_->pool()->Fetch(old_info.rightlink);
+    ASSERT_OK(fr.status());
+    PageGuard g(db_->pool(), fr.value());
+    g.RLatch();
+    NodeView sib(g.view().data());
+    const int idx =
+        sib.FindByKeyValue(BtreeExtension::MakeKey(3), rids[3].Pack());
+    ASSERT_GE(idx, 0) << "key 3 did not move to the new sibling";
+    EXPECT_EQ(sib.entry_del_txn(static_cast<uint16_t>(idx)), deleter->id());
+  }
+  ASSERT_OK(db_->Commit(deleter));
+
+  Transaction* reader = db_->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist_->Search(reader, BtreeExtension::MakeRange(0, 10), &results));
+  ASSERT_OK(db_->Commit(reader));
+  std::set<int64_t> found;
+  for (const auto& r : results) found.insert(BtreeExtension::Lo(r.key));
+  EXPECT_EQ(found, (std::set<int64_t>{0, 1, 2, 4}));
+  EXPECT_OK(gist_->CheckInvariants());
 }
 
 }  // namespace

@@ -383,7 +383,7 @@ TEST(InstantRestartTest, HoleBelowCheckpointFailsOpen) {
     ASSERT_TRUE(pl.DecodeFrom(rec.payload));
     const Lsn floor = pl.redo_floor;
     ASSERT_LT(floor, ckpt);
-    ASSERT_OK(log.Scan(floor, [&](const LogRecord& r) {
+    ASSERT_OK(log.Scan(floor, kInvalidLsn, [&](const LogRecord& r) {
       if (r.lsn == floor) return true;
       victim = r.lsn;
       victim_size = r.SerializedSize();
@@ -927,14 +927,15 @@ TEST(InstantRestartScanRange, StopsAtUpperBound) {
   // Collect every record LSN, then re-scan bounded at the midpoint: the
   // bounded scan must yield exactly the prefix.
   std::vector<Lsn> lsns;
-  ASSERT_OK(db->log()->Scan(kInvalidLsn, [&](const LogRecord& rec) {
-    lsns.push_back(rec.lsn);
-    return true;
-  }));
+  ASSERT_OK(db->log()->Scan(
+      kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+        lsns.push_back(rec.lsn);
+        return true;
+      }));
   ASSERT_GT(lsns.size(), 4u);
   const Lsn upto = lsns[lsns.size() / 2];
   std::vector<Lsn> bounded;
-  ASSERT_OK(db->log()->ScanRange(kInvalidLsn, upto, [&](const LogRecord& rec) {
+  ASSERT_OK(db->log()->Scan(kInvalidLsn, upto, [&](const LogRecord& rec) {
     bounded.push_back(rec.lsn);
     return true;
   }));

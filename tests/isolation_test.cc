@@ -352,6 +352,59 @@ TEST_F(IsolationTest, PredicatesReplicatedAcrossSplits) {
   inserter.join();
 }
 
+TEST_F(IsolationTest, WaitingInsertRepositionsAcrossSplit) {
+  // An insert blocked on a scan predicate has released its leaf latch; a
+  // second insert splits that leaf meanwhile and moves the first one's
+  // entry to the new sibling. On waking, the first insert must re-find
+  // its entry through the rightlink (section 9.2's NSN-guided chase) and
+  // re-check the predicates where the entry lives now.
+  Transaction* t0 = db_->Begin();
+  for (int64_t k = 0; k < 7; k++) MustInsert(t0, k);
+  ASSERT_OK(db_->Commit(t0));
+
+  Transaction* scanner = db_->Begin(IsolationLevel::kRepeatableRead);
+  EXPECT_EQ(Scan(scanner, 0, 100).size(), 7u);
+
+  auto wait_for_waits = [&](uint64_t n) {
+    for (int i = 0; i < 1000 && gist_->stats().predicate_waits.load() < n;
+         i++) {
+      std::this_thread::sleep_for(10ms);
+    }
+    return gist_->stats().predicate_waits.load() >= n;
+  };
+  const uint64_t waits0 = gist_->stats().predicate_waits.load();
+  // Key 7 fills the root leaf to its 8 entries, then waits on the scan.
+  std::thread first([&] {
+    Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
+    MustInsert(txn, 7);
+    ASSERT_OK(db_->Commit(txn));
+  });
+  ASSERT_TRUE(wait_for_waits(waits0 + 1));
+  // Key 8 splits the full leaf (the root grows; the median cut moves keys
+  // 4..7 right), then waits on the scan's replicated predicate.
+  const uint64_t grows0 = gist_->stats().root_grows.load();
+  std::thread second([&] {
+    Transaction* txn = db_->Begin(IsolationLevel::kReadCommitted);
+    MustInsert(txn, 8);
+    ASSERT_OK(db_->Commit(txn));
+  });
+  ASSERT_TRUE(wait_for_waits(waits0 + 2));
+  EXPECT_EQ(gist_->stats().root_grows.load(), grows0 + 1);
+
+  const uint64_t follows0 = gist_->stats().rightlink_follows.load();
+  ASSERT_OK(db_->Commit(scanner));
+  first.join();
+  second.join();
+  EXPECT_GE(gist_->stats().rightlink_follows.load(), follows0 + 1)
+      << "the woken insert did not chase its moved entry";
+
+  Transaction* t3 = db_->Begin(IsolationLevel::kReadCommitted);
+  std::vector<int64_t> all = Scan(t3, 0, 100);
+  ASSERT_OK(db_->Commit(t3));
+  EXPECT_EQ(all, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_OK(gist_->CheckInvariants());
+}
+
 TEST_F(IsolationTest, PredicatesPercolateOnBpExpansion) {
   // T1 scans [100, 200] (empty region, predicate attached along the
   // then-existing paths). T2 inserts key 150: the target leaf's BP must

@@ -130,15 +130,15 @@ TEST_F(PredicateManagerTest, GlobalTableModeAccumulates) {
 }
 
 TEST_F(PredicateManagerTest, StatsCountScans) {
-  pm_.ResetStats();
+  obs::MetricsRegistry reg;
+  pm_.AttachMetrics(&reg);
   pm_.Attach(5, 1, 1, PredKind::kSearch, BtreeExtension::MakeRange(1, 10));
   pm_.AttachAndFindConflicts(5, 2, 1, PredKind::kInsert,
                              BtreeExtension::MakeKey(5),
                              InsertConflicts(BtreeExtension::MakeKey(5)));
-  auto stats = pm_.GetStats();
-  EXPECT_EQ(stats.attaches, 2u);
-  EXPECT_EQ(stats.conflict_checks, 1u);
-  EXPECT_EQ(stats.predicates_scanned, 1u);
+  EXPECT_EQ(reg.GetCounter("pred.attaches")->load(), 2u);
+  EXPECT_EQ(reg.GetCounter("pred.conflict_checks")->load(), 1u);
+  EXPECT_EQ(reg.GetCounter("pred.predicates_scanned")->load(), 1u);
 }
 
 TEST_F(PredicateManagerTest, DistinctOwnersDeduplicated) {

@@ -107,8 +107,9 @@ TEST_F(RecoveryTest, UncommittedInsertsUndoneOnRestart) {
   // Force the loser's records to disk, then crash before it commits.
   ASSERT_OK(db_->log()->FlushAll());
   CrashAndRecover();
-  EXPECT_GT(db_->recovery()->restart_stats().loser_txns, 0u);
-  EXPECT_GT(db_->recovery()->restart_stats().records_undone, 0u);
+  EXPECT_GT(db_->metrics()->GetCounter("recovery.loser_txns")->load(), 0u);
+  EXPECT_GT(db_->metrics()->GetCounter("recovery.records_undone")->load(),
+            0u);
   ASSERT_OK(gist_->CheckInvariants());
   auto keys = ScanAll();
   ASSERT_EQ(keys.size(), 50u);
@@ -365,9 +366,9 @@ TEST_F(RecoveryTest, RestartStatsPopulated) {
   for (int64_t k = 0; k < 30; k++) MustInsert(t1, k);
   ASSERT_OK(db_->Commit(t1));
   CrashAndRecover();
-  const auto& stats = db_->recovery()->restart_stats();
-  EXPECT_GT(stats.records_analyzed, 0u);
-  EXPECT_GT(stats.records_redone, 0u);
+  obs::MetricsRegistry* reg = db_->metrics();
+  EXPECT_GT(reg->GetCounter("recovery.records_analyzed")->load(), 0u);
+  EXPECT_GT(reg->GetCounter("recovery.records_redone")->load(), 0u);
 }
 
 // The dedicated-counter NSN mode must also recover its counter (ablation

@@ -237,7 +237,7 @@ TEST_F(WalFlusherTest, DiscardTailRacesFlusher) {
   log_.DiscardTail();
   EXPECT_EQ(log_.last_lsn(), log_.durable_lsn());
   uint64_t scanned = 0;
-  ASSERT_OK(log_.Scan(kInvalidLsn, [&](const LogRecord& rec) {
+  ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
     EXPECT_EQ(rec.type, LogRecordType::kCommit);
     scanned++;
     return true;

@@ -181,7 +181,7 @@ TEST_F(LogManagerTest, ScanVisitsAllInOrder) {
     lsns.push_back(r.lsn);
   }
   std::vector<Lsn> seen;
-  ASSERT_OK(log_.Scan(kInvalidLsn, [&](const LogRecord& rec) {
+  ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
     seen.push_back(rec.lsn);
     return true;
   }));
@@ -196,7 +196,7 @@ TEST_F(LogManagerTest, DiscardTailLosesUnflushedRecords) {
   ASSERT_OK(log_.Append(&b));
   log_.DiscardTail();  // crash: b was never forced
   int count = 0;
-  ASSERT_OK(log_.Scan(kInvalidLsn, [&](const LogRecord&) {
+  ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord&) {
     count++;
     return true;
   }));
@@ -238,7 +238,7 @@ TEST_F(LogManagerTest, ScanStopsAtTornTail) {
   LogManager log2;
   ASSERT_OK(log2.Open(path_));
   int count = 0;
-  ASSERT_OK(log2.Scan(kInvalidLsn, [&](const LogRecord&) {
+  ASSERT_OK(log2.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord&) {
     count++;
     return true;
   }));

@@ -44,9 +44,10 @@ Rules
       (void) deliberately.
 
   sync-under-mutex
-      No fsync/fdatasync or DiskManager::Sync call while a MutexLock or
-      SharedLock from common/mutex.h is held in the enclosing scope. A
-      disk sync takes milliseconds; holding a mutex across one serializes
+      No fsync/fdatasync, fallocate or DiskManager::Sync call while a
+      MutexLock or SharedLock from common/mutex.h is held in the enclosing
+      scope. A disk sync (or a hole punch, which waits on the filesystem
+      journal) takes milliseconds; holding a mutex across one serializes
       every thread that touches the same shared state behind the platter
       (the whole point of the WAL flusher split, DESIGN.md section 11).
       MutexLock::Unlock()/Lock() windows are tracked: sync inside an
@@ -151,7 +152,8 @@ Usage
   gistcr_lint.py --dot FILE <path>  also write the merged lock graph (DOT)
   gistcr_lint.py --self-test <dir>  run the fixture expectations in <dir>:
                                     *_bad.cc must trigger the rule named by
-                                    its basename, *_good.cc must be clean
+                                    its basename (up to a "__<case>"
+                                    suffix), *_good.cc must be clean
 """
 
 import os
@@ -848,7 +850,8 @@ MUTEX_SCOPE_DECL_RE = re.compile(r"\b(?:MutexLock|SharedLock)\s+(\w+)\s*[({]")
 MUTEX_UNLOCK_RE = re.compile(r"\b(\w+)\s*\.\s*Unlock\s*\(\s*\)")
 MUTEX_RELOCK_RE = re.compile(r"\b(\w+)\s*\.\s*Lock\s*\(\s*\)")
 SYNC_CALL_RE = re.compile(
-    r"\b(?:::\s*)?f(?:data)?sync\s*\(|(?:\.|->)\s*Sync\s*\(")
+    r"\b(?:::\s*)?f(?:data)?sync\s*\(|\bfallocate\s*\("
+    r"|(?:\.|->)\s*Sync\s*\(")
 
 # stamping-epoch-unclosed: epoch opens on a receiver-qualified
 # BeginStamping call (the definition in mvcc_manager.cc is unqualified and
@@ -1029,7 +1032,8 @@ class FileLinter:
                 if holder is not None:
                     report(
                         "sync-under-mutex",
-                        "disk sync (fsync/fdatasync/DiskManager::Sync) "
+                        "disk sync (fsync/fdatasync/fallocate/"
+                        "DiskManager::Sync) "
                         f"while MutexLock '{holder}' is held; release the "
                         "mutex across the sync (see the WAL flusher)",
                     )
@@ -1329,7 +1333,9 @@ def self_test(fixture_dir):
         rules_hit = {rule for (_l, rule, _m) in findings}
         base = f[:-3]
         if base.endswith("_bad"):
-            expected = base[: -len("_bad")].replace("_", "-")
+            # <rule>_bad.cc, or <rule>__<case>_bad.cc for a second fixture
+            # of one rule.
+            expected = base[: -len("_bad")].split("__")[0].replace("_", "-")
             if expected not in RULES:
                 failures.append(f"{f}: unknown rule '{expected}'")
             elif expected not in rules_hit:
