@@ -33,6 +33,8 @@ class BtreeExtension : public GistExtension {
   void PickSplit(const std::vector<IndexEntry>& entries,
                  std::vector<bool>* to_right) const override;
   std::string EqQuery(Slice key) const override;
+  bool ValidKey(Slice bytes) const override { return bytes.size() == 16; }
+  bool ValidQuery(Slice bytes) const override { return bytes.size() == 16; }
   std::string Describe(Slice pred) const override;
 };
 

@@ -45,6 +45,8 @@ class RtreeExtension : public GistExtension {
   void PickSplit(const std::vector<IndexEntry>& entries,
                  std::vector<bool>* to_right) const override;
   std::string EqQuery(Slice key) const override;
+  bool ValidKey(Slice bytes) const override { return bytes.size() == 32; }
+  bool ValidQuery(Slice bytes) const override { return bytes.size() == 32; }
   std::string Describe(Slice pred) const override;
 };
 

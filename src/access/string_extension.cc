@@ -99,6 +99,16 @@ std::string StringExtension::EqQuery(Slice key) const {
   return key.ToString();
 }
 
+bool StringExtension::ValidKey(Slice bytes) const {
+  if (!ValidQuery(bytes)) return false;
+  const std::string lo = Lo(bytes), hi = Hi(bytes);
+  return lo.size() <= kMaxStringLen && hi.size() <= kMaxStringLen && lo <= hi;
+}
+
+bool StringExtension::ValidQuery(Slice bytes) const {
+  return bytes.size() >= 2 && 2u + DecodeFixed16(bytes.data()) <= bytes.size();
+}
+
 std::string StringExtension::Describe(Slice pred) const {
   if (pred.empty()) return "[empty]";
   return "[\"" + Lo(pred) + "\",\"" + Hi(pred) + "\"]";

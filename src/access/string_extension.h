@@ -35,6 +35,11 @@ class StringExtension : public GistExtension {
   void PickSplit(const std::vector<IndexEntry>& entries,
                  std::vector<bool>* to_right) const override;
   std::string EqQuery(Slice key) const override;
+  /// A key is what MakeKey/MakeRange build: both strings at most
+  /// kMaxStringLen and lo <= hi (Union re-encodes keys through MakeRange).
+  bool ValidKey(Slice bytes) const override;
+  /// A query need only split into lo and hi.
+  bool ValidQuery(Slice bytes) const override;
   std::string Describe(Slice pred) const override;
 };
 

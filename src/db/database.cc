@@ -505,16 +505,17 @@ StatusOr<Rid> Database::InsertRecord(Transaction* txn, Gist* index, Slice key,
   if (txn->is_snapshot()) {
     return Status::InvalidArgument("snapshot transactions are read-only");
   }
+  // Reject the key before the heap insert, which a rejected index insert
+  // would otherwise leave behind in a transaction that goes on to commit.
+  GISTCR_RETURN_IF_ERROR(index->CheckKey(key));
   if (unique) {
     GISTCR_RETURN_IF_ERROR(txns_->Savepoint(txn, "__insert_record"));
   }
   auto rid_or = data_->Insert(txn, record);
   GISTCR_RETURN_IF_ERROR(rid_or.status());
   const Rid rid = rid_or.value();
-  // X lock before the index insertion begins (paper section 6, phase 1).
-  GISTCR_RETURN_IF_ERROR(
-      locks_.Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
-                  LockMode::kExclusive));
+  // The index operation X-locks the record before it touches the tree
+  // (paper section 6, phase 1); so does Delete below.
   Status st = unique ? index->InsertUnique(txn, key, rid)
                      : index->Insert(txn, key, rid);
   if (st.IsDuplicateKey()) {
@@ -533,9 +534,6 @@ Status Database::DeleteRecord(Transaction* txn, Gist* index, Slice key,
   if (txn->is_snapshot()) {
     return Status::InvalidArgument("snapshot transactions are read-only");
   }
-  GISTCR_RETURN_IF_ERROR(
-      locks_.Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
-                  LockMode::kExclusive));
   GISTCR_RETURN_IF_ERROR(index->Delete(txn, key, rid));
   return data_->Delete(txn, rid);
 }

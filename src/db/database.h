@@ -93,10 +93,10 @@ class Database {
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 
-  /// Inserts a data record and indexes it: heap insert, X lock on the new
-  /// Rid (paper section 6 step 1), then the GiST insertion. With \p unique
-  /// a DuplicateKey rolls the heap insert back to a savepoint and leaves
-  /// the transaction usable.
+  /// Inserts a data record and indexes it: Gist::CheckKey, heap insert,
+  /// then the GiST insertion, which X-locks the new Rid first (paper
+  /// section 6 step 1). With \p unique a DuplicateKey rolls the heap insert
+  /// back to a savepoint and leaves the transaction usable.
   StatusOr<Rid> InsertRecord(Transaction* txn, Gist* index, Slice key,
                              Slice record, bool unique = false);
 

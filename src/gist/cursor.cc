@@ -77,6 +77,7 @@ GistCursor::~GistCursor() {
 
 Status GistCursor::Open() {
   GISTCR_CHECK(!open_);
+  GISTCR_RETURN_IF_ERROR(gist_->CheckQuery(query_));
   if (txn_->isolation() == IsolationLevel::kRepeatableRead) {
     GISTCR_RETURN_IF_ERROR(gist_->RegisterGlobalPredicate(
         txn_, spec_.op_id, PredKind::kSearch, query_));

@@ -51,6 +51,13 @@ class GistExtension {
   /// (locate the victim entry) and unique-index probes (paper section 8).
   virtual std::string EqQuery(Slice key) const = 0;
 
+  /// Do \p bytes decode as a leaf key / as a search query? The tree asks
+  /// before an insert, delete or search touches anything (keys and
+  /// queries arrive as raw bytes from the wire), so every other method
+  /// may assume well-formed input.
+  virtual bool ValidKey(Slice bytes) const = 0;
+  virtual bool ValidQuery(Slice bytes) const = 0;
+
   /// Exact key equality. Predicate encodings are canonical in both bundled
   /// extensions, so byte equality is the default.
   virtual bool KeyEquals(Slice a, Slice b) const { return a == b; }

@@ -161,6 +161,66 @@ Status Gist::RegisterGlobalPredicate(Transaction* txn, uint64_t op_id,
   }
 }
 
+Status Gist::CheckKey(Slice key) const {
+  if (key.size() > NodeView::kMaxKeySize) {
+    return Status::InvalidArgument("key too large");
+  }
+  if (!ext_->ValidKey(key)) {
+    return Status::InvalidArgument("key does not decode");
+  }
+  return Status::OK();
+}
+
+Status Gist::CheckQuery(Slice query) const {
+  if (!ext_->ValidQuery(query)) {
+    return Status::InvalidArgument("query does not decode");
+  }
+  return Status::OK();
+}
+
+Status Gist::Write(Transaction* txn, WriteKind kind, Slice key, Rid rid) {
+  const bool del = kind == WriteKind::kDelete;
+  GISTCR_TRACE_SCOPE(del ? "gist.delete" : "gist.insert");
+  obs::TreeScope tree_scope;
+  (del ? stats_.deletes : stats_.inserts).Add(1);
+  const uint64_t op_id = txn->NextOpId();
+  GISTCR_RETURN_IF_ERROR(CheckKey(key));
+
+  // Section 6 step 1: the data record is X-locked before the tree is
+  // touched. Taken here, once, for every caller.
+  GISTCR_RETURN_IF_ERROR(
+      ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
+                       LockMode::kExclusive, /*wait=*/true));
+
+  // Pure predicate locking (ablation): register the key in the global
+  // table, after waiting out conflicting scans (section 4.2).
+  GISTCR_RETURN_IF_ERROR(
+      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
+
+  if (kind == WriteKind::kInsertUnique) {
+    // Search phase (section 8): S-lock any existing duplicate's data
+    // record so the error is repeatable; leave "= key" probe predicates on
+    // every visited node so racing unique inserts of the same value
+    // deadlock rather than both succeeding. InsertCore's DetachOp drops
+    // the probes with its own insert predicate (they share the op id).
+    std::vector<SearchResult> results;
+    GISTCR_RETURN_IF_ERROR(SearchInternal(txn, ext_->EqQuery(key),
+                                          PredKind::kUniqueProbe,
+                                          /*attach=*/true, op_id, &results));
+    for (const SearchResult& r : results) {
+      if (!ext_->KeyEquals(r.key, key)) continue;
+      ctx_.preds->DetachOp(txn->id(), op_id);
+      return Status::DuplicateKey("unique index " +
+                                  std::to_string(opts_.index_id));
+    }
+  }
+
+  TreeLatch tree(&tree_latch_, /*exclusive=*/true,
+                 opts_.protocol == ConcurrencyProtocol::kCoarse);
+  return del ? DeleteCore(txn, key, rid, op_id, &tree)
+             : InsertCore(txn, key, rid, op_id, &tree);
+}
+
 Status Gist::Search(Transaction* txn, Slice query,
                     std::vector<SearchResult>* out) {
   GISTCR_TRACE_SCOPE("gist.search");
@@ -175,6 +235,7 @@ Status Gist::Search(Transaction* txn, Slice query,
 Status Gist::SearchInternal(Transaction* txn, Slice query,
                             PredKind attach_kind, bool attach,
                             uint64_t op_id, std::vector<SearchResult>* out) {
+  GISTCR_RETURN_IF_ERROR(CheckQuery(query));
   // Pure predicate locking (section 4.2, ablation mode): one tree-global
   // check-then-register step before the traversal starts.
   if (attach) {

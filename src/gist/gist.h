@@ -75,14 +75,19 @@ struct SearchResult {
 
 /// Injection points for deterministic interleaving tests (Figure 1 / 2
 /// scenarios). All default to no-ops.
+///
+/// before_root_read and after_root_push fire in PushRoot, the root step of
+/// every traversal: searches, cursors, deletes, and inserts. A test that
+/// sets one and then writes from its own thread must clear it first or
+/// guard it (fire once), or its own inserts run the hook too.
 struct GistTestHooks {
-  std::function<void(PageId leaf)> after_locate_leaf;
   std::function<void(PageId node)> before_visit_node;
   std::function<void()> after_root_push;
   /// Fires in PushRoot between memorizing the global NSN and reading the
   /// root pointer: a root grow run here must leave an NSN above the
   /// memorized value on the old root, so the traversal follows its
-  /// rightlink (the Delete root-step regression test pins that order).
+  /// rightlink (the Delete and insert root-step regression tests pin that
+  /// order).
   std::function<void()> before_root_read;
   /// Crash injection: returning non-OK after the split's page updates but
   /// before its NTA-End aborts the operation mid-structure-modification —
@@ -151,20 +156,32 @@ class Gist {
   Status Search(Transaction* txn, Slice query,
                 std::vector<SearchResult>* out);
 
-  /// INSERT of (key, rid). The caller must already hold the X lock on the
-  /// data record (paper section 6 step 1); Database::Insert does. Blocks on
-  /// conflicting search predicates attached to the target leaf.
-  Status Insert(Transaction* txn, Slice key, Rid rid);
+  /// INSERT of (key, rid). X-locks the data record itself before touching
+  /// the tree (paper section 6 step 1); callers take no lock first. Blocks
+  /// on conflicting search predicates attached to the target leaf.
+  /// InvalidArgument (nothing locked or logged) if CheckKey rejects \p key.
+  Status Insert(Transaction* txn, Slice key, Rid rid) {
+    return Write(txn, WriteKind::kInsert, key, rid);
+  }
 
   /// Unique-index insert (section 8): search phase leaving "= key" probe
   /// predicates, then the regular insert. Returns DuplicateKey (repeatably,
   /// via the S lock on the existing record) if the key exists.
-  Status InsertUnique(Transaction* txn, Slice key, Rid rid);
+  Status InsertUnique(Transaction* txn, Slice key, Rid rid) {
+    return Write(txn, WriteKind::kInsertUnique, key, rid);
+  }
 
   /// DELETE: logical delete — the leaf entry is only marked (section 7);
-  /// garbage collection removes it after the deleter commits. The caller
-  /// must hold the X lock on the data record.
-  Status Delete(Transaction* txn, Slice key, Rid rid);
+  /// garbage collection removes it after the deleter commits. X-locks the
+  /// data record itself, like Insert.
+  Status Delete(Transaction* txn, Slice key, Rid rid) {
+    return Write(txn, WriteKind::kDelete, key, rid);
+  }
+
+  /// InvalidArgument unless \p key fits a node and decodes as a key (or
+  /// \p query as a query) of this tree's extension.
+  Status CheckKey(Slice key) const;
+  Status CheckQuery(Slice query) const;
 
   /// Maintenance sweep (section 7.1-7.2): removes committed-deleted leaf
   /// entries, shrinks parent BPs, and retires empty nodes via the drain
@@ -232,6 +249,15 @@ class Gist {
   Status RegisterGlobalPredicate(Transaction* txn, uint64_t op_id,
                                  PredKind kind, Slice pred);
 
+  enum class WriteKind : uint8_t { kInsert, kInsertUnique, kDelete };
+
+  /// The one write prologue behind Insert, InsertUnique and Delete: trace
+  /// span, tree-stage scope and op counter, CheckKey, the data record's X
+  /// lock (section 6 step 1) and the kGlobal registration. Then it runs
+  /// the operation under the kCoarse tree latch: InsertCore (after the
+  /// section 8 probe, for kInsertUnique) or DeleteCore.
+  Status Write(Transaction* txn, WriteKind kind, Slice key, Rid rid);
+
   // --- search ----------------------------------------------------------
   /// Delete's leaf action (section 7): the live (key, value) to find, and
   /// where VisitNext reports the leaf it was found on and that leaf's NSN
@@ -271,9 +297,11 @@ class Gist {
   Status Traverse(Transaction* txn, const ReadSpec& spec,
                   internal::TreeLatch* tree, std::vector<SearchResult>* out);
 
-  /// Figure 3's root step, shared by Traverse and GistCursor::Open:
-  /// memorize the global NSN, read the root pointer, protect it with a
-  /// signaling lock (not for snapshot reads; see VisitNext), and push it.
+  /// The root step of every traversal (Traverse, GistCursor::Open and
+  /// LocateLeaf): memorize the global NSN, read the root pointer, protect
+  /// it with a signaling lock (not for snapshot reads; see VisitNext), and
+  /// push it. The lint rule root-step-outside-pushroot keeps it the only
+  /// function that both memorizes the NSN and reads the root.
   Status PushRoot(Transaction* txn, std::vector<StackEntry>* stack);
 
   /// Pops and visits one stack entry per Figure 3, shared by Traverse and
@@ -326,8 +354,9 @@ class Gist {
   friend class GistCursor;
 
   // --- insert ----------------------------------------------------------
-  /// Figure 4 locateLeaf: penalty descent with rightlink compensation;
-  /// fills the ancestor stack (bottom = root-most) and returns the leaf
+  /// Figure 4 locateLeaf: PushRoot's root step, then a penalty descent
+  /// with rightlink compensation; fills the ancestor stack (bottom =
+  /// root-most, each node with its NSN as visited) and returns the leaf
   /// X-latched. Signaling locks are taken on every stacked node and the
   /// leaf; the caller releases stack locks at op end (the leaf lock is
   /// kept to end of transaction, section 7.2).
@@ -336,13 +365,15 @@ class Gist {
 
   /// Figure 4 splitNode as one nested top action, splitting ancestors
   /// recursively as needed. \p node stays valid (original page, still
-  /// X-latched) on return.
+  /// X-latched) on return. \p ancestors: how many entries of \p stack
+  /// lie on \p node's root path (its parent is stack[ancestors - 1]).
   Status SplitNode(Transaction* txn, PageGuard* node,
-                   std::vector<StackEntry>* stack, size_t level_idx);
+                   const std::vector<StackEntry>& stack, size_t ancestors);
 
   /// One split step inside an open NTA (no NtaBegin/End of its own).
   Status SplitNodeInNta(Transaction* txn, PageGuard* node,
-                        std::vector<StackEntry>* stack, size_t level_idx);
+                        const std::vector<StackEntry>& stack,
+                        size_t ancestors);
 
   /// Root growth (B-link upward split) inside an open NTA.
   Status GrowRoot(Transaction* txn, PageGuard* root);
@@ -365,14 +396,18 @@ class Gist {
   /// Figure 4 updateBP: recursive upward latching, top-down application on
   /// unwind, one Parent-Entry-Update per level, predicate percolation.
   Status UpdateBp(Transaction* txn, PageGuard* node, const std::string& bp,
-                  std::vector<StackEntry>* stack, size_t level_idx);
+                  const std::vector<StackEntry>& stack, size_t ancestors);
 
-  /// X-latches the parent of \p child using stack[idx], chasing the parent
-  /// rightlink chain if the parent split since it was visited; falls back
-  /// to an exhaustive descent when the root grew.
-  Status LatchParentForChild(Transaction* txn, std::vector<StackEntry>* stack,
-                             size_t idx, PageId child, PageGuard* out);
-  Status FindParentExhaustive(PageId child, PageGuard* out);
+  /// The one parent search of the split and BP-update steps: X-latches
+  /// stack[ancestors - 1], or the node of its rightlink chain now holding
+  /// \p child's entry. With \p ancestors 0, \p out stays empty when
+  /// \p child is the root (the caller's X latch on it holds off a grow).
+  /// If the root grew during the descent, walks the tree instead.
+  /// \p out_ancestors: the ancestors to pass on for the parent (0 when
+  /// found by the walk).
+  Status LatchParentForChild(const std::vector<StackEntry>& stack,
+                             size_t ancestors, PageId child, PageGuard* out,
+                             size_t* out_ancestors);
 
   /// LatchEntryLeaf (gist_apply.h) for the forward path, counting the
   /// rightlinks it follows as traversal restarts.
@@ -383,7 +418,12 @@ class Gist {
   /// splitting. Leaf is X-latched.
   Status LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed);
 
+  /// Insert's body (Figure 4 and section 6 steps 2-6), run by Write.
   Status InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
+                    internal::TreeLatch* tree);
+
+  /// Delete's body (section 7), run by Write.
+  Status DeleteCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
                     internal::TreeLatch* tree);
 
   /// Figure 4 rightlink-chain penalty chase: \p g holds a latched node
@@ -395,7 +435,7 @@ class Gist {
                          Slice key, bool exclusive);
 
   // --- maintenance -----------------------------------------------------
-  /// The one node walker (GC's population snapshot, FindParentExhaustive,
+  /// The one node walker (GC's population snapshot, LatchParentForChild,
   /// DumpEntries): breadth-first over every node reachable from the root
   /// by child pointers and rightlinks, each S-latched alone while
   /// \p visit reads it. \p visit returns false to end the walk.

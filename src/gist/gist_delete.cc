@@ -1,44 +1,25 @@
 #include "gist/gist.h"
 #include "gist/gist_apply.h"
 #include "gist/tree_latch.h"
-#include "obs/op_context.h"
-#include "obs/trace.h"
 #include "storage/fault_injector.h"
 
 namespace gistcr {
 
 using internal::TreeLatch;
 
-// DELETE (paper section 7): locate the (key, rid) leaf entry — a search
-// with an equality predicate, run through the one Figure 3 traversal — and
-// mark it logically deleted. The entry stays physically present (and the
-// parent BPs untouched) so concurrent Degree-3 searches still reach it and
-// block on the record's X lock; garbage collection removes it after this
-// transaction terminates.
-Status Gist::Delete(Transaction* txn, Slice key, Rid rid) {
-  GISTCR_TRACE_SCOPE("gist.delete");
-  obs::TreeScope tree_scope;
-  stats_.deletes.Add(1);
-  const uint64_t op_id = txn->NextOpId();
-
-  // Two-phase X lock on the data record before touching the tree.
-  GISTCR_RETURN_IF_ERROR(
-      ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
-                       LockMode::kExclusive, /*wait=*/true));
-
-  // Pure predicate locking ablation: deletes register their key too
-  // (section 4.2) and wait out conflicting scans up front.
-  GISTCR_RETURN_IF_ERROR(
-      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
-
-  TreeLatch tree(&tree_latch_, /*exclusive=*/true,
-                 opts_.protocol == ConcurrencyProtocol::kCoarse);
-
+// DELETE (paper section 7), run by Write after the shared prologue: locate
+// the (key, rid) leaf entry — a search with an equality predicate, run
+// through the one Figure 3 traversal — and mark it logically deleted. The
+// entry stays physically present (and the parent BPs untouched) so
+// concurrent Degree-3 searches still reach it and block on the record's X
+// lock; garbage collection removes it after this transaction terminates.
+Status Gist::DeleteCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
+                        TreeLatch* tree) {
   const std::string eq = ext_->EqQuery(key);
   EntryTarget target{key, rid.Pack()};
   const ReadSpec spec{eq, PredKind::kSearch, /*hybrid_attach=*/false, op_id,
                       &target};
-  GISTCR_RETURN_IF_ERROR(Traverse(txn, spec, &tree, /*out=*/nullptr));
+  GISTCR_RETURN_IF_ERROR(Traverse(txn, spec, tree, /*out=*/nullptr));
   if (target.found.page == kInvalidPageId) {
     return Status::NotFound("key/rid not in index");
   }

@@ -72,15 +72,13 @@ Status Gist::ChaseForPenalty(Transaction* txn, PageGuard* g, Nsn delimiter,
 
 Status Gist::LocateLeaf(Transaction* txn, Slice key,
                         std::vector<StackEntry>* stack, PageGuard* leaf) {
-  // Memorize BEFORE reading the root pointer (same ordering rule as
-  // PushRoot): a root grow in the window must carry an NSN above the
-  // memorized value or the chase below cannot detect it.
-  Nsn p_nsn = ctx_.nsn->Current();
-  auto root_or = GetRoot();
-  GISTCR_RETURN_IF_ERROR(root_or.status());
-  PageId p = root_or.value();
-  if (p == kInvalidPageId) return Status::NotFound("index has no root");
-  GISTCR_RETURN_IF_ERROR(SignalLock(txn, p));
+  // The root step every traversal takes: PushRoot memorizes the NSN
+  // before it reads the root pointer. Its one entry starts the descent;
+  // the parent stack instead records each node with its NSN as visited.
+  std::vector<StackEntry> root;
+  GISTCR_RETURN_IF_ERROR(PushRoot(txn, &root));
+  PageId p = root[0].page;
+  Nsn p_nsn = root[0].nsn;
   int known_level = -1;  // unknown until the first latch
 
   for (;;) {
@@ -135,47 +133,42 @@ Status Gist::LocateLeaf(Transaction* txn, Slice key,
 // Parent location
 // ---------------------------------------------------------------------
 
-Status Gist::LatchParentForChild(Transaction* txn,
-                                 std::vector<StackEntry>* stack, size_t idx,
-                                 PageId child, PageGuard* out) {
-  (void)txn;
-  PageId pid = (*stack)[idx].page;
-  for (;;) {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/true, &g));
-    NodeView node(g.view().data());
-    if (PageView(g.view().data()).page_type() == PageType::kGistNode &&
-        node.FindByValue(child) >= 0) {
-      *out = std::move(g);
-      return Status::OK();
-    }
-    const PageId rl = node.rightlink();
-    g.Drop();
-    if (rl == kInvalidPageId) {
-      // The entry is not in this chain: the root grew past this level (or
-      // the parent's entry migrated in a way the stack cannot see).
-      return FindParentExhaustive(child, out);
-    }
-    pid = rl;
+Status Gist::LatchParentForChild(const std::vector<StackEntry>& stack,
+                                 size_t ancestors, PageId child,
+                                 PageGuard* out, size_t* out_ancestors) {
+  PageId pid = kInvalidPageId;
+  if (ancestors > 0) {
+    pid = stack[ancestors - 1].page;
+    *out_ancestors = ancestors - 1;
+  } else {
+    // No stacked parent: the child is the root, unless the root grew
+    // since the descent read it.
+    auto root_or = GetRoot();
+    GISTCR_RETURN_IF_ERROR(root_or.status());
+    if (root_or.value() == child) return Status::OK();
   }
-}
-
-Status Gist::FindParentExhaustive(PageId child, PageGuard* out) {
   for (int attempt = 0; attempt < 16; attempt++) {
-    PageId found = kInvalidPageId;
-    GISTCR_RETURN_IF_ERROR(WalkTree([&](PageId pid, const NodeView& node) {
-      if (!node.is_leaf() && node.FindByValue(child) >= 0) found = pid;
-      return found == kInvalidPageId;
-    }));
-    if (found == kInvalidPageId) continue;
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchLatched(found, /*exclusive=*/true, &g));
-    NodeView node(g.view().data());
-    if (PageView(g.view().data()).page_type() == PageType::kGistNode &&
-        node.FindByValue(child) >= 0) {
-      *out = std::move(g);
-      return Status::OK();
+    // The node at pid, or the node of its rightlink chain that took the
+    // child's entry when it split after the entry was seen there.
+    while (pid != kInvalidPageId) {
+      PageGuard g;
+      GISTCR_RETURN_IF_ERROR(FetchLatched(pid, /*exclusive=*/true, &g));
+      NodeView node(g.view().data());
+      const bool is_node =
+          PageView(g.view().data()).page_type() == PageType::kGistNode;
+      if (is_node && node.FindByValue(child) >= 0) {
+        *out = std::move(g);
+        return Status::OK();
+      }
+      pid = is_node ? node.rightlink() : kInvalidPageId;
     }
+    // The entry is not where the stack (or the last walk) saw it: the
+    // root grew past this level during the descent. Walk the tree for it.
+    *out_ancestors = 0;
+    GISTCR_RETURN_IF_ERROR(WalkTree([&](PageId p, const NodeView& node) {
+      if (!node.is_leaf() && node.FindByValue(child) >= 0) pid = p;
+      return pid == kInvalidPageId;
+    }));
   }
   return Status::Corruption("parent of node not found");
 }
@@ -185,7 +178,8 @@ Status Gist::FindParentExhaustive(PageId child, PageGuard* out) {
 // ---------------------------------------------------------------------
 
 Status Gist::SplitNode(Transaction* txn, PageGuard* node,
-                       std::vector<StackEntry>* stack, size_t ancestors) {
+                       const std::vector<StackEntry>& stack,
+                       size_t ancestors) {
   GISTCR_TRACE_SCOPE("gist.split");
   const Lsn nta = ctx_.txns->NtaBegin(txn);
   GISTCR_RETURN_IF_ERROR(SplitNodeInNta(txn, node, stack, ancestors));
@@ -267,32 +261,18 @@ Status Gist::LogSplit(Transaction* txn, SplitPayload* pl, PageGuard* g,
 }
 
 Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
-                            std::vector<StackEntry>* stack,
+                            const std::vector<StackEntry>& stack,
                             size_t ancestors) {
   stats_.splits.Add(1);
   const PageId orig_pid = g->page_id();
-
-  // Root handling: if this node is the current root, grow upward instead
-  // of splitting sideways (a root has no rightlink to inherit).
-  if (ancestors == 0) {
-    auto root_or = GetRoot();
-    GISTCR_RETURN_IF_ERROR(root_or.status());
-    if (root_or.value() == orig_pid) {
-      return GrowRoot(txn, g);
-    }
-    // The root grew during our descent: find the real parent path.
-    PageGuard parent;
-    GISTCR_RETURN_IF_ERROR(FindParentExhaustive(orig_pid, &parent));
-    // Build a one-entry stack for the recursion.
-    std::vector<StackEntry> pstack{{parent.page_id(),
-                                    NodeView(parent.view().data()).nsn()}};
-    parent.Drop();  // LatchParentForChild will re-latch (and chase)
-    return SplitNodeInNta(txn, g, &pstack, 1);
-  }
-
   PageGuard parent;
-  GISTCR_RETURN_IF_ERROR(
-      LatchParentForChild(txn, stack, ancestors - 1, orig_pid, &parent));
+  size_t parent_ancestors = 0;
+  GISTCR_RETURN_IF_ERROR(LatchParentForChild(stack, ancestors, orig_pid,
+                                             &parent, &parent_ancestors));
+  // The root grows upward instead of splitting sideways (a root has no
+  // rightlink to inherit).
+  if (!parent.valid()) return GrowRoot(txn, g);
+
   PageGuard ng;
   SplitPayload pl;
   GISTCR_RETURN_IF_ERROR(PlanSplit(txn, g, &ng, &pl));
@@ -311,23 +291,13 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   for (;;) {
     NodeView pn(parent.view().data());
     if (!NodeIsFull(pn, parent_entry)) break;
-    const size_t parent_ancestors = ancestors - 1;
     GISTCR_RETURN_IF_ERROR(
         SplitNodeInNta(txn, &parent, stack, parent_ancestors));
-    // Our child's entry may have moved to the parent's new sibling; chase.
-    for (;;) {
-      NodeView cur(parent.view().data());
-      if (cur.FindByValue(orig_pid) >= 0) break;
-      const PageId rl = cur.rightlink();
-      GISTCR_CHECK(rl != kInvalidPageId);
-      PageGuard next;
-      // Parent-level rightward chase (split parent moved the child's
-      // entry): left-to-right latch coupling, deadlock-free.
-      // gistcr-lint: allow(io-under-latch)
-      GISTCR_RETURN_IF_ERROR(FetchLatched(rl, /*exclusive=*/true, &next));
-      parent.Drop();
-      parent = std::move(next);
-    }
+    // Our entry may have moved to the parent's new sibling: search again.
+    parent.Drop();
+    GISTCR_RETURN_IF_ERROR(LatchParentForChild(stack, ancestors, orig_pid,
+                                               &parent, &parent_ancestors));
+    GISTCR_CHECK(parent.valid());
   }
 
   GISTCR_RETURN_IF_ERROR(LogSplit(txn, &pl, g, &ng));
@@ -441,64 +411,38 @@ Status Gist::GrowRoot(Transaction* txn, PageGuard* g) {
 // ---------------------------------------------------------------------
 
 Status Gist::UpdateBp(Transaction* txn, PageGuard* g, const std::string& bp,
-                      std::vector<StackEntry>* stack, size_t ancestors) {
+                      const std::vector<StackEntry>& stack,
+                      size_t ancestors) {
   NodeView node(g->view().data());
   if (node.bp() == Slice(bp)) return Status::OK();
   const std::string old_bp = node.bp().ToString();
   const PageId pid = g->page_id();
 
   PageGuard parent;
-  bool have_parent = false;
-  if (ancestors == 0) {
-    auto root_or = GetRoot();
-    GISTCR_RETURN_IF_ERROR(root_or.status());
-    if (root_or.value() != pid) {
-      // Root grew during descent: locate the true parent.
-      GISTCR_RETURN_IF_ERROR(FindParentExhaustive(pid, &parent));
-      have_parent = true;
-    }
-  } else {
-    GISTCR_RETURN_IF_ERROR(
-        LatchParentForChild(txn, stack, ancestors - 1, pid, &parent));
-    have_parent = true;
-  }
-
-  if (!have_parent) {
-    // The node is the root: only its own BP needs the update.
-    LogRecord rec;
-    rec.type = LogRecordType::kParentEntryUpdate;
-    ParentEntryUpdatePayload pp;
-    pp.child_page = pid;
-    pp.parent_page = kInvalidPageId;
-    pp.child_value = pid;
-    pp.new_bp = bp;
-    pp.EncodeTo(&rec.payload);
-    GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
-    return ApplyParentEntryUpdate(pp, rec.lsn, g);
-  }
-
-  // Recurse upward first (latches climb; updates apply on unwind, i.e.
-  // top-down, which is what makes per-level atomic actions loggable in
-  // order — paper sections 6 and 9).
-  {
+  size_t parent_ancestors = 0;
+  GISTCR_RETURN_IF_ERROR(
+      LatchParentForChild(stack, ancestors, pid, &parent, &parent_ancestors));
+  if (parent.valid()) {
+    // Recurse upward first (latches climb; updates apply on unwind, i.e.
+    // top-down, which is what makes per-level atomic actions loggable in
+    // order — paper sections 6 and 9).
     NodeView pn(parent.view().data());
-    const std::string parent_bp = ext_->Union(pn.bp(), bp);
-    const size_t parent_ancestors = ancestors == 0 ? 0 : ancestors - 1;
-    GISTCR_RETURN_IF_ERROR(
-        UpdateBp(txn, &parent, parent_bp, stack, parent_ancestors));
+    GISTCR_RETURN_IF_ERROR(UpdateBp(txn, &parent, ext_->Union(pn.bp(), bp),
+                                    stack, parent_ancestors));
   }
 
   // Apply this level: one redo-only Parent-Entry-Update covering the
-  // child's own BP and its slot in the parent.
+  // child's own BP and its slot in the parent (the root has none).
   LogRecord rec;
   rec.type = LogRecordType::kParentEntryUpdate;
   ParentEntryUpdatePayload pp;
   pp.child_page = pid;
-  pp.parent_page = parent.page_id();
+  pp.parent_page = parent.valid() ? parent.page_id() : kInvalidPageId;
   pp.child_value = pid;
   pp.new_bp = bp;
   pp.EncodeTo(&rec.payload);
   GISTCR_RETURN_IF_ERROR(ctx_.txns->AppendTxnLog(txn, &rec));
+  if (!parent.valid()) return ApplyParentEntryUpdate(pp, rec.lsn, g);
   GISTCR_RETURN_IF_ERROR(ApplyParentEntryUpdate(pp, rec.lsn, &parent));
   GISTCR_RETURN_IF_ERROR(ApplyParentEntryUpdate(pp, rec.lsn, g));
 
@@ -566,38 +510,12 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
   return Status::OK();
 }
 
-Status Gist::Insert(Transaction* txn, Slice key, Rid rid) {
-  GISTCR_TRACE_SCOPE("gist.insert");
-  obs::TreeScope tree_scope;
-  stats_.inserts.Add(1);
-  if (key.size() > NodeView::kMaxKeySize) {
-    return Status::InvalidArgument("key too large");
-  }
-  const uint64_t op_id = txn->NextOpId();
-
-  // Phase 1 (section 6): the data record is X-locked before the tree
-  // insertion is initiated. Reentrant if the Database facade already did.
-  GISTCR_RETURN_IF_ERROR(
-      ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
-                       LockMode::kExclusive, /*wait=*/true));
-
-  // Pure predicate locking (ablation): verify against the global table and
-  // register the key before touching the tree (section 4.2).
-  GISTCR_RETURN_IF_ERROR(
-      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
-
-  TreeLatch tree(&tree_latch_, /*exclusive=*/true,
-                 opts_.protocol == ConcurrencyProtocol::kCoarse);
-  return InsertCore(txn, key, rid, op_id, &tree);
-}
-
 Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
                         TreeLatch* tree) {
   std::vector<StackEntry> stack;
   std::vector<PageId> extra_signal_locks;  // non-final leaves visited
   PageGuard leaf;
   GISTCR_RETURN_IF_ERROR(LocateLeaf(txn, key, &stack, &leaf));
-  if (hooks_.after_locate_leaf) hooks_.after_locate_leaf(leaf.page_id());
 
   IndexEntry entry;
   entry.key = key.ToString();
@@ -618,7 +536,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
     if (node.count() < 2) {
       return Status::InvalidArgument("entry does not fit on an empty node");
     }
-    GISTCR_RETURN_IF_ERROR(SplitNode(txn, &leaf, &stack, stack.size()));
+    GISTCR_RETURN_IF_ERROR(SplitNode(txn, &leaf, stack, stack.size()));
     // The split distributed only the pre-existing entries (Figure 4); the
     // new key belongs on whichever side has the lower insert penalty —
     // the same placement [HNP95]'s split-with-new-entry produces, and what
@@ -662,7 +580,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
     if (node.bp().empty() || !ext_->Contains(node.bp(), key)) {
       const std::string union_bp = ext_->Union(node.bp(), key);
       GISTCR_RETURN_IF_ERROR(
-          UpdateBp(txn, &leaf, union_bp, &stack, stack.size()));
+          UpdateBp(txn, &leaf, union_bp, stack, stack.size()));
     }
   }
 
@@ -732,48 +650,6 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
   // serialize against the physically present entry's record lock.
   ctx_.preds->DetachOp(txn->id(), op_id);
   return Status::OK();
-}
-
-Status Gist::InsertUnique(Transaction* txn, Slice key, Rid rid) {
-  const uint64_t op_id = txn->NextOpId();
-  const std::string eq = ext_->EqQuery(key);
-
-  // Search phase (section 8): S-lock any existing duplicate's data record
-  // so the error is repeatable; leave "= key" probe predicates on every
-  // visited node so racing unique inserts of the same value deadlock
-  // rather than both succeeding.
-  std::vector<SearchResult> results;
-  Status st = SearchInternal(txn, eq, PredKind::kUniqueProbe,
-                             /*attach=*/true, op_id, &results);
-  if (!st.ok()) {
-    return st;
-  }
-  for (const SearchResult& r : results) {
-    if (ext_->KeyEquals(r.key, key)) {
-      // Duplicate found: the S lock on its record makes the error
-      // repeatable; the probe predicates are no longer needed.
-      ctx_.preds->DetachOp(txn->id(), op_id);
-      (void)r;
-      return Status::DuplicateKey("unique index " +
-                                  std::to_string(opts_.index_id));
-    }
-  }
-
-  stats_.inserts.Add(1);
-  GISTCR_RETURN_IF_ERROR(
-      ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
-                       LockMode::kExclusive, /*wait=*/true));
-  GISTCR_RETURN_IF_ERROR(
-      RegisterGlobalPredicate(txn, op_id, PredKind::kInsert, key));
-  TreeLatch tree(&tree_latch_, /*exclusive=*/true,
-                 opts_.protocol == ConcurrencyProtocol::kCoarse);
-  st = InsertCore(txn, key, rid, op_id, &tree);
-  if (st.ok()) {
-    // Releases the probe predicates left by the search phase (the insert
-    // predicate shares the op id and was released by InsertCore already).
-    ctx_.preds->DetachOp(txn->id(), op_id);
-  }
-  return st;
 }
 
 }  // namespace gistcr

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
@@ -254,6 +255,128 @@ TEST_F(SplitDetectionTest, DeleteRootStepSeesRootGrow) {
   std::set<int64_t> found;
   for (const auto& r : results) found.insert(BtreeExtension::Lo(r.key));
   EXPECT_EQ(found, (std::set<int64_t>{0, 1, 2, 4}));
+  EXPECT_OK(gist_->CheckInvariants());
+}
+
+TEST_F(SplitDetectionTest, InsertRootStepSeesRootGrow) {
+  // An insert takes the same root step (PushRoot): memorize the global
+  // NSN, then read the root pointer. A root grow in between moves keys 2
+  // and 3 to the old root's new sibling; the memorized value lies below
+  // the old root's new NSN, so the descent chases the rightlink and puts
+  // key 10 on the chain's minimum-penalty leaf, the sibling. Read in the
+  // other order, the memorized value already covers the grow: the insert
+  // stops at the shrunken old root and widens it over the sibling's range.
+  Transaction* setup = db_->Begin();
+  for (int64_t k = 0; k < 4; k++) Insert(setup, k);
+  ASSERT_OK(db_->Commit(setup));
+  const PageId old_root = gist_->root_hint();
+
+  std::atomic<bool> fired{false};
+  gist_->test_hooks().before_root_read = [&] {
+    if (fired.exchange(true)) return;
+    // A fifth key overfills the root leaf: the root grows; keys 2-4 end
+    // up on the new sibling, 0 and 1 on the old root.
+    std::thread grower([&] {
+      Transaction* txn = db_->Begin();
+      Insert(txn, 4);
+      ASSERT_OK(db_->Commit(txn));
+    });
+    grower.join();
+  };
+
+  Transaction* inserter = db_->Begin();
+  auto rid_or =
+      db_->InsertRecord(inserter, gist_, BtreeExtension::MakeKey(10), "v");
+  gist_->test_hooks().before_root_read = nullptr;
+  ASSERT_OK(rid_or.status());
+  ASSERT_OK(db_->Commit(inserter));
+  ASSERT_TRUE(fired.load());
+
+  // The scenario held: the root grew and the old root kept keys 0 and 1.
+  ASSERT_NE(gist_->root_hint(), old_root);
+  const NodeInfo old_info = ReadNode(old_root);
+  ASSERT_NE(old_info.rightlink, kInvalidPageId);
+  auto holds_key_10 = [&](PageId pid) {
+    auto fr = db_->pool()->Fetch(pid);
+    EXPECT_TRUE(fr.ok());
+    PageGuard g(db_->pool(), fr.value());
+    g.RLatch();
+    return NodeView(g.view().data())
+               .FindByKeyValue(BtreeExtension::MakeKey(10),
+                               rid_or.value().Pack()) >= 0;
+  };
+  EXPECT_TRUE(holds_key_10(old_info.rightlink))
+      << "key 10 is not on the minimum-penalty leaf";
+  EXPECT_FALSE(holds_key_10(old_root));
+
+  Transaction* reader = db_->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist_->Search(reader, BtreeExtension::MakeRange(0, 20), &results));
+  ASSERT_OK(db_->Commit(reader));
+  std::set<int64_t> found;
+  for (const auto& r : results) found.insert(BtreeExtension::Lo(r.key));
+  EXPECT_EQ(found, (std::set<int64_t>{0, 1, 2, 3, 4, 10}));
+  EXPECT_OK(gist_->CheckInvariants());
+}
+
+TEST_F(SplitDetectionTest, InsertAfterRootGrowFindsParentsWithoutStack) {
+  // Cross-path check of the one parent search (LatchParentForChild). An
+  // insert reads the root pointer while the root is a leaf and then waits
+  // for the root's signaling lock. Meanwhile the root grows and the leaf
+  // the insert will choose fills up. The insert resumes with an empty
+  // parent stack and must split a non-root leaf: the split and the BP
+  // update after it each find their parent although the stack has none.
+  Transaction* setup = db_->Begin();
+  for (int64_t k = 0; k < 4; k++) Insert(setup, k);
+  ASSERT_OK(db_->Commit(setup));
+  const PageId old_root = gist_->root_hint();
+
+  // The grower X-locks the root leaf's signaling lock (its own inserts
+  // still pass: they hold it), so the insert stops on its S request, just
+  // after its root step and before it latches the root.
+  Transaction* grower = db_->Begin();
+  ASSERT_OK(db_->locks()->Lock(grower->id(),
+                               LockName{LockSpace::kNode, old_root},
+                               LockMode::kExclusive));
+  Transaction* inserter = db_->Begin();
+  Status insert_status;
+  std::thread t([&] {
+    insert_status =
+        db_->InsertRecord(inserter, gist_, BtreeExtension::MakeKey(10), "v")
+            .status();
+  });
+  bool waiting = false;
+  for (int i = 0; i < 10000 && !waiting; i++) {
+    for (const auto& [waiter, holder] : db_->locks()->WaitEdges()) {
+      waiting |= waiter == inserter->id() && holder == grower->id();
+    }
+    if (!waiting) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(waiting) << "the insert never waited on the root";
+
+  // Key 4 grows the root: 0 and 1 stay on the old root, 2-4 go to the new
+  // sibling, which key 5 fills. That sibling has the lower penalty for 10.
+  Insert(grower, 4);
+  Insert(grower, 5);
+  EXPECT_OK(db_->Commit(grower));  // no ASSERT before the join
+  t.join();
+  ASSERT_OK(insert_status);
+  ASSERT_OK(db_->Commit(inserter));
+
+  // One root grow, then the insert's split of the full non-root leaf: a
+  // root of height 1 over three leaves.
+  EXPECT_EQ(gist_->stats().root_grows.load(), 1u);
+  const NodeInfo root = ReadNode(gist_->root_hint());
+  EXPECT_EQ(root.level, 1u);
+  EXPECT_EQ(root.count, 3u);
+
+  Transaction* reader = db_->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist_->Search(reader, BtreeExtension::MakeRange(0, 20), &results));
+  ASSERT_OK(db_->Commit(reader));
+  std::set<int64_t> found;
+  for (const auto& r : results) found.insert(BtreeExtension::Lo(r.key));
+  EXPECT_EQ(found, (std::set<int64_t>{0, 1, 2, 3, 4, 5, 10}));
   EXPECT_OK(gist_->CheckInvariants());
 }
 

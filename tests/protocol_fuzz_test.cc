@@ -9,6 +9,7 @@
 #include "access/btree_extension.h"
 #include "client/client.h"
 #include "db/database.h"
+#include "gist/node.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "server/server.h"
@@ -307,6 +308,65 @@ TEST_F(ProtocolFuzzTest, RandomFrameFuzz) {
   }
   SanityProbe();
   EXPECT_TRUE(db_->txns()->ActiveTxns().empty());
+}
+
+TEST_F(ProtocolFuzzTest, UndecodableKeysAndQueries) {
+  // Keys and queries reach the extension as raw client bytes. A B-tree
+  // key or query is exactly 16 bytes; a request with any other length, or
+  // with a key too large for a node, must get an InvalidArgument frame
+  // (not abort the server in the extension's decoder), plain and unique,
+  // and leave the connection usable. The tree gets internal nodes first,
+  // so searches and deletes compare the query on the way down.
+  Gist* gist = db_->GetIndex(1).value();
+  Rid rid;
+  {
+    Transaction* txn = db_->Begin();
+    for (int64_t k = 0; k < 2000; k++) {
+      auto rid_or =
+          db_->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "v");
+      ASSERT_OK(rid_or.status());
+      rid = rid_or.value();
+    }
+    ASSERT_OK(db_->Commit(txn));
+  }
+  auto height_or = gist->Height();
+  ASSERT_OK(height_or.status());
+  ASSERT_GT(height_or.value(), 1u);
+
+  const std::string bad[] = {"", "abc", std::string(15, 'k'),
+                             std::string(17, 'k'),
+                             std::string(NodeView::kMaxKeySize + 1, 'k')};
+  auto invalid = [](const Status& st) {
+    return st.code() == Status::Code::kInvalidArgument;
+  };
+  ClientOptions copts;
+  copts.port = server_->port();
+  Client c(copts);
+  for (const std::string& bytes : bad) {
+    const size_t n = bytes.size();
+    for (bool unique : {false, true}) {
+      EXPECT_TRUE(invalid(c.Insert(1, bytes, "r", unique).status()))
+          << n << "-byte key, unique=" << unique;
+    }
+    EXPECT_TRUE(invalid(c.Delete(1, bytes, rid.Pack()))) << n << "-byte key";
+    EXPECT_TRUE(invalid(c.Search(1, bytes).status())) << n << "-byte query";
+  }
+  auto ok_or = c.Insert(1, BtreeExtension::MakeKey(5000), "fine");
+  ASSERT_OK(ok_or.status());
+  auto found_or = c.Search(1, BtreeExtension::MakeKey(5000));
+  ASSERT_OK(found_or.status());
+  ASSERT_EQ(found_or.value().size(), 1u);
+  EXPECT_EQ(found_or.value()[0].rid, ok_or.value());
+
+  // Embedded: the key is rejected before the heap insert, so the
+  // transaction logs nothing and a commit keeps no orphan record.
+  Transaction* txn = db_->Begin();
+  const Lsn before = txn->last_lsn();
+  EXPECT_TRUE(invalid(db_->InsertRecord(txn, gist, "abc", "r").status()));
+  EXPECT_TRUE(invalid(
+      db_->InsertRecord(txn, gist, bad[4], "r", /*unique=*/true).status()));
+  EXPECT_EQ(txn->last_lsn(), before);
+  ASSERT_OK(db_->Commit(txn));
 }
 
 }  // namespace

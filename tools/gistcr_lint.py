@@ -134,6 +134,14 @@ Rules
       else is a second copy of some record's effect, free to drift from
       what redo repeats.
 
+  root-step-outside-pushroot
+      A function body in src/ that reads both the global NSN counter
+      (`nsn->Current()`) and the root pointer (`GetRoot()`) must be
+      PushRoot. The root step's order (memorize the NSN, then read the
+      root) is what makes a root grow in between visible; every traversal
+      takes it from PushRoot, so the order lives in one function and a
+      second copy cannot drift from it (DESIGN.md section 13).
+
 Escape hatches
 --------------
   // gistcr-lint: allow(<rule>)        on the offending line or the line
@@ -176,6 +184,7 @@ RULES = (
     "redo-appends-wal",
     "env-override",
     "page-lsn-outside-apply",
+    "root-step-outside-pushroot",
 )
 
 # --- directive extraction & source stripping -------------------------------
@@ -784,7 +793,7 @@ def write_dot(graph, registry, out_path):
 
 LATCH_ACQ_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(?:WLatch|RLatch|TryWLatch)\s*\(")
 # Any call that takes the address of a local PageGuard latches it on
-# success (FetchLatched, FindParentExhaustive, LatchParentForChild, ...).
+# success (FetchLatched, LatchParentForChild, LatchEntryLeaf, ...).
 ADDR_OF_GUARD_RE = re.compile(r"&\s*(\w+)\s*[,)]")
 LATCH_REL_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(?:Unlatch|Drop)\s*\(")
 GUARD_DECL_RE = re.compile(r"\bPageGuard\s+(\w+)\s*[;({=]")
@@ -839,6 +848,12 @@ APPLY_SIG_RE = re.compile(
     r"^\s*[\w:<>,*&\s]*?\b(?:\w+::)?(Apply\w*)\s*\(")
 PAGE_LSN_WRITE_RE = re.compile(r"\bset_page_lsn\s*\(")
 PAGE_LSN_DEF_RE = re.compile(r"\bvoid\s+set_page_lsn\s*\(")
+# root-step-outside-pushroot: any function definition (the name group is
+# what function_bodies reports) that both memorizes the NSN counter and
+# reads the root pointer.
+FUNC_SIG_RE = re.compile(r"^\s*[\w:<>,*&\s]*?\b(?:\w+::)?(\w+)\s*\(")
+NSN_CURRENT_RE = re.compile(r"\bnsn\s*(?:\(\s*\))?\s*->\s*Current\s*\(")
+GET_ROOT_RE = re.compile(r"\bGetRoot\s*\(")
 PREDICATE_ATTACH_RE = re.compile(
     r"(?:\.|->)\s*Attach(?:AndFindConflicts|Predicate)?\s*\("
     r"|\bSignalLock\s*\(")
@@ -1129,6 +1144,7 @@ class FileLinter:
         self.check_redo_paths(lines, per_line_allows, file_allows)
         self.check_env_reads(lines, per_line_allows, file_allows)
         self.check_page_lsn_writes(lines, per_line_allows, file_allows)
+        self.check_root_steps(lines, per_line_allows, file_allows)
         return self.findings
 
     def check_snapshot_paths(self, lines, per_line_allows, file_allows):
@@ -1194,6 +1210,27 @@ class FileLinter:
                 k + 1, rule,
                 "page LSN written outside an Apply* applier; append the "
                 "record, then call its applier (DESIGN.md section 10)",
+            ))
+
+    def check_root_steps(self, lines, per_line_allows, file_allows):
+        """Second pass: root-step-outside-pushroot. Reports the function's
+        first root-pointer read."""
+        rule = "root-step-outside-pushroot"
+        for name, i, j in function_bodies(lines, FUNC_SIG_RE):
+            if name == "PushRoot":
+                continue
+            body = range(i, j)
+            if not any(NSN_CURRENT_RE.search(lines[k]) for k in body):
+                continue
+            k = next((k for k in body if GET_ROOT_RE.search(lines[k])), None)
+            if k is None or rule in file_allows or \
+                    rule in per_line_allows.get(k + 1, set()):
+                continue
+            self.findings.append((
+                k + 1, rule,
+                f"'{name}' memorizes the NSN and reads the root pointer "
+                "itself; take the root step from PushRoot (DESIGN.md "
+                "section 13)",
             ))
 
     def check_env_reads(self, lines, per_line_allows, file_allows):
