@@ -38,21 +38,21 @@ enum class LockRank : uint16_t {
   kGistGc = 200,
   kTreeLatch = 250,
 
-  // Heap-chain tail maintenance serializer (held across tail page latches
-  // and allocator calls in DataStore::Insert/GrowChain).
+  // Heap insert serializer: DataStore::Insert holds it across the insert
+  // page's latch and, to allocate a fresh insert page, the allocator.
   kDataStore = 300,
 
   // Page latches, ranked by page type. Same-rank re-acquisition is the
   // latch-coupling allowance; the top-down/left-right order *within* the
   // rank is the tree protocol's job (NSN/rightlink), not the hierarchy's.
   // Fresh pages (PageType::kFree, just returned by NewPage) classify as
-  // kNodeLatch: they are only ever latched alongside tree pages (splits,
-  // root growth) or under the data-store mutex (chain growth).
+  // kNodeLatch: they are latched alongside tree pages (splits, root
+  // growth) or alone (a fresh heap insert page).
   kNodeLatch = 350,  // coupling
   kMetaLatch = 400,
   kAllocator = 420,
   kBitmapLatch = 450,
-  kHeapLatch = 470,  // coupling
+  kHeapLatch = 470,
 
   // Buffer-pool shard mutex: taken by Fetch/NewPage/Unpin while page
   // latches are held (latch-coupling descent pins children), never held
@@ -108,8 +108,7 @@ enum class LockRank : uint16_t {
 
 /// Same-rank re-acquisition allowance (hand-over-hand coupling).
 constexpr bool RankAllowsCoupling(LockRank r) {
-  return r == LockRank::kNodeLatch || r == LockRank::kHeapLatch ||
-         r == LockRank::kScratch;
+  return r == LockRank::kNodeLatch || r == LockRank::kScratch;
 }
 
 }  // namespace gistcr

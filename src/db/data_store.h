@@ -18,25 +18,20 @@ namespace gistcr {
 /// locks these Rids (paper section 4.3). Inserts append; deletes set a
 /// tombstone (undo clears it; undo of an insert sets it) — both logged as
 /// Heap-Insert / Heap-Delete records with page-oriented redo/undo.
+///
+/// A record is reached only through its Rid, so heap pages are not linked
+/// to each other. The store appends to one insert page, kept in memory;
+/// when it has none (after Create or Open) or the page is full, it
+/// allocates a fresh one.
 class DataStore {
  public:
   DataStore(BufferPool* pool, TransactionManager* txns, PageAllocator* alloc)
       : pool_(pool), txns_(txns), alloc_(alloc) {}
   GISTCR_DISALLOW_COPY_AND_ASSIGN(DataStore);
 
-  /// mkfs: allocates and formats the first heap page. Returns its id for
-  /// the meta page (unlogged; runs before the first log record).
-  StatusOr<PageId> CreateFresh(PageId first_page);
-
-  /// Opens an existing store: walks the chain from \p head to find the
-  /// tail. Instant restart passes \p tail_hint (the tail computed by log
-  /// analysis) to skip the walk entirely — fetching every chain page here
-  /// would force their inline redo and defeat the instant open.
-  Status Open(PageId head, PageId tail_hint = kInvalidPageId);
-
-  /// Appends a record on behalf of \p txn. Does not lock the Rid (the
-  /// Database facade X-locks it *before* initiating the index insertion,
-  /// paper section 6 step 1).
+  /// Appends a record on behalf of \p txn. Does not lock the Rid: the
+  /// index operation's write prologue (Gist::Write) X-locks it before it
+  /// touches the tree (paper section 6 step 1).
   StatusOr<Rid> Insert(Transaction* txn, Slice record);
 
   /// Tombstones the record.
@@ -54,27 +49,19 @@ class DataStore {
   static Status ApplyDeleteMark(const HeapOpPayload& pl, bool deleted,
                                 Lsn lsn, PageGuard* g);
 
-  PageId head() const { return head_; }
-  /// Current chain tail (checkpoints persist it as the instant-restart
-  /// tail hint).
-  PageId tail() {
-    MutexLock l(mu_);
-    return tail_;
-  }
-
  private:
-  /// Extends the chain with a freshly allocated page (runs as a nested top
-  /// action: Get-Page + Rightlink-Update + NTA-End).
-  Status GrowChain(Transaction* txn) GISTCR_REQUIRES(mu_);
+  /// Allocates and formats a fresh insert page. The allocation is a
+  /// nested top action (Get-Page + NTA-End): other transactions' records
+  /// land on the page too, so it stays allocated if \p txn aborts. The
+  /// format is unlogged; redo formats the page on its first Heap-Insert.
+  Status NewInsertPage(Transaction* txn) GISTCR_REQUIRES(mu_);
 
   BufferPool* pool_;
   TransactionManager* txns_;
   PageAllocator* alloc_;
 
-  Mutex mu_{GISTCR_LOCK_RANK(kDataStore, "data.mu")};  ///< Serializes tail maintenance.
-  /// Set once by CreateFresh/Open before concurrent use; read-only after.
-  PageId head_ = kInvalidPageId;
-  PageId tail_ GISTCR_GUARDED_BY(mu_) = kInvalidPageId;
+  Mutex mu_{GISTCR_LOCK_RANK(kDataStore, "data.mu")};  ///< Serializes inserts.
+  PageId insert_page_ GISTCR_GUARDED_BY(mu_) = kInvalidPageId;
 };
 
 }  // namespace gistcr

@@ -109,8 +109,8 @@ Status Database::InitCommon() {
   nsn_ = std::make_unique<GlobalNsn>(opts_.nsn_source, &log_);
   alloc_ = std::make_unique<PageAllocator>(pool_.get(), txns_.get());
   data_ = std::make_unique<DataStore>(pool_.get(), txns_.get(), alloc_.get());
-  recovery_ = std::make_unique<RecoveryManager>(
-      pool_.get(), &log_, txns_.get(), data_.get(), nsn_.get(), &mvcc_);
+  recovery_ = std::make_unique<RecoveryManager>(pool_.get(), &log_,
+                                               txns_.get(), nsn_.get(), &mvcc_);
   txns_->SetUndoApplier(recovery_.get());
   // Re-point every remaining component at this instance's registry (they
   // start on the process fallback). Done before any of *their* worker
@@ -238,6 +238,7 @@ StatusOr<std::unique_ptr<Database>> Database::Create(
 
   // Format the meta page and the allocation bitmaps (mkfs; flushed below,
   // so restart recovery never needs to reconstruct them from scratch).
+  // Nothing is logged: the heap allocates its first page on first insert.
   {
     auto frame_or = db->pool_->NewPage(MetaView::kMetaPageId);
     GISTCR_RETURN_IF_ERROR(frame_or.status());
@@ -249,24 +250,6 @@ StatusOr<std::unique_ptr<Database>> Database::Create(
   }
   GISTCR_RETURN_IF_ERROR(db->alloc_->FormatFresh());
 
-  // First heap page, through a bootstrap transaction (the Get-Page record
-  // is logged and harmless to redo).
-  {
-    Transaction* boot = db->txns_->Begin(IsolationLevel::kReadCommitted);
-    auto pid_or = db->alloc_->Allocate(boot);
-    GISTCR_RETURN_IF_ERROR(pid_or.status());
-    auto head_or = db->data_->CreateFresh(pid_or.value());
-    GISTCR_RETURN_IF_ERROR(head_or.status());
-    {
-      auto frame_or = db->pool_->Fetch(MetaView::kMetaPageId);
-      GISTCR_RETURN_IF_ERROR(frame_or.status());
-      PageGuard guard(db->pool_.get(), frame_or.value());
-      guard.WLatch();
-      MetaView(guard.view().data()).set_heap_head(head_or.value());
-      guard.frame()->MarkDirty(boot->last_lsn());
-    }
-    GISTCR_RETURN_IF_ERROR(db->txns_->Commit(boot));
-  }
   GISTCR_RETURN_IF_ERROR(db->FlushAll());
   db->StartMaintenance();
   db->StartWriter();
@@ -291,21 +274,15 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
   // redo) but never has to wait for the whole log.
   GISTCR_RETURN_IF_ERROR(db->recovery_->StartInstant(ckpt));
 
-  // Attach the heap store. Reading the meta page inline-redoes just that
-  // page; the analysis-computed tail hint keeps DataStore::Open from
-  // walking (and so redoing) the whole heap chain.
+  // An image whose meta page lacks the magic is not a database. Reading
+  // the meta page inline-redoes just that page.
   {
     auto frame_or = db->pool_->Fetch(MetaView::kMetaPageId);
     GISTCR_RETURN_IF_ERROR(frame_or.status());
     PageGuard guard(db->pool_.get(), frame_or.value());
     guard.RLatch();
-    MetaView meta(guard.view().data());
-    if (!meta.valid()) return Status::Corruption("bad meta page");
-    const PageId head = meta.heap_head();
-    guard.Drop();
-    if (head != kInvalidPageId) {
-      GISTCR_RETURN_IF_ERROR(
-          db->data_->Open(head, db->recovery_->HeapTailHint()));
+    if (!MetaView(guard.view().data()).valid()) {
+      return Status::Corruption("bad meta page");
     }
   }
   db->metrics_.GetGauge("recovery.time_to_open_ns")
@@ -508,25 +485,28 @@ StatusOr<Rid> Database::InsertRecord(Transaction* txn, Gist* index, Slice key,
   // Reject the key before the heap insert, which a rejected index insert
   // would otherwise leave behind in a transaction that goes on to commit.
   GISTCR_RETURN_IF_ERROR(index->CheckKey(key));
+  // A unique insert rolls its heap insert back to a savepoint on a
+  // duplicate, and pops that savepoint again on every return.
   if (unique) {
     GISTCR_RETURN_IF_ERROR(txns_->Savepoint(txn, "__insert_record"));
   }
   auto rid_or = data_->Insert(txn, record);
-  GISTCR_RETURN_IF_ERROR(rid_or.status());
-  const Rid rid = rid_or.value();
+  Status st = rid_or.status();
   // The index operation X-locks the record before it touches the tree
   // (paper section 6, phase 1); so does Delete below.
-  Status st = unique ? index->InsertUnique(txn, key, rid)
-                     : index->Insert(txn, key, rid);
-  if (st.IsDuplicateKey()) {
-    // Roll the heap insert back; the transaction stays usable and the
-    // duplicate error is repeatable (S lock on the existing record).
-    GISTCR_RETURN_IF_ERROR(
-        txns_->RollbackToSavepoint(txn, "__insert_record"));
-    return st;
+  if (st.ok()) {
+    st = unique ? index->InsertUnique(txn, key, rid_or.value())
+                : index->Insert(txn, key, rid_or.value());
   }
+  if (st.IsDuplicateKey()) {
+    // The transaction stays usable and the duplicate error is repeatable
+    // (S lock on the existing record).
+    const Status undo = txns_->RollbackToSavepoint(txn, "__insert_record");
+    if (!undo.ok()) st = undo;
+  }
+  if (unique) txn->savepoints().pop_back();
   GISTCR_RETURN_IF_ERROR(st);
-  return rid;
+  return rid_or;
 }
 
 Status Database::DeleteRecord(Transaction* txn, Gist* index, Slice key,

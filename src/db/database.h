@@ -96,7 +96,8 @@ class Database {
   /// Inserts a data record and indexes it: Gist::CheckKey, heap insert,
   /// then the GiST insertion, which X-locks the new Rid first (paper
   /// section 6 step 1). With \p unique a DuplicateKey rolls the heap insert
-  /// back to a savepoint and leaves the transaction usable.
+  /// back to a savepoint and leaves the transaction usable; the call
+  /// leaves the transaction's savepoints as it found them.
   StatusOr<Rid> InsertRecord(Transaction* txn, Gist* index, Slice key,
                              Slice record, bool unique = false);
 

@@ -12,7 +12,7 @@ namespace gistcr {
 /// Heap data-store page layout (after the common page header):
 ///   [0..1] slot_count
 ///   [2..3] heap_begin (page offset of the low end of the record heap)
-///   [4..7] next_page  (heap pages form a singly linked chain)
+///   [4..7] unused
 ///   slot array (6 bytes/slot): off u16 | len u16 | flags u16
 ///   record heap grows down from the page end.
 /// Records are immutable; deletes set the kDeletedFlag tombstone (undo of a
@@ -33,7 +33,6 @@ class HeapPageView {
     pv.Format(self, PageType::kHeap);
     set_count(0);
     set_heap_begin(static_cast<uint16_t>(kPageSize));
-    set_next(kInvalidPageId);
   }
 
   bool IsFormatted() const {
@@ -41,8 +40,6 @@ class HeapPageView {
   }
 
   uint16_t count() const { return DecodeFixed16(d_ + kHeapHeaderOffset); }
-  PageId next() const { return DecodeFixed32(d_ + kHeapHeaderOffset + 4); }
-  void set_next(PageId p) { EncodeFixed32(d_ + kHeapHeaderOffset + 4, p); }
 
   bool HasSpaceFor(size_t len) const {
     const uint32_t slots_end = kSlotArrayOffset + count() * kSlotSize;

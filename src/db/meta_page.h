@@ -12,7 +12,7 @@ namespace gistcr {
 /// page header:
 ///   [0..3]   magic
 ///   [4..7]   num_bitmap_pages
-///   [8..11]  heap_head (first heap data page; fixed at creation)
+///   [8..11]  unused
 ///   [12..]   index root table: kMaxIndexes x {index_id u32, root u32}
 ///
 /// Root pointers move when a root grows (paper: root split); those updates
@@ -31,7 +31,6 @@ class MetaView {
     pv.Format(kMetaPageId, PageType::kMeta);
     EncodeFixed32(p(), kMagic);
     EncodeFixed32(p() + 4, num_bitmap_pages);
-    EncodeFixed32(p() + 8, kInvalidPageId);
     for (uint32_t i = 0; i < kMaxIndexes; i++) {
       EncodeFixed32(p() + 12 + i * 8, 0);
       EncodeFixed32(p() + 12 + i * 8 + 4, kInvalidPageId);
@@ -40,9 +39,6 @@ class MetaView {
 
   bool valid() const { return DecodeFixed32(p()) == kMagic; }
   uint32_t num_bitmap_pages() const { return DecodeFixed32(p() + 4); }
-
-  PageId heap_head() const { return DecodeFixed32(p() + 8); }
-  void set_heap_head(PageId pid) { EncodeFixed32(p() + 8, pid); }
 
   /// Root page of \p index_id, or kInvalidPageId if the index is absent.
   PageId GetRoot(uint32_t index_id) const {

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "db/heap_page.h"
 #include "db/meta_page.h"
 #include "gist/node.h"
 
@@ -137,17 +136,14 @@ Status ApplyGarbageCollection(const GarbageCollectionPayload& pl, Lsn lsn,
 
 Status ApplyRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
                             PageGuard* g) {
-  if (g->view().page_type() == PageType::kHeap) {
-    HeapPageView(g->view().data()).set_next(pl.new_rightlink);
-  } else if (g->view().page_type() == PageType::kGistNode) {
-    // Node deletion rewires the victim's one inbound link, which the
-    // record names.
-    if (!NodeView(g->view().data())
-             .SwapRightlink(pl.old_rightlink, pl.new_rightlink)) {
-      return Corrupt("rightlink update: link moved");
-    }
-  } else {
-    return Corrupt("rightlink update: unexpected page type");
+  // Node deletion rewires the victim's one inbound link, which the record
+  // names.
+  if (g->view().page_type() != PageType::kGistNode) {
+    return Corrupt("rightlink update: not a GiST node");
+  }
+  if (!NodeView(g->view().data())
+           .SwapRightlink(pl.old_rightlink, pl.new_rightlink)) {
+    return Corrupt("rightlink update: link moved");
   }
   g->view().set_page_lsn(lsn);
   g->frame()->MarkDirty(lsn);
@@ -203,20 +199,11 @@ Status ApplyUndoAddLeafEntry(const EntryOpPayload& pl, Lsn lsn,
 
 Status ApplyUndoRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
                                 PageGuard* g) {
-  // A heap grow that failed before its NTA-End leaves its link in place,
-  // and the next grow overwrites it; restoring old_rightlink blindly would
-  // then unlink that live page. The test is deterministic under per-page
-  // LSN-ordered replay, so CLR redo takes the same branch, and the page
-  // LSN advances either way.
-  if (g->view().page_type() == PageType::kHeap) {
-    HeapPageView hv(g->view().data());
-    if (hv.next() == pl.new_rightlink) hv.set_next(pl.old_rightlink);
-  } else if (g->view().page_type() == PageType::kGistNode) {
-    NodeView(g->view().data())
-        .SwapRightlink(pl.new_rightlink, pl.old_rightlink);
-  } else {
-    return Corrupt("undo rightlink update: unexpected page type");
+  if (g->view().page_type() != PageType::kGistNode) {
+    return Corrupt("undo rightlink update: not a GiST node");
   }
+  NodeView(g->view().data())
+      .SwapRightlink(pl.new_rightlink, pl.old_rightlink);
   g->view().set_page_lsn(lsn);
   g->frame()->MarkDirty(lsn);
   return Status::OK();

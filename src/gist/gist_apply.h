@@ -38,8 +38,8 @@ Status ApplyMarkLeafEntry(const EntryOpPayload& pl, TxnId del_txn, Lsn lsn,
                           PageGuard* g);
 Status ApplyGarbageCollection(const GarbageCollectionPayload& pl, Lsn lsn,
                               PageGuard* g);
-/// Rightlink-Update, on a GiST node (node deletion) or a heap page (chain
-/// growth).
+/// Rightlink-Update, on a GiST node (node deletion); Corruption on any
+/// other page.
 Status ApplyRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
                             PageGuard* g);
 
@@ -54,7 +54,7 @@ Status ApplyUndoInternalEntry(LogRecordType type, EntryOpPayload pl, Lsn lsn,
                               PageGuard* g);
 Status ApplyUndoAddLeafEntry(const EntryOpPayload& pl, Lsn lsn, PageGuard* g);
 /// Retracts only the link the record installed: a later update of the
-/// same link stays.
+/// same link stays. Corruption on any page but a GiST node.
 Status ApplyUndoRightlinkUpdate(const RightlinkUpdatePayload& pl, Lsn lsn,
                                 PageGuard* g);
 

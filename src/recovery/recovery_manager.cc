@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "db/data_store.h"
 #include "gist/gist_apply.h"
 #include "gist/node.h"
 #include "obs/trace.h"
@@ -132,16 +133,13 @@ void PagesOfRecord(const LogRecord& rec, std::vector<PageId>* out) {
 /// One item of a loser's undo footprint (see FootprintOf).
 struct FootItem {
   Lsn lsn;
-  LogRecordType type;
-  uint64_t arg;  // packed rid (leaf/heap ops) or page id (grow)
+  uint64_t rid;  // packed
 };
 
-/// Decodes what undoing \p rec will touch before the database opens: the
-/// rid a leaf or heap content record wrote (its lock is re-acquired), or
-/// the page an un-NtaEnd'd heap grow linked in (the undo unlinks it, so
-/// the heap tail hint stops short of it). False for records with no
-/// footprint. Like PagesOfRecord it reads only fixed leading payload
-/// fields.
+/// Decodes the rid a leaf or heap content record wrote: undoing \p rec
+/// rewrites it, so its lock is re-acquired before the database opens.
+/// False for records with no footprint. Like PagesOfRecord it reads only
+/// fixed leading payload fields.
 bool FootprintOf(const LogRecord& rec, FootItem* out) {
   const char* p = rec.payload.data();
   const size_t n = rec.payload.size();
@@ -152,7 +150,7 @@ bool FootprintOf(const LogRecord& rec, FootItem* out) {
       if (n < 16) return false;
       const uint32_t klen = DecodeFixed32(p + 12);
       if (n < 16 + static_cast<size_t>(klen) + 8) return false;
-      *out = {rec.lsn, rec.type, DecodeFixed64(p + 16 + klen)};
+      *out = {rec.lsn, DecodeFixed64(p + 16 + klen)};
       return true;
     }
     case LogRecordType::kHeapInsert:
@@ -161,15 +159,9 @@ bool FootprintOf(const LogRecord& rec, FootItem* out) {
       Rid rid;
       rid.page_id = DecodeFixed32(p);
       rid.slot = DecodeFixed16(p + 4);
-      *out = {rec.lsn, rec.type, rid.Pack()};
+      *out = {rec.lsn, rid.Pack()};
       return true;
     }
-    case LogRecordType::kRightlinkUpdate:
-      // {page, old_rightlink, new_rightlink}: heap-chain growth is the
-      // only rightlink update with no old link (the tail had no successor).
-      if (n < 12 || DecodeFixed32(p + 4) != kInvalidPageId) return false;
-      *out = {rec.lsn, rec.type, DecodeFixed32(p + 8)};
-      return true;
     default:
       return false;
   }
@@ -226,7 +218,6 @@ StatusOr<RecoveryManager::CheckpointLsns> RecoveryManager::Checkpoint() {
   for (const auto& [pid, rec_lsn] : pool_->DirtyPageTable()) lower(rec_lsn);
   pl.next_txn_id = txns_->NextTxnIdForCheckpoint();
   pl.nsn_counter = nsn_->CounterValue();
-  pl.heap_tail = data_->tail();
   LogRecord rec;
   rec.type = LogRecordType::kCheckpoint;
   pl.EncodeTo(&rec.payload);
@@ -248,7 +239,6 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   // --- Analysis (log-only; no page is touched in this whole function) ---
   Lsn redo_start = LogManager::kFirstLsn;
   TxnId max_txn = 0;
-  PageId heap_tail = kInvalidPageId;
 
   if (checkpoint_lsn != kInvalidLsn) {
     LogRecord ckpt;
@@ -265,14 +255,13 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
     redo_start = pl.redo_floor;
     nsn_->EnsureAtLeast(pl.nsn_counter);
     max_txn = std::max(max_txn, pl.next_txn_id - 1);
-    heap_tail = pl.heap_tail;
   }
 
   // One bounded scan over [redo_start, end-of-log] builds everything at
   // once: the ATT (the floor lies at or below the Begin of every
   // transaction active at the checkpoint, so the scan sees each one start
-  // and, for winners, finish), the NSN floor, the per-page redo plans, the
-  // heap-chain links for the tail hint, and the losers' undo footprints.
+  // and, for winners, finish), the NSN floor, the per-page redo plans and
+  // the losers' undo footprints.
   const Lsn end_lsn = log_->last_lsn();
   // Hash-mapped plans with a last-page memo: the scan visits every record
   // in the redo span, and heap appends arrive in long same-page runs, so
@@ -282,17 +271,16 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   plans.reserve(4096);
   std::vector<Lsn>* memo_plan = nullptr;
   PageId memo_pid = kInvalidPageId;
-  std::map<PageId, PageId> heap_links;  // grow links: page -> next
   std::vector<PageId> pages_scratch;
   // The ATT, with each transaction's undo footprint collected forward:
   // the checkpoint's floor lies at or below every then-active
   // transaction's first record, so each loser's whole backchain passes
-  // through this scan — gather rids / freed pages / grow links as we go
-  // (winners drop out at Commit/End) instead of re-reading each loser's
-  // chain with one random log read per record. CLR/NtaEnd truncation
-  // mirrors the undo_next jumps Abort will take: items above undo_next
-  // are already compensated or absorbed by a committed NTA, exactly the
-  // records undo will never revisit.
+  // through this scan — gather the rids it wrote as we go (winners drop
+  // out at Commit/End) instead of re-reading each loser's chain with one
+  // random log read per record. CLR/NtaEnd truncation mirrors the
+  // undo_next jumps Abort will take: items above undo_next are already
+  // compensated or absorbed by a committed NTA, exactly the records undo
+  // will never revisit.
   struct AttEntry {
     Lsn first = kInvalidLsn;  // the chain's first record (its Begin)
     Lsn last = kInvalidLsn;
@@ -339,26 +327,6 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
       if (pl.DecodeFrom(rec.payload) && pl.new_nsn != 0) {
         nsn_->EnsureAtLeast(pl.new_nsn);
       }
-    } else if (rec.type == LogRecordType::kRightlinkUpdate) {
-      // Heap-chain growth always logs old_rightlink == invalid (the tail
-      // never had a successor); GiST sibling rewires never do.
-      RightlinkUpdatePayload pl;
-      if (pl.DecodeFrom(rec.payload) &&
-          pl.old_rightlink == kInvalidPageId) {
-        heap_links[pl.page] = pl.new_rightlink;
-      }
-    } else if (rec.type == LogRecordType::kClr) {
-      // A previous crashed recovery may already have retracted a grow.
-      ClrPayload clr;
-      RightlinkUpdatePayload pl;
-      if (clr.DecodeFrom(rec.payload) &&
-          clr.compensated_type == LogRecordType::kRightlinkUpdate &&
-          pl.DecodeFrom(clr.original)) {
-        auto it = heap_links.find(pl.page);
-        if (it != heap_links.end() && it->second == pl.new_rightlink) {
-          heap_links.erase(it);
-        }
-      }
     }
     pages_scratch.clear();
     PagesOfRecord(rec, &pages_scratch);
@@ -382,13 +350,11 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   txns_->SetNextTxnId(max_txn + 1);
   GISTCR_CRASHPOINT("recovery.after_analysis");
 
-  // --- Losers: locks and doomed chain links ------------------------------
+  // --- Losers: locks ------------------------------------------------------
   // Re-acquire each loser's lock footprint before the database opens —
   // its uncommitted effects stay blocking for new transactions exactly as
-  // live 2PL had them — and find the heap-chain links its undo will
-  // retract (the tail hint must not pass them).
+  // live 2PL had them.
   losers_.clear();
-  std::vector<PageId> doomed_heap;
   for (const auto& [id, loser] : att) {
     m_losers_->Add(1);
     if (!loser.whole) {
@@ -397,38 +363,14 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
     GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
         id, LockName{LockSpace::kTxn, id}, LockMode::kExclusive));
     for (const FootItem& item : loser.footprint) {
-      if (item.type == LogRecordType::kRightlinkUpdate) {
-        doomed_heap.push_back(static_cast<PageId>(item.arg));
-        continue;
-      }
-      // Leaf or heap content: the rid its undo rewrites.
       GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
-          id, LockName{LockSpace::kRecord, item.arg}, LockMode::kExclusive));
+          id, LockName{LockSpace::kRecord, item.rid}, LockMode::kExclusive));
     }
     Transaction* txn = txns_->ResurrectForUndo(id, loser.last);
     txn->set_first_lsn(loser.first);
     losers_.push_back(txn);
   }
   txns_->SetRecoveryUndoActive(true);
-
-  // --- Heap tail hint: follow the grow links from the checkpoint's tail,
-  // stopping short of any link the pending undo will retract.
-  heap_tail_hint_ = heap_tail;
-  if (heap_tail_hint_ != kInvalidPageId) {
-    size_t hops = 0;
-    for (;;) {
-      auto it = heap_links.find(heap_tail_hint_);
-      if (it == heap_links.end()) break;
-      if (std::find(doomed_heap.begin(), doomed_heap.end(), it->second) !=
-          doomed_heap.end()) {
-        break;
-      }
-      heap_tail_hint_ = it->second;
-      if (++hops > heap_links.size()) {
-        return Corrupt("heap link cycle in analysis");
-      }
-    }
-  }
 
   // --- Arm the gate: the database opens for business now. ----------------
   gate_.Arm(std::move(plans),
@@ -444,7 +386,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   m_analysis_ns_->Record(obs::NowNanos() - t0);
 
   // --- Before open: roll back every nested top action a loser left open.
-  // Its pages (a split's new sibling, a page it freed or linked in) must
+  // Its pages (a split's new sibling, a page it freed or allocated) must
   // not take new work that the background undo would then take away.
   // Newest record first across all losers, as ARIES undo goes: one
   // loser's split may have moved an entry another's open split installed.

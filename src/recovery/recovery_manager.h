@@ -5,7 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "db/data_store.h"
 #include "db/page_allocator.h"
 #include "gist/nsn.h"
 #include "recovery/recovery_gate.h"
@@ -44,9 +43,8 @@ class RecoveryManager : public UndoApplier {
   /// delete-mark must not leave a pending version record behind (partial
   /// rollback keeps the transaction alive, so commit would stamp it).
   RecoveryManager(BufferPool* pool, LogManager* log, TransactionManager* txns,
-                  DataStore* data, GlobalNsn* nsn, MvccManager* mvcc)
-      : pool_(pool), log_(log), txns_(txns), data_(data), nsn_(nsn),
-        mvcc_(mvcc) {
+                  GlobalNsn* nsn, MvccManager* mvcc)
+      : pool_(pool), log_(log), txns_(txns), nsn_(nsn), mvcc_(mvcc) {
     AttachMetrics(nullptr);
   }
   GISTCR_DISALLOW_COPY_AND_ASSIGN(RecoveryManager);
@@ -76,10 +74,6 @@ class RecoveryManager : public UndoApplier {
 
   size_t PendingPageCount() { return gate_.pending_count(); }
 
-  /// Heap tail computed by the last StartInstant analysis (kInvalidPageId:
-  /// no checkpoint hint was available; DataStore::Open must walk).
-  PageId HeapTailHint() const { return heap_tail_hint_; }
-
   /// What a checkpoint logged: its own LSN, for the master pointer, and
   /// its redo floor — the lowest of the log end before it took its
   /// snapshots, every active transaction's first LSN, and every dirty or
@@ -92,7 +86,7 @@ class RecoveryManager : public UndoApplier {
   };
 
   /// Writes a fuzzy checkpoint record (redo floor, next txn id, NSN
-  /// counter, heap tail) and forces it.
+  /// counter) and forces it.
   StatusOr<CheckpointLsns> Checkpoint();
 
   /// Page-oriented redo of one record, once for each page it mutates
@@ -136,14 +130,12 @@ class RecoveryManager : public UndoApplier {
   BufferPool* pool_;
   LogManager* log_;
   TransactionManager* txns_;
-  DataStore* data_;
   GlobalNsn* nsn_;
   MvccManager* mvcc_;
 
   RecoveryGate gate_;
   /// Losers resurrected by StartInstant, awaiting their background abort.
   std::vector<Transaction*> losers_;
-  PageId heap_tail_hint_ = kInvalidPageId;
 
   /// Restart counters (recovery.*): they settle only once
   /// RunInstantBackground has finished, since inline redo on user threads

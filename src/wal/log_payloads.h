@@ -236,22 +236,16 @@ struct CheckpointPayload {
   /// Dedicated-counter NSN mode: counter value at checkpoint time, so the
   /// counter is recoverable (the LSN mode needs nothing, section 10.1).
   Nsn nsn_counter = 0;
-  /// Heap-chain tail at checkpoint time. Instant restart combines this
-  /// with the Rightlink-Update records after the checkpoint to compute
-  /// the recovered tail from the log alone, so opening the data store
-  /// does not have to walk (and therefore redo) the whole heap chain.
-  PageId heap_tail = kInvalidPageId;
 
   void EncodeTo(std::string* dst) const {
     PutFixed64(dst, redo_floor);
     PutFixed64(dst, next_txn_id);
     PutFixed64(dst, nsn_counter);
-    PutFixed32(dst, heap_tail);
   }
   bool DecodeFrom(Slice s) {
     Decoder d(s);
     return d.GetFixed64(&redo_floor) && d.GetFixed64(&next_txn_id) &&
-           d.GetFixed64(&nsn_counter) && d.GetFixed32(&heap_tail);
+           d.GetFixed64(&nsn_counter);
   }
 };
 

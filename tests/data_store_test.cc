@@ -15,7 +15,6 @@ TEST(HeapPageTest, InitAndAppend) {
   hv.Init(7);
   EXPECT_TRUE(hv.IsFormatted());
   EXPECT_EQ(hv.count(), 0);
-  EXPECT_EQ(hv.next(), kInvalidPageId);
   const uint16_t s0 = hv.Append("hello");
   const uint16_t s1 = hv.Append("world!");
   EXPECT_EQ(s0, 0);
@@ -51,14 +50,6 @@ TEST(HeapPageTest, SpaceAccounting) {
   EXPECT_FALSE(hv.HasSpaceFor(rec.size()));
 }
 
-TEST(HeapPageTest, ChainPointer) {
-  char buf[kPageSize] = {};
-  HeapPageView hv(buf);
-  hv.Init(7);
-  hv.set_next(42);
-  EXPECT_EQ(hv.next(), 42u);
-}
-
 class DataStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -90,8 +81,11 @@ TEST_F(DataStoreTest, InsertReadRoundTrip) {
 }
 
 TEST_F(DataStoreTest, ReadOfNeverWrittenSlotIsNotFound) {
-  Rid bogus;
-  bogus.page_id = db_->data()->head();
+  Transaction* txn = db_->Begin();
+  auto rid = db_->data()->Insert(txn, "r");
+  ASSERT_OK(rid.status());
+  ASSERT_OK(db_->Commit(txn));
+  Rid bogus = rid.value();
   bogus.slot = 999;
   EXPECT_TRUE(db_->data()->Read(bogus).status().IsNotFound());
 }

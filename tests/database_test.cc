@@ -236,5 +236,54 @@ TEST_F(DatabaseTest, CheckpointWritesMasterPointer) {
   EXPECT_GT(v, 0u);
 }
 
+// A unique insert pops the savepoint it rolls a duplicate back to, on
+// every return: a transaction of many unique inserts holds only the
+// savepoints its caller took, and those still roll back.
+TEST_F(DatabaseTest, UniqueInsertsLeaveNoSavepointBehind) {
+  auto db_or = Database::Create(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  ASSERT_OK(db_->CreateIndex(1, &bt_));
+  Gist* gist = db_->GetIndex(1).value();
+  Transaction* txn = db_->Begin();
+  ASSERT_OK(db_->InsertRecord(txn, gist, BtreeExtension::MakeKey(-1), "kept",
+                              /*unique=*/true)
+                .status());
+  ASSERT_OK(db_->txns()->Savepoint(txn, "caller"));
+  int duplicates = 0;
+  for (int i = 0; i < 1000; i++) {
+    const int64_t k = i < 900 ? i : i - 900;  // the last 100 are duplicates
+    auto rid_or = db_->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
+                                    "v", /*unique=*/true);
+    if (rid_or.status().IsDuplicateKey()) {
+      duplicates++;
+    } else {
+      ASSERT_OK(rid_or.status());
+    }
+  }
+  EXPECT_EQ(duplicates, 100);
+  ASSERT_EQ(txn->savepoints().size(), 1u);
+  EXPECT_EQ(txn->savepoints()[0].name, "caller");
+
+  ASSERT_OK(db_->txns()->RollbackToSavepoint(txn, "caller"));
+  ASSERT_OK(db_->Commit(txn));
+  Transaction* reader = db_->Begin();
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(reader, BtreeExtension::MakeRange(-1, 1000),
+                         &results));
+  ASSERT_OK(db_->Commit(reader));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(BtreeExtension::Lo(results[0].key), -1);
+}
+
+// Create formats its pages unlogged and appends no log record: the heap
+// allocates its first page on its first insert.
+TEST_F(DatabaseTest, CreateAppendsNoLogRecord) {
+  auto db_or = Database::Create(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  EXPECT_EQ(db_->log()->next_lsn(), LogManager::kFirstLsn);
+}
+
 }  // namespace
 }  // namespace gistcr

@@ -20,7 +20,10 @@
 ///   5. snapshot reads fall back to repeatable read only while loser undo
 ///      runs;
 ///   6. a loser's unfinished nested top action is rolled back before the
-///      database opens, so no new work lands on a page its undo takes away.
+///      database opens, so no new work lands on a page its undo takes away;
+///   7. heap records need no heap tail to recover: a loser's grown pages
+///      and a grow cut off before its NTA-End leave committed records
+///      readable through their rids and new inserts working.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -29,8 +32,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +44,8 @@
 
 #include "access/btree_extension.h"
 #include "db/database.h"
+#include "db/meta_page.h"
+#include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
 #include "tests/crash_harness.h"
 #include "tests/test_util.h"
@@ -210,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Builds a database whose WAL ends with a guaranteed durable loser (its
 /// updates flushed, its Commit not), with a checkpoint in the middle so
-/// instant analysis exercises the heap-tail hint path.
+/// instant analysis starts from a redo floor.
 [[noreturn]] void RunDurableLoserBuilder(const std::string& path) {
   static BtreeExtension ext;
   DatabaseOptions dopts;
@@ -439,6 +446,33 @@ TEST(InstantRestartTest, CorruptMasterPointerFailsOpen) {
     EXPECT_TRUE(db_or.status().IsCorruption())
         << "master \"" << master << "\": " << db_or.status().ToString();
   }
+  RemoveDbFiles(path);
+}
+
+// Open checks the meta page after analysis: without its magic the image
+// is not a database, and Open says so instead of serving from it.
+TEST(InstantRestartTest, BadMetaPageFailsOpen) {
+  const std::string path = TestPath("instant_meta");
+  RemoveDbFiles(path);
+  DatabaseOptions dopts;
+  dopts.path = path;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+  }
+  // DiskManager stamps a valid checksum, so only the meta check objects.
+  {
+    DiskManager disk;
+    ASSERT_OK(disk.Open(path + ".db"));
+    char page[kPageSize];
+    ASSERT_OK(disk.ReadPage(MetaView::kMetaPageId, page));
+    ASSERT_TRUE(MetaView(page).valid());
+    std::memset(page + PageView::kHeaderSize, 0, 4);
+    ASSERT_OK(disk.WritePage(MetaView::kMetaPageId, page));
+    ASSERT_OK(disk.Sync());
+  }
+  auto db_or = Database::Open(dopts);
+  EXPECT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
   RemoveDbFiles(path);
 }
 
@@ -898,6 +932,259 @@ TEST(InstantRestartTest, CrashInPreOpenUndoThenRecoverTwice) {
     EXPECT_EQ(live.size(), 8u) << "skip " << skip;
     EXPECT_EQ(live.count(100), 0u);
   }
+  RemoveDbFiles(path);
+}
+
+// ---------------------------------------------------------------------
+// 7. Heap records are reached through their rids alone.
+// ---------------------------------------------------------------------
+
+/// A 1000-byte heap record for \p k: eight fill a heap page.
+std::string HeapRecord(int64_t k) {
+  std::string r = "k" + std::to_string(k) + ":";
+  r.resize(1000, static_cast<char>('a' + k % 26));
+  return r;
+}
+
+/// What a crashed child inserted: each committed key's rid, and the rids
+/// of its loser. The child writes it to <path>.rids before it dies.
+struct HeapImage {
+  std::map<int64_t, uint64_t> committed;
+  std::vector<uint64_t> loser;
+};
+
+void WriteHeapImage(const std::string& path, const HeapImage& img) {
+  FILE* f = std::fopen((path + ".rids").c_str(), "w");
+  if (f == nullptr) ChildDie("rids file", Status::IOError(path));
+  for (const auto& [k, rid] : img.committed) {
+    std::fprintf(f, "c %lld %llu\n", static_cast<long long>(k),
+                 static_cast<unsigned long long>(rid));
+  }
+  for (uint64_t rid : img.loser) {
+    std::fprintf(f, "l 0 %llu\n", static_cast<unsigned long long>(rid));
+  }
+  if (std::fclose(f) != 0) ChildDie("rids file", Status::IOError(path));
+}
+
+HeapImage ReadHeapImage(const std::string& path) {
+  HeapImage img;
+  FILE* f = std::fopen((path + ".rids").c_str(), "r");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return img;
+  char kind = 0;
+  long long k = 0;
+  unsigned long long rid = 0;
+  while (std::fscanf(f, " %c %lld %llu", &kind, &k, &rid) == 3) {
+    if (kind == 'c') {
+      img.committed[k] = rid;
+    } else {
+      img.loser.push_back(rid);
+    }
+  }
+  std::fclose(f);
+  return img;
+}
+
+/// Recovers \p path, then checks index 1's invariants, that the index
+/// holds exactly the committed keys with their rids, that each of those
+/// rids reads its record back and that each loser rid reads NotFound.
+/// With \p more > 0 a transaction then commits that many new keys, which
+/// join img->committed. Ends with SimulateCrash.
+void RecoverAndCheckHeap(const std::string& path, HeapImage* img,
+                         int more = 0) {
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  auto db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  ASSERT_OK(db->WaitForRecovery());
+  ASSERT_OK(db->OpenIndex(1, &ext));
+  Gist* gist = db->GetIndex(1).value();
+  ASSERT_OK(gist->CheckInvariants());
+  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 1 << 20),
+                         &results));
+  std::map<int64_t, uint64_t> found;
+  for (const SearchResult& r : results) {
+    found[BtreeExtension::Lo(r.key)] = r.rid.Pack();
+  }
+  EXPECT_EQ(found, img->committed);
+  for (const auto& [k, rid] : img->committed) {
+    auto rec_or = db->ReadRecord(Rid::Unpack(rid));
+    EXPECT_TRUE(rec_or.ok() && rec_or.value() == HeapRecord(k))
+        << "key " << k << ": " << rec_or.status().ToString();
+  }
+  for (uint64_t rid : img->loser) {
+    EXPECT_TRUE(db->ReadRecord(Rid::Unpack(rid)).status().IsNotFound())
+        << "loser rid " << rid;
+  }
+  int64_t next = img->committed.empty() ? 0 : img->committed.rbegin()->first;
+  for (int i = 0; i < more; i++) {
+    const int64_t k = ++next;
+    auto rid_or = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
+                                   HeapRecord(k));
+    ASSERT_OK(rid_or.status());
+    img->committed[k] = rid_or.value().Pack();
+  }
+  ASSERT_OK(db->Commit(txn));
+  db->SimulateCrash();
+}
+
+// Committed transactions fill heap pages around a checkpoint; a loser
+// grows the heap by three pages, its records are flushed, and the process
+// dies as it commits. Two recoveries agree: the committed records read
+// back through their rids, the loser's read NotFound. New records commit
+// after that, and survive one more crash.
+TEST(InstantRestartHeapTest, LoserGrowsRecoverTwiceThenCommitMore) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("heap_grows");
+  RemoveDbFiles(path);
+  ASSERT_EQ(ForkAndWait([&] {
+              static BtreeExtension ext;
+              DatabaseOptions dopts;
+              dopts.path = path;
+              auto db_or = Database::Create(dopts);
+              if (!db_or.ok()) ChildDie("create", db_or.status());
+              auto db = db_or.MoveValue();
+              GISTCR_CHILD_OK("create index", db->CreateIndex(1, &ext));
+              Gist* gist = db->GetIndex(1).value();
+              HeapImage img;
+              int64_t k = 0;
+              std::set<PageId> committed_pages;
+              for (int t = 0; t < 10; t++) {  // 80 records: 10 heap pages
+                Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+                for (int i = 0; i < 8; i++, k++) {
+                  auto rid_or = db->InsertRecord(
+                      txn, gist, BtreeExtension::MakeKey(k), HeapRecord(k));
+                  if (!rid_or.ok()) ChildDie("insert", rid_or.status());
+                  img.committed[k] = rid_or.value().Pack();
+                  committed_pages.insert(rid_or.value().page_id);
+                }
+                GISTCR_CHILD_OK("commit", db->Commit(txn));
+                if (t == 4) GISTCR_CHILD_OK("checkpoint", db->Checkpoint());
+              }
+              Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+              std::set<PageId> grown;
+              for (int i = 0; i < 20; i++, k++) {
+                auto rid_or = db->InsertRecord(
+                    loser, gist, BtreeExtension::MakeKey(k), HeapRecord(k));
+                if (!rid_or.ok()) ChildDie("loser insert", rid_or.status());
+                img.loser.push_back(rid_or.value().Pack());
+                if (committed_pages.count(rid_or.value().page_id) == 0) {
+                  grown.insert(rid_or.value().page_id);
+                }
+              }
+              if (grown.size() < 2) {
+                ChildDie("loser grew too little", Status::OK());
+              }
+              GISTCR_CHILD_OK("flush", db->log()->FlushAll());
+              WriteHeapImage(path, img);
+              FaultInjector::Global().Reset();
+              FaultInjector::Global().ArmCrashPoint(
+                  "txn.commit.before_log_force", 0,
+                  FaultInjector::CrashAction::kExit);
+              GISTCR_CHILD_OK("loser commit", db->Commit(loser));
+              std::_Exit(0);  // the armed point never fired
+            }),
+            FaultInjector::kCrashExitCode);
+  HeapImage img = ReadHeapImage(path);
+  ASSERT_EQ(img.committed.size(), 80u);
+  ASSERT_EQ(img.loser.size(), 20u);
+  RecoverAndCheckHeap(path, &img);
+  if (HasFatalFailure()) return;
+  RecoverAndCheckHeap(path, &img, /*more=*/20);
+  if (HasFatalFailure()) return;
+  RecoverAndCheckHeap(path, &img);
+  RemoveDbFiles(path);
+  std::remove((path + ".rids").c_str());
+}
+
+// A crash after a heap grow's Get-Page is durable and before its NTA-End:
+// restart undoes the allocation before it opens, the committed records
+// read back, the loser's read NotFound and the next insert succeeds.
+TEST(InstantRestartHeapTest, CrashInsideGrowFreesItsPage) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("heap_grow_crash");
+  RemoveDbFiles(path);
+  DatabaseOptions dopts;
+  dopts.path = path;
+  std::map<uint64_t, int64_t> committed;  // packed rid -> k
+  std::vector<Rid> loser;
+  PageId grown = kInvalidPageId;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    DataStore* heap = db->data();
+    std::map<PageId, int> per_page;
+    PageId last = kInvalidPageId;
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    int64_t k = 0;
+    for (; k < 20; k++) {  // 20 records: two full heap pages and a third
+      auto rid_or = heap->Insert(txn, HeapRecord(k));
+      ASSERT_OK(rid_or.status());
+      committed[rid_or.value().Pack()] = k;
+      last = rid_or.value().page_id;
+      per_page[last]++;
+    }
+    ASSERT_OK(db->Commit(txn));
+    int capacity = 0;
+    for (const auto& [pid, n] : per_page) capacity = std::max(capacity, n);
+    // The loser fills the insert page, so that its next insert grows.
+    Transaction* loser_txn = db->Begin(IsolationLevel::kReadCommitted);
+    for (; per_page[last] < capacity; k++) {
+      auto rid_or = heap->Insert(loser_txn, HeapRecord(k));
+      ASSERT_OK(rid_or.status());
+      ASSERT_EQ(rid_or.value().page_id, last);
+      loser.push_back(rid_or.value());
+      per_page[last]++;
+    }
+    // The grow's first log record is its Get-Page: make it durable there.
+    LogRecord flushed;
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ArmCrashPointHook("txn.after_log_append", [&] {
+      EXPECT_OK(db->log()->FlushAll());
+      EXPECT_OK(db->log()->ReadRecord(db->log()->last_lsn(), &flushed));
+    });
+    auto rid_or = heap->Insert(loser_txn, HeapRecord(k));
+    FaultInjector::Global().Reset();
+    ASSERT_EQ(flushed.type, LogRecordType::kGetPage);
+    ASSERT_OK(rid_or.status());
+    grown = rid_or.value().page_id;
+    ASSERT_NE(grown, last);
+    loser.push_back(rid_or.value());
+    db->SimulateCrash();
+  }
+  auto db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  ASSERT_OK(db->WaitForRecovery());
+  auto allocated = db->allocator()->IsAllocated(grown);
+  ASSERT_OK(allocated.status());
+  EXPECT_FALSE(allocated.value());
+  for (const auto& [rid, k] : committed) {
+    auto rec_or = db->data()->Read(Rid::Unpack(rid));
+    EXPECT_TRUE(rec_or.ok() && rec_or.value() == HeapRecord(k))
+        << "k " << k << ": " << rec_or.status().ToString();
+  }
+  for (const Rid& rid : loser) {
+    EXPECT_TRUE(db->data()->Read(rid).status().IsNotFound())
+        << "loser rid " << rid.Pack();
+  }
+  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  auto rid_or = db->data()->Insert(txn, HeapRecord(100));
+  ASSERT_OK(rid_or.status());
+  ASSERT_OK(db->Commit(txn));
+  auto rec_or = db->data()->Read(rid_or.value());
+  ASSERT_OK(rec_or.status());
+  EXPECT_EQ(rec_or.value(), HeapRecord(100));
+  db.reset();
   RemoveDbFiles(path);
 }
 

@@ -177,9 +177,9 @@ std::string Hex(Slice s) {
 /// The logged state of every page a restart must rebuild, one line per
 /// page: each allocated GiST node (page LSN, level, NSN, rightlink, BP,
 /// entries in slot order with their delete marks), each allocated heap
-/// page (next link, records with their delete flags; a page never
-/// formatted reads as an empty one), the bitmap payloads and the meta
-/// page's root pointer.
+/// page (records with their delete flags; a page never formatted reads
+/// as an empty one), the bitmap payloads and the meta page's root
+/// pointer.
 std::map<PageId, std::string> CapturePages(Database* db) {
   std::map<PageId, std::string> out;
   BufferPool* pool = db->pool();
@@ -229,8 +229,7 @@ std::map<PageId, std::string> CapturePages(Database* db) {
         const bool formatted = hv.IsFormatted();
         EXPECT_TRUE(formatted || v.page_type() == PageType::kFree)
             << "page " << pid;
-        os << "heap next=" << (formatted ? hv.next() : kInvalidPageId)
-           << " records:";
+        os << "heap records:";
         for (uint16_t i = 0; formatted && i < hv.count(); i++) {
           os << " " << Hex(hv.Record(i)) << (hv.IsDeleted(i) ? "/d" : "/l");
         }
