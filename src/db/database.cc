@@ -477,6 +477,18 @@ Transaction* Database::Begin(IsolationLevel iso) { return txns_->Begin(iso); }
 Status Database::Commit(Transaction* txn) { return txns_->Commit(txn); }
 Status Database::Abort(Transaction* txn) { return txns_->Abort(txn); }
 
+StatusOr<std::string> Database::ReadRecord(Rid rid, Transaction* txn) {
+  if (txn == nullptr || txn->is_snapshot()) return data_->Read(rid);
+  const LockName record{LockSpace::kRecord, rid.Pack()};
+  GISTCR_RETURN_IF_ERROR(
+      locks_.Lock(txn->id(), record, LockMode::kShared, /*wait=*/true));
+  auto rec_or = data_->Read(rid);
+  if (txn->isolation() == IsolationLevel::kReadCommitted) {
+    locks_.Unlock(txn->id(), record);
+  }
+  return rec_or;
+}
+
 StatusOr<Rid> Database::InsertRecord(Transaction* txn, Gist* index, Slice key,
                                      Slice record, bool unique) {
   if (txn->is_snapshot()) {

@@ -104,9 +104,14 @@ class Database {
   /// Logically deletes the index entry and tombstones the data record.
   Status DeleteRecord(Transaction* txn, Gist* index, Slice key, Rid rid);
 
-  /// Reads a data record (no locking; use inside a transaction that
-  /// S-locked the rid via Search for repeatable reads).
-  StatusOr<std::string> ReadRecord(Rid rid) { return data_->Read(rid); }
+  /// Reads a data record. With \p txn (read committed or repeatable
+  /// read) the read holds the rid's S lock: at read committed only across
+  /// the read, which waits out an uncommitted writer and returns NotFound
+  /// if its delete committed; at repeatable read until commit, usually a
+  /// reentrant acquisition of the lock Search left. A snapshot \p txn
+  /// takes no lock. Without \p txn nothing is locked: only for callers
+  /// that already hold the rid's lock or run alone (tests, verification).
+  StatusOr<std::string> ReadRecord(Rid rid, Transaction* txn = nullptr);
 
   /// Blocks until background instant recovery (loser undo + page drain)
   /// has finished and returns its status. Immediate OK for a database

@@ -301,6 +301,7 @@ Status Gist::VisitNext(Transaction* txn, const ReadSpec& spec,
   const bool snapshot = txn->is_snapshot();
   PageGuard g;
   GISTCR_RETURN_IF_ERROR(FetchLatched(e.page, /*exclusive=*/false, &g));
+  std::optional<uint64_t> waited;  // see FilterLeafLocked
 
   for (;;) {
     NodeView node(g.view().data());
@@ -358,8 +359,8 @@ Status Gist::VisitNext(Transaction* txn, const ReadSpec& spec,
       break;
     }
     bool rescan = false;
-    GISTCR_RETURN_IF_ERROR(
-        FilterLeafLocked(txn, spec, &g, seen, out, tree, &rescan));
+    GISTCR_RETURN_IF_ERROR(FilterLeafLocked(txn, spec, &g, seen, out, tree,
+                                            &waited, &rescan));
     if (!rescan) break;
   }
 
@@ -374,7 +375,24 @@ Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
                               PageGuard* g,
                               std::unordered_set<uint64_t>* seen,
                               std::vector<SearchResult>* out, TreeLatch* tree,
+                              std::optional<uint64_t>* waited,
                               bool* rescan) {
+  // Degree 2: a read-committed search holds each record lock only while
+  // it checks the record. Unique probes keep theirs, so that a duplicate
+  // error repeats.
+  const bool short_locks =
+      txn->isolation() == IsolationLevel::kReadCommitted &&
+      spec.attach_kind == PredKind::kSearch;
+  // A record lock waited for is kept until the rescan checks its entry,
+  // so that a stream of writers cannot take it back first and starve the
+  // reader. It goes once checked, before another wait, or when the entry
+  // has left this leaf (moved right by a split, or collected); a later
+  // visit then locks it afresh.
+  auto drop_waited = [&] {
+    if (!waited->has_value()) return;
+    ctx_.locks->Unlock(txn->id(), LockName{LockSpace::kRecord, **waited});
+    waited->reset();
+  };
   NodeView node(g->view().data());
   const uint16_t n = node.count();
   for (uint16_t i = 0; i < n; i++) {
@@ -388,20 +406,30 @@ Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
     if (st.IsBusy()) {
       stats_.rid_lock_waits.Add(1);
       *rescan = true;
+      drop_waited();
       return WaitUnlatched(g, tree, [&] {
-        return ctx_.locks->Lock(txn->id(), record, LockMode::kShared,
-                                /*wait=*/true);
+        GISTCR_RETURN_IF_ERROR(ctx_.locks->Lock(txn->id(), record,
+                                                LockMode::kShared,
+                                                /*wait=*/true));
+        if (short_locks) *waited = rid;
+        return Status::OK();
       });
     }
     GISTCR_RETURN_IF_ERROR(st);
-    if (node.entry_del_txn(i) != kInvalidTxnId) {
-      // Still marked after we obtained the S lock: the deleter
-      // committed; the entry is logically gone.
-      continue;
+    // Still marked once we hold the S lock: the deleter committed; the
+    // entry is logically gone.
+    const bool live = node.entry_del_txn(i) == kInvalidTxnId;
+    if (short_locks) {
+      // Unlock drops one acquisition: a lock this transaction took for
+      // its own write stays held.
+      ctx_.locks->Unlock(txn->id(), record);
+      if (*waited == rid) drop_waited();
     }
+    if (!live) continue;
     seen->insert(rid);
     out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
   }
+  drop_waited();
   if (!spec.hybrid_attach) return Status::OK();
 
   // Attach the search predicate; FIFO fairness (section 10.3): block

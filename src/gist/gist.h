@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -329,11 +330,14 @@ class Gist {
   /// \p g: S-locks each qualifying record and, under hybrid_attach,
   /// attaches the predicate and queues behind conflicting inserts. A lock
   /// wait unlatches first and sets *rescan: the caller re-reads the leaf
-  /// (`seen` keeps results unique).
+  /// (`seen` keeps results unique). A read-committed search unlocks each
+  /// record once it has checked its delete mark; a record it waited for
+  /// is kept in \p waited, still locked, until the rescan has checked it.
   Status FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
                           PageGuard* g, std::unordered_set<uint64_t>* seen,
                           std::vector<SearchResult>* out,
-                          internal::TreeLatch* tree, bool* rescan);
+                          internal::TreeLatch* tree,
+                          std::optional<uint64_t>* waited, bool* rescan);
 
   /// MVCC leaf filter (DESIGN.md section 14.3): emits the entries the
   /// snapshot of \p txn can see. Makes zero lock-manager calls — the

@@ -476,9 +476,12 @@ Status Gist::LatchEntry(PageId start, Nsn nsn, Slice key, uint64_t value,
 
 Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
   NodeView node(leaf->view().data());
+  // Marks are logged before they are applied, and applied under the leaf
+  // X latch held here: with no active transaction logged (oldest unset),
+  // no mark on this leaf can belong to an active transaction.
   const Lsn oldest = ctx_.txns->OldestActiveFirstLsn();
   const bool all_committed =
-      oldest != kInvalidLsn && leaf->view().page_lsn() < oldest;
+      oldest == kInvalidLsn || leaf->view().page_lsn() < oldest;
   GarbageCollectionPayload pl;
   pl.page = leaf->page_id();
   for (uint16_t i = 0; i < node.count(); i++) {

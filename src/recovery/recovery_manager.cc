@@ -258,7 +258,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   }
 
   // One bounded scan over [redo_start, end-of-log] builds everything at
-  // once: the ATT (the floor lies at or below the Begin of every
+  // once: the ATT (the floor lies at or below the first record of every
   // transaction active at the checkpoint, so the scan sees each one start
   // and, for winners, finish), the NSN floor, the per-page redo plans and
   // the losers' undo footprints.
@@ -282,7 +282,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   // compensated or absorbed by a committed NTA, exactly the records undo
   // will never revisit.
   struct AttEntry {
-    Lsn first = kInvalidLsn;  // the chain's first record (its Begin)
+    Lsn first = kInvalidLsn;  // the first record the scan saw
     Lsn last = kInvalidLsn;
     bool whole = false;       // the scan saw the chain start
     std::vector<FootItem> footprint;
@@ -403,7 +403,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
 
 Status RecoveryManager::UndoUnfinishedNtaStep(Transaction* txn, Lsn* next) {
   // The open action is the head of the backchain, back to the last
-  // content record, NTA-End or Begin; CLRs jump over what an earlier
+  // content record, NTA-End or chain start; CLRs jump over what an earlier
   // rollback already compensated.
   LogRecord rec;
   GISTCR_RETURN_IF_ERROR(log_->ReadRecord(*next, &rec));
@@ -426,7 +426,7 @@ Status RecoveryManager::UndoUnfinishedNtaStep(Transaction* txn, Lsn* next) {
     case LogRecordType::kGarbageCollection:
       *next = rec.prev_lsn;
       return UndoRecord(txn, rec);
-    default:  // content, NTA-End or Begin: no action is open
+    default:  // content, NTA-End or an older build's Begin: no action is open
       *next = kInvalidLsn;
       return Status::OK();
   }

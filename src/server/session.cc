@@ -286,13 +286,22 @@ Status Session::HandleSearch(const net::Frame& req, bool draining, Database* db)
       bool done = false;
       GISTCR_RETURN_IF_ERROR(cursor.Next(&r, &done));
       if (done) break;
+      std::string record;
+      if (with_records) {
+        // The search's record lock ended with the check at read
+        // committed: the fetch locks the rid again, and skips a row whose
+        // delete committed in between.
+        auto rec_or = db->ReadRecord(r.rid, txn);
+        if (rec_or.status().IsNotFound() &&
+            txn->isolation() == IsolationLevel::kReadCommitted) {
+          continue;
+        }
+        GISTCR_RETURN_IF_ERROR(rec_or.status());
+        record = rec_or.MoveValue();
+      }
       PutLengthPrefixed(&batch, r.key);
       PutFixed64(&batch, r.rid.Pack());
-      if (with_records) {
-        auto rec_or = db->ReadRecord(r.rid);
-        GISTCR_RETURN_IF_ERROR(rec_or.status());
-        PutLengthPrefixed(&batch, rec_or.value());
-      }
+      if (with_records) PutLengthPrefixed(&batch, record);
       batch_count++;
       total++;
       if (batch_count >= batch_size || batch.size() >= kBatchByteLimit) {

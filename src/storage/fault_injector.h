@@ -186,7 +186,8 @@ inline constexpr const char* kCrashPointCatalogue[] = {
     "wal.before_fsync",             // log pwritten, not yet durable
     "wal.after_fsync",              // log durable, in-memory state not updated
     "txn.after_log_append",         // txn record appended, chain head not
-                                    // advanced (hook: checkpoint in Begin)
+                                    // advanced (hook: checkpoint inside a
+                                    // transaction's first append)
     "txn.commit.before_log_force",  // Commit appended, not flushed
     "txn.commit.after_log_force",   // Commit durable, locks/End pending
     "ckpt.between_snapshots",       // floor has pending pages, not the DPT

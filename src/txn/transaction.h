@@ -13,9 +13,10 @@ namespace gistcr {
 /// Degrees of isolation offered to index operations.
 ///  - kRepeatableRead: Degree 3 (paper section 4) — the full hybrid
 ///    mechanism: 2PL on data records plus node-attached predicate locks.
-///  - kReadCommitted: Degree 2 — data-record locks are still taken (so
-///    uncommitted inserts/deletes block readers) but no search predicates
-///    are attached, admitting phantoms.
+///  - kReadCommitted: Degree 2 — a search S-locks each qualifying data
+///    record (so uncommitted inserts/deletes block readers) and releases
+///    it once the record is checked; no search predicates are attached,
+///    admitting phantoms. Write locks are still held to commit.
 ///  - kSnapshot: read-only snapshot isolation (DESIGN.md section 14) —
 ///    the transaction sees exactly the versions committed before its
 ///    begin stamp and takes **zero** lock-manager calls: no txn-id lock,
@@ -57,8 +58,9 @@ class Transaction {
   // The backchain head and first LSN are written only by the transaction's
   // own thread but read cross-thread (ActiveTxns reads last_lsn; the
   // Commit_LSN garbage-collection test and the checkpoint's redo floor
-  // read first_lsn), hence atomics. first_lsn is at or below the
-  // transaction's Begin record: Begin publishes it before appending.
+  // read first_lsn), hence atomics. first_lsn stays kInvalidLsn until the
+  // transaction logs; its first record publishes it (the log's next LSN)
+  // before appending, so it is at or below that record.
   Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
   void set_last_lsn(Lsn l) { last_lsn_.store(l, std::memory_order_release); }
   Lsn first_lsn() const {

@@ -36,50 +36,50 @@ Transaction* TransactionManager::Begin(IsolationLevel iso) {
     id = next_txn_id_++;
     auto t = std::make_unique<Transaction>(id, iso);
     txn = t.get();
-    if (iso == IsolationLevel::kSnapshot) {
-      snapshot_table_[id] = std::move(t);
-    } else {
-      table_[id] = std::move(t);
-    }
+    table_[id] = std::move(t);
   }
   if (iso == IsolationLevel::kSnapshot) {
     // Read-only snapshot path: no txn-id lock (nothing can need to block
-    // on a reader that holds nothing), no Begin record (nothing to
-    // recover). The acceptance bar is literal: zero lock-manager calls.
+    // on a reader that holds nothing). The acceptance bar is literal:
+    // zero lock-manager calls.
     txn->set_snapshot_lsn(mvcc_->BeginSnapshot(id));
     m_begins_->Add(1);
     return txn;
   }
   // Every transaction X-locks its own id at startup so that others can
-  // block on its termination (paper section 10.3).
+  // block on its termination (paper section 10.3). Nothing is logged: the
+  // first update opens the backchain (AppendTxnLog), as in ARIES.
   Status st = locks_->Lock(id, LockName{LockSpace::kTxn, id},
                            LockMode::kExclusive);
-  GISTCR_CHECK(st.ok());
-  // Publish a first LSN before the Begin record exists: the log's next
-  // LSN, at or below wherever the Begin lands. A checkpoint that reads
-  // the log end before our append must find us in OldestActiveFirstLsn,
-  // or it logs a redo floor above our Begin (DESIGN.md section 16.2).
-  txn->set_first_lsn(log_->next_lsn());
-  LogRecord rec;
-  rec.type = LogRecordType::kBegin;
-  st = AppendTxnLog(txn, &rec);
   GISTCR_CHECK(st.ok());
   m_begins_->Add(1);
   return txn;
 }
 
-Status TransactionManager::EndSnapshotTxn(Transaction* txn, bool committed) {
+Status TransactionManager::EndUnlogged(Transaction* txn, bool committed) {
   txn->set_state(committed ? TxnState::kCommitted : TxnState::kAborted);
-  mvcc_->EndSnapshot(txn->id());
+  if (txn->is_snapshot()) {
+    mvcc_->EndSnapshot(txn->id());
+  } else {
+    ReleaseAllFor(txn);
+  }
   (committed ? m_commits_ : m_aborts_)->Add(1);
   MutexLock l(mu_);
-  snapshot_table_.erase(txn->id());
+  table_.erase(txn->id());
   return Status::OK();
 }
 
 Status TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
+  if (txn->first_lsn() == kInvalidLsn) {
+    // The first record publishes a first LSN before it exists: the log's
+    // next LSN, at or below wherever the record lands. A checkpoint that
+    // reads the log end before our append must find us in
+    // OldestActiveFirstLsn, or it logs a redo floor above our first
+    // record (DESIGN.md section 16.2).
+    txn->set_first_lsn(log_->next_lsn());
+  }
   GISTCR_RETURN_IF_ERROR(log_->Append(rec));
   GISTCR_CRASHPOINT("txn.after_log_append");
   txn->set_last_lsn(rec->lsn);
@@ -100,7 +100,10 @@ void TransactionManager::ReleaseAllFor(Transaction* txn) {
 
 Status TransactionManager::Commit(Transaction* txn) {
   GISTCR_CHECK(txn->state() == TxnState::kActive);
-  if (txn->is_snapshot()) return EndSnapshotTxn(txn, /*committed=*/true);
+  // A transaction that logged nothing has nothing to make durable: what
+  // it read was committed and forced before its writer released the
+  // locks it waited on (DESIGN.md section 6, no early lock release).
+  if (txn->last_lsn() == kInvalidLsn) return EndUnlogged(txn, true);
   GISTCR_TRACE_SCOPE("txn.commit");
   const uint64_t t0 = obs::NowNanos();
   LogRecord commit;
@@ -149,7 +152,7 @@ Status TransactionManager::UndoTo(Transaction* txn, Lsn stop_lsn) {
         // backchain over it.
         cur = rec.undo_next;
         break;
-      case LogRecordType::kBegin:
+      case LogRecordType::kBegin:  // written only by older builds
         cur = kInvalidLsn;
         break;
       case LogRecordType::kAbort:
@@ -169,7 +172,7 @@ Status TransactionManager::UndoTo(Transaction* txn, Lsn stop_lsn) {
 
 Status TransactionManager::Abort(Transaction* txn) {
   GISTCR_CHECK(txn->state() == TxnState::kActive);
-  if (txn->is_snapshot()) return EndSnapshotTxn(txn, /*committed=*/false);
+  if (txn->last_lsn() == kInvalidLsn) return EndUnlogged(txn, false);
   LogRecord abort_rec;
   abort_rec.type = LogRecordType::kAbort;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &abort_rec));

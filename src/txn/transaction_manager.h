@@ -54,23 +54,24 @@ class TransactionManager {
   /// before concurrent use; the Database facade does so at init.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
-  /// Starts a transaction: assigns an id, X-locks the txn's own id (the
+  /// Starts a transaction: assigns an id and X-locks the txn's own id (the
   /// handle other operations block on when they "block on a predicate",
-  /// paper section 10.3), logs Begin.
+  /// paper section 10.3). It logs nothing: the first AppendTxnLog starts
+  /// the backchain.
   ///
-  /// kSnapshot transactions skip all of that: no txn-id lock (nothing ever
-  /// blocks on a reader that holds nothing), no Begin record (they write
-  /// no log), no transaction-table entry (they never checkpoint or
-  /// recover) — just a snapshot stamp from the oracle.
+  /// kSnapshot transactions take no txn-id lock (nothing ever blocks on
+  /// a reader that holds nothing), just a snapshot stamp from the oracle.
   Transaction* Begin(IsolationLevel iso = IsolationLevel::kRepeatableRead);
 
   /// Commit: log Commit, force the log, release predicates and locks, log
-  /// End.
+  /// End. A transaction that logged nothing only releases its locks and
+  /// predicates: no record, no force.
   Status Commit(Transaction* txn);
 
   /// Abort: log Abort, undo the backchain writing CLRs (logical undo for
   /// leaf-entry records; NTAs are skipped via their NTA-End undo_next),
-  /// log End, release predicates and locks.
+  /// log End, release predicates and locks. A transaction that logged
+  /// nothing only releases.
   Status Abort(Transaction* txn);
 
   /// Establishes / rolls back to a savepoint (partial rollback; the txn
@@ -79,8 +80,8 @@ class TransactionManager {
   Status RollbackToSavepoint(Transaction* txn, const std::string& name);
 
   /// Appends \p rec on behalf of \p txn: fills txn_id/prev_lsn and
-  /// advances the backchain head. (first_lsn is published by Begin, before
-  /// the Begin record is appended.)
+  /// advances the backchain head. The transaction's first record publishes
+  /// first_lsn before it is appended, and has prev_lsn kInvalidLsn.
   Status AppendTxnLog(Transaction* txn, LogRecord* rec);
 
   /// Nested top action bracket (paper section 9.1): remember the backchain
@@ -93,13 +94,15 @@ class TransactionManager {
   /// treated as terminated (their effects were resolved by recovery).
   bool IsActive(TxnId txn_id);
 
-  /// first_lsn of the oldest active transaction, or kInvalidLsn if none —
-  /// the Commit_LSN test that lets garbage collection skip per-entry
-  /// checks (paper section 7.1, footnote 11), and one bound of a
-  /// checkpoint's redo floor.
+  /// first_lsn of the oldest active transaction that has logged, or
+  /// kInvalidLsn if none — the Commit_LSN test that lets garbage
+  /// collection skip per-entry checks (paper section 7.1, footnote 11),
+  /// and one bound of a checkpoint's redo floor. Transactions that logged
+  /// nothing do not hold it down.
   Lsn OldestActiveFirstLsn();
 
-  /// Active transaction table snapshot: (id, last_lsn) of each.
+  /// Active transaction table snapshot: (id, last_lsn) of each,
+  /// kInvalidLsn for one that logged nothing.
   std::vector<std::pair<TxnId, Lsn>> ActiveTxns();
 
   /// Restart support: recovery re-creates loser transactions to drive
@@ -119,11 +122,12 @@ class TransactionManager {
   Status UndoTo(Transaction* txn, Lsn stop_lsn);
   void ReleaseAllFor(Transaction* txn);
 
-  /// Ends a kSnapshot transaction: unregisters the snapshot, frees the
-  /// descriptor. Shared by Commit and Abort — the only difference for a
-  /// transaction that wrote nothing is the reported final state and which
-  /// lifecycle counter ticks, which \p committed selects.
-  Status EndSnapshotTxn(Transaction* txn, bool committed);
+  /// Ends a transaction that logged nothing: releases its locks and
+  /// predicates (or unregisters its snapshot), frees the descriptor.
+  /// Shared by Commit and Abort — the only difference for a transaction
+  /// that wrote nothing is the reported final state and which lifecycle
+  /// counter ticks, which \p committed selects.
+  Status EndUnlogged(Transaction* txn, bool committed);
 
   LogManager* log_;
   LockManager* locks_;
@@ -138,11 +142,10 @@ class TransactionManager {
   obs::Histogram* m_commit_ns_ = nullptr;  ///< includes the log force
 
   Mutex mu_{GISTCR_LOCK_RANK(kTxnManager, "txn.mu")};
+  /// Every active transaction, snapshot readers included. Those that
+  /// logged nothing have no first LSN, so OldestActiveFirstLsn (and with
+  /// it the checkpoint's redo floor) skips them.
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> table_
-      GISTCR_GUARDED_BY(mu_);
-  /// Snapshot readers live apart from table_ so checkpoints, ActiveTxns
-  /// and OldestActiveFirstLsn never see them: they have no log presence.
-  std::unordered_map<TxnId, std::unique_ptr<Transaction>> snapshot_table_
       GISTCR_GUARDED_BY(mu_);
   TxnId next_txn_id_ GISTCR_GUARDED_BY(mu_) = 1;
 };

@@ -259,8 +259,9 @@ class LogManager {
 
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
   std::atomic<Lsn> durable_lsn_{kInvalidLsn};
-  /// Written only under mu_, read lock-free by next_lsn(): every Begin
-  /// reads it, and must not take the mutex its append takes again.
+  /// Written only under mu_, read lock-free by next_lsn(): a
+  /// transaction's first AppendTxnLog reads it just before its append,
+  /// and must not take the mutex that append takes again.
   std::atomic<Lsn> next_lsn_{kFirstLsn};
   std::atomic<bool> sync_on_flush_{true};
   std::atomic<Lsn> reclaimed_before_{LogManager::kFirstLsn};

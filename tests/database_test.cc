@@ -66,12 +66,12 @@ TEST_F(DatabaseTest, MultipleIndexesCoexist) {
   Transaction* txn = db_->Begin();
   for (int i = 0; i < 50; i++) {
     ASSERT_OK(db_->InsertRecord(txn, btree, BtreeExtension::MakeKey(i),
-                                "b" + std::to_string(i))
+                                std::string("b").append(std::to_string(i)))
                   .status());
     ASSERT_OK(db_->InsertRecord(
                     txn, rtree,
                     RtreeExtension::MakeKey(Rect::Point(i, i)),
-                    "r" + std::to_string(i))
+                    std::string("r").append(std::to_string(i)))
                   .status());
   }
   ASSERT_OK(db_->Commit(txn));

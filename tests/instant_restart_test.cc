@@ -506,11 +506,12 @@ TEST(InstantRestartTest, CheckpointRightAfterOpenRestarts) {
   RemoveDbFiles(path);
 }
 
-// A checkpoint taken while a Begin sits between appending its record and
-// returning logs a floor at or below that Begin: Begin publishes its first
-// LSN before the append. Published after it, the floor would land above
-// the Begin, and the loser's backchain would reach below the next
-// restart's scan (Open fails) or into reclaimed log.
+// A checkpoint taken while a transaction's first record sits between its
+// append and the backchain update logs a floor at or below that record:
+// the first record publishes the first LSN before the append. Published
+// after it, the floor would land above the record, and the loser's
+// backchain would reach below the next restart's scan (Open fails) or
+// into reclaimed log. Begin itself logs nothing.
 TEST(InstantRestartTest, CheckpointInsideBeginKeepsLoserChain) {
   if (!kFaultInjectionCompiled) {
     GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
@@ -531,18 +532,21 @@ TEST(InstantRestartTest, CheckpointInsideBeginKeepsLoserChain) {
                   .status());
     ASSERT_OK(db->Commit(txn));
     // No dirty page and no other active transaction: only the loser's
-    // Begin can hold the floor below the checkpoint's log end.
+    // first record can hold the floor below the checkpoint's log end (its
+    // heap page is marked dirty only after the hook returns).
     ASSERT_OK(db->FlushAll());
+    Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
     FaultInjector::Global().Reset();
     bool checkpointed = false;
     FaultInjector::Global().ArmCrashPointHook("txn.after_log_append", [&] {
       EXPECT_OK(db->Checkpoint());
       checkpointed = true;
     });
-    Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db->InsertRecord(loser, gist, BtreeExtension::MakeKey(100), "l")
+                  .status());
     FaultInjector::Global().Reset();
     ASSERT_TRUE(checkpointed);
-    for (int64_t k = 100; k < 150; k++) {
+    for (int64_t k = 101; k < 150; k++) {
       ASSERT_OK(db->InsertRecord(loser, gist, BtreeExtension::MakeKey(k), "l")
                     .status());
     }

@@ -6,6 +6,7 @@
 
 #include "access/btree_extension.h"
 #include "gist/cursor.h"
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 
 namespace gistcr {
@@ -139,6 +140,191 @@ TEST_F(IsolationTest, DeleteOfScannedRecordBlocksOnRecordLock) {
   EXPECT_EQ(Scan(t1, 0, 100), (std::vector<int64_t>{7}));  // repeatable
   ASSERT_OK(db_->Commit(t1));
   deleter.join();
+}
+
+// Degree 2: a read-committed search holds no record lock once it returns,
+// through Search and through a cursor alike.
+TEST_F(IsolationTest, ReadCommittedSearchKeepsNoRecordLocks) {
+  Transaction* t0 = db_->Begin();
+  for (int64_t k = 0; k < 40; k++) MustInsert(t0, k);
+  ASSERT_OK(db_->Commit(t0));
+
+  Transaction* t1 = db_->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist_->Search(t1, BtreeExtension::MakeRange(0, 100), &results));
+  ASSERT_EQ(results.size(), 40u);
+  GistCursor cursor(gist_, t1, BtreeExtension::MakeRange(0, 100));
+  ASSERT_OK(cursor.Open());
+  for (;;) {
+    SearchResult r;
+    bool done = false;
+    ASSERT_OK(cursor.Next(&r, &done));
+    if (done) break;
+    results.push_back(r);
+  }
+  ASSERT_EQ(results.size(), 80u);
+  for (const SearchResult& r : results) {
+    EXPECT_FALSE(db_->locks()->Holds(
+        t1->id(), LockName{LockSpace::kRecord, r.rid.Pack()},
+        LockMode::kShared))
+        << "key " << BtreeExtension::Lo(r.key);
+  }
+  ASSERT_OK(db_->Commit(t1));
+}
+
+TEST_F(IsolationTest, DeleteOfRowScannedAtReadCommittedDoesNotBlock) {
+  Transaction* t0 = db_->Begin();
+  const Rid rid = MustInsert(t0, 7);
+  ASSERT_OK(db_->Commit(t0));
+
+  Transaction* t1 = db_->Begin(IsolationLevel::kReadCommitted);
+  EXPECT_EQ(Scan(t1, 0, 100), (std::vector<int64_t>{7}));
+
+  std::atomic<bool> delete_done{false};
+  std::thread deleter([&] {
+    Transaction* t2 = db_->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db_->DeleteRecord(t2, gist_, BtreeExtension::MakeKey(7), rid));
+    ASSERT_OK(db_->Commit(t2));
+    delete_done = true;
+  });
+  for (int i = 0; i < 500 && !delete_done.load(); i++) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_TRUE(delete_done.load()) << "delete blocked on a finished read";
+  EXPECT_TRUE(Scan(t1, 0, 100).empty());  // read committed: the delete shows
+  ASSERT_OK(db_->Commit(t1));  // releases the lock if the delete did block
+  deleter.join();
+}
+
+// Short read locks end one acquisition each: a record the transaction
+// holds for its own insert stays X-locked after it searched it.
+TEST_F(IsolationTest, ReadCommittedOwnInsertStaysLockedAfterSearch) {
+  Transaction* t1 = db_->Begin(IsolationLevel::kReadCommitted);
+  const Rid rid = MustInsert(t1, 5);
+  EXPECT_EQ(Scan(t1, 0, 10), (std::vector<int64_t>{5}));
+  EXPECT_TRUE(db_->locks()->Holds(
+      t1->id(), LockName{LockSpace::kRecord, rid.Pack()},
+      LockMode::kExclusive));
+
+  std::atomic<bool> read_done{false};
+  std::vector<int64_t> seen;
+  std::thread reader([&] {
+    Transaction* t2 = db_->Begin(IsolationLevel::kReadCommitted);
+    seen = Scan(t2, 0, 10);
+    read_done = true;
+    ASSERT_OK(db_->Commit(t2));
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(read_done.load()) << "reader did not block on the insert";
+  ASSERT_OK(db_->Commit(t1));
+  reader.join();
+  EXPECT_EQ(seen, (std::vector<int64_t>{5}));
+}
+
+// Database::ReadRecord with a read-committed transaction holds the rid's
+// S lock across the read: it waits out an uncommitted deleter, then reads
+// the record if the deleter aborted and NotFound if it committed.
+TEST_F(IsolationTest, LockedFetchWaitsForDeleter) {
+  Transaction* t0 = db_->Begin();
+  const Rid rid = MustInsert(t0, 3);
+  ASSERT_OK(db_->Commit(t0));
+
+  for (const bool commit_delete : {false, true}) {
+    SCOPED_TRACE(commit_delete ? "deleter commits" : "deleter aborts");
+    Transaction* del = db_->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(db_->DeleteRecord(del, gist_, BtreeExtension::MakeKey(3), rid));
+    std::atomic<bool> read_done{false};
+    Status read_st;
+    std::string record;
+    std::thread reader([&] {
+      Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+      auto rec_or = db_->ReadRecord(rid, t);
+      read_st = rec_or.status();
+      if (rec_or.ok()) record = rec_or.value();
+      read_done = true;
+      ASSERT_OK(db_->Commit(t));
+    });
+    std::this_thread::sleep_for(100ms);
+    EXPECT_FALSE(read_done.load()) << "fetch read an uncommitted delete";
+    ASSERT_OK(commit_delete ? db_->Commit(del) : db_->Abort(del));
+    reader.join();
+    if (commit_delete) {
+      EXPECT_TRUE(read_st.IsNotFound()) << read_st.ToString();
+    } else {
+      ASSERT_OK(read_st);
+      EXPECT_EQ(record, "v");
+    }
+  }
+}
+
+TEST_F(IsolationTest, ReadOnlyTransactionsLogAndForceNothing) {
+  Transaction* t0 = db_->Begin();
+  for (int64_t k = 0; k < 20; k++) MustInsert(t0, k);
+  ASSERT_OK(db_->Commit(t0));
+  obs::Counter* flushes = db_->metrics()->GetCounter("wal.flushes");
+  const Lsn end = db_->log()->next_lsn();
+  const uint64_t flushed = flushes->load();
+  for (const IsolationLevel iso :
+       {IsolationLevel::kReadCommitted, IsolationLevel::kRepeatableRead}) {
+    for (const bool commit : {true, false}) {
+      Transaction* t = db_->Begin(iso);
+      EXPECT_EQ(Scan(t, 0, 100).size(), 20u);
+      ASSERT_OK(commit ? db_->Commit(t) : db_->Abort(t));
+    }
+  }
+  EXPECT_EQ(db_->log()->next_lsn(), end);
+  EXPECT_EQ(flushes->load(), flushed);
+}
+
+// No early lock release (DESIGN.md section 6): a writer releases its
+// record locks only after its Commit is forced, so a reader that saw its
+// key waited for that force, and the key survives a crash after the
+// reader commits — which the reader's own commit, forcing nothing, does
+// not ensure.
+TEST_F(IsolationTest, ReaderSeesOnlyForcedCommits) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  std::atomic<bool> read_done{false};
+  std::vector<int64_t> seen;
+  std::thread reader;
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPointHook(
+      "txn.commit.before_log_force", [&] {
+        reader = std::thread([&] {
+          Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+          seen = Scan(t, 0, 100);
+          read_done = true;
+          EXPECT_OK(db_->Commit(t));
+        });
+        std::this_thread::sleep_for(100ms);
+        EXPECT_FALSE(read_done.load())
+            << "reader returned before the writer's commit was forced";
+      });
+  Transaction* writer = db_->Begin(IsolationLevel::kReadCommitted);
+  MustInsert(writer, 42);
+  ASSERT_OK(db_->Commit(writer));
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(reader.joinable());
+  reader.join();
+  EXPECT_EQ(seen, (std::vector<int64_t>{42}));
+
+  db_->SimulateCrash();
+  db_.reset();
+  DatabaseOptions opts;
+  opts.path = path_;
+  opts.buffer_pool_pages = 512;
+  auto db_or = Database::Open(opts);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  GistOptions gopts;
+  gopts.max_entries = 8;
+  ASSERT_OK(db_->OpenIndex(1, &ext_, gopts));
+  gist_ = db_->GetIndex(1).value();
+  ASSERT_OK(db_->WaitForRecovery());
+  Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+  EXPECT_EQ(Scan(t, 0, 100), (std::vector<int64_t>{42}));
+  ASSERT_OK(db_->Commit(t));
 }
 
 TEST_F(IsolationTest, ScanBlocksOnUncommittedInsert) {

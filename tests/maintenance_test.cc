@@ -83,6 +83,59 @@ TEST_F(MaintenanceTest, ManualPassCheckpointsAndCollects) {
   ASSERT_OK(gist->CheckInvariants());
 }
 
+// A reader that logged nothing leaves OldestActiveFirstLsn unset, so GC's
+// Commit_LSN test takes its fast path; an open deleter has logged, so its
+// marks still go through the per-mark IsActive check and survive.
+TEST_F(MaintenanceTest, PassBesideOpenReaderKeepsOpenDeletersMarks) {
+  auto db_or = Database::Create(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  GistOptions gopts;
+  gopts.max_entries = 8;
+  ASSERT_OK(db_->CreateIndex(1, &ext_, gopts));
+  Gist* gist = db_->GetIndex(1).value();
+
+  Transaction* t1 = db_->Begin();
+  std::vector<Rid> rids;
+  for (int64_t k = 0; k < 100; k++) {
+    auto rid = db_->InsertRecord(t1, gist, BtreeExtension::MakeKey(k), "v");
+    ASSERT_OK(rid.status());
+    rids.push_back(rid.value());
+  }
+  ASSERT_OK(db_->Commit(t1));
+  auto delete_range = [&](Transaction* txn, int64_t lo, int64_t hi) {
+    for (int64_t k = lo; k < hi; k++) {
+      ASSERT_OK(db_->DeleteRecord(txn, gist, BtreeExtension::MakeKey(k),
+                                  rids[static_cast<size_t>(k)]));
+    }
+  };
+  Transaction* t2 = db_->Begin();
+  delete_range(t2, 0, 40);
+  ASSERT_OK(db_->Commit(t2));
+
+  Transaction* reader = db_->Begin(IsolationLevel::kRepeatableRead);
+  std::vector<SearchResult> out;
+  ASSERT_OK(gist->Search(reader, BtreeExtension::MakeRange(90, 99), &out));
+  EXPECT_EQ(out.size(), 10u);
+  EXPECT_EQ(db_->txns()->OldestActiveFirstLsn(), kInvalidLsn);
+  ASSERT_OK(db_->RunMaintenancePass());
+  EXPECT_EQ(gist->stats().gc_removed.load(), 40u);
+
+  Transaction* deleter = db_->Begin(IsolationLevel::kReadCommitted);
+  delete_range(deleter, 40, 60);
+  ASSERT_OK(db_->RunMaintenancePass());
+  EXPECT_EQ(gist->stats().gc_removed.load(), 40u);  // open marks survive
+  ASSERT_OK(db_->Abort(deleter));
+  ASSERT_OK(db_->Commit(reader));
+
+  Transaction* t3 = db_->Begin(IsolationLevel::kReadCommitted);
+  out.clear();
+  ASSERT_OK(gist->Search(t3, BtreeExtension::MakeRange(0, 200), &out));
+  EXPECT_EQ(out.size(), 60u);
+  ASSERT_OK(db_->Commit(t3));
+  ASSERT_OK(gist->CheckInvariants());
+}
+
 TEST_F(MaintenanceTest, BackgroundDaemonCollectsWhileRunning) {
   opts_.maintenance_interval_ms = 30;
   auto db_or = Database::Create(opts_);

@@ -98,6 +98,21 @@ TEST_F(ServerDisconnectTest, DisconnectMidTxnAbortsAndReleasesLocks) {
   ASSERT_OK(db_->GetIndex(1).value()->CheckInvariants());
 }
 
+// A snapshot reader is in the transaction table like any other, so the
+// reap ends it: a registered snapshot left behind would pin the version
+// store's prune horizon and defer node retirement for good.
+TEST_F(ServerDisconnectTest, DisconnectEndsOpenSnapshotReader) {
+  {
+    Client a = MakeClient();
+    ASSERT_OK(a.Begin(IsolationLevel::kSnapshot).status());
+    ASSERT_OK(a.Search(1, BtreeExtension::MakeRange(0, 19)).status());
+    EXPECT_TRUE(db_->mvcc()->HasActiveSnapshots());
+    a.Close();
+  }
+  WaitForAbortReap();
+  EXPECT_FALSE(db_->mvcc()->HasActiveSnapshots());
+}
+
 TEST_F(ServerDisconnectTest, DisconnectCounterAndGaugeTrack) {
   Client a = MakeClient();
   ASSERT_OK(a.Begin().status());

@@ -142,11 +142,37 @@ TEST_F(TxnTest, OldestActiveFirstLsnTracksBackchains) {
   EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
   Transaction* a = txns_->Begin();
   Transaction* b = txns_->Begin();
+  Transaction* reader = txns_->Begin();
+  const Lsn ua = AppendUpdate(a);
+  AppendUpdate(b);
   const Lsn fa = a->first_lsn();
+  EXPECT_LE(fa, ua);
+  EXPECT_EQ(txns_->OldestActiveFirstLsn(), fa);
   ASSERT_OK(txns_->Commit(a));
-  EXPECT_GT(txns_->OldestActiveFirstLsn(), fa);  // b began later
+  EXPECT_GT(txns_->OldestActiveFirstLsn(), fa);  // b logged later
   ASSERT_OK(txns_->Commit(b));
+  // A transaction that logged nothing has no first LSN and holds nothing
+  // down.
+  EXPECT_EQ(reader->first_lsn(), kInvalidLsn);
   EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
+  ASSERT_OK(txns_->Commit(reader));
+}
+
+TEST_F(TxnTest, FirstRecordStartsTheChain) {
+  const Lsn end = log_.next_lsn();
+  Transaction* t = txns_->Begin();
+  EXPECT_EQ(log_.next_lsn(), end);  // Begin logs nothing
+  EXPECT_EQ(t->first_lsn(), kInvalidLsn);
+  const Lsn first = AppendUpdate(t);
+  const Lsn second = AppendUpdate(t);
+  EXPECT_LE(t->first_lsn(), first);
+  LogRecord rec;
+  ASSERT_OK(log_.ReadRecord(first, &rec));
+  EXPECT_EQ(rec.prev_lsn, kInvalidLsn);
+  ASSERT_OK(log_.ReadRecord(second, &rec));
+  EXPECT_EQ(rec.prev_lsn, first);
+  ASSERT_OK(txns_->Abort(t));
+  EXPECT_EQ(applier_.undone, (std::vector<Lsn>{second, first}));
 }
 
 TEST_F(TxnTest, ActiveTxnsSnapshot) {
