@@ -98,9 +98,6 @@ Status Database::InitCommon() {
   log_.SetDurableCallback([this](Lsn lsn) { mvcc_.AdvanceDurable(lsn); });
   GISTCR_RETURN_IF_ERROR(log_.Open(opts_.path + ".wal"));
   log_.SetSyncOnFlush(opts_.sync_commit);
-  // Seed the oracle with what is already durable so the first snapshot
-  // (taken before any new commit flushes) sees the pre-restart state.
-  mvcc_.AdvanceDurable(log_.durable_lsn());
   pool_ = std::make_unique<BufferPool>(
       &disk_, opts_.buffer_pool_pages,
       [this](Lsn lsn) { return log_.Flush(lsn); });
@@ -273,6 +270,10 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
   // everything after this point may touch pages (triggering their inline
   // redo) but never has to wait for the whole log.
   GISTCR_RETURN_IF_ERROR(db->recovery_->StartInstant(ckpt));
+  // Seed the oracle with what is already durable so the first snapshot
+  // (taken before any new commit flushes) sees the pre-restart state.
+  // Only now: analysis may have cut a torn tail, and durable_lsn() with it.
+  db->mvcc_.AdvanceDurable(db->log_.durable_lsn());
 
   // An image whose meta page lacks the magic is not a database. Reading
   // the meta page inline-redoes just that page.

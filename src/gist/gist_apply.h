@@ -10,7 +10,7 @@ namespace gistcr {
 /// The page effect of each GiST and meta-page log record (paper Table 1),
 /// written once. The forward path appends its record, then calls the
 /// applier under the X latch it already holds; redo calls the same applier
-/// after the page-LSN test (RecoveryManager::RedoRecordOnPage); live
+/// after the page-LSN test (RecoveryManager::ReplayPagePlan); live
 /// rollback, restart undo and CLR redo call the ApplyUndo* ones. An
 /// applier changes only the page \p g holds — for a two-page record,
 /// whichever of its pages that is — and stamps \p lsn as the page LSN and

@@ -289,9 +289,11 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   };
   std::map<TxnId, AttEntry> att;
   bool reached_checkpoint = false;
+  Lsn whole_end = redo_start;  // end of the last whole record read
   Status scan_st = log_->Scan(redo_start, end_lsn, [&](
                                        const LogRecord& rec) {
     reached_checkpoint |= rec.lsn == checkpoint_lsn;
+    whole_end = rec.lsn + rec.SerializedSize();
     m_analyzed_->Add(1);
     if (rec.txn_id != kInvalidTxnId) {
       max_txn = std::max(max_txn, rec.txn_id);
@@ -346,6 +348,13 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   // going on would drop redo and misjudge winners as losers.
   if (checkpoint_lsn != kInvalidLsn && !reached_checkpoint) {
     return Corrupt("log unreadable between redo start and checkpoint");
+  }
+  // Above the checkpoint, torn bytes end the log: cut them before anything
+  // is appended. Left in place, they would end the next restart's scan
+  // below every record appended after them, and the durable LSN Open took
+  // from the file size would let a new commit's Flush return unsynced.
+  if (whole_end < log_->next_lsn()) {
+    GISTCR_RETURN_IF_ERROR(log_->CutTail(whole_end));
   }
   txns_->SetNextTxnId(max_txn + 1);
   GISTCR_CRASHPOINT("recovery.after_analysis");
@@ -473,24 +482,25 @@ Status RecoveryManager::RunInstantBackground(const std::atomic<bool>& stop) {
 Status RecoveryManager::ReplayPagePlan(PageId pid,
                                        const std::vector<Lsn>& plan) {
   GISTCR_TRACE_SCOPE("recovery.replay_page");
-  // Hoisted page-LSN test: everything at or below the on-disk page LSN
-  // already reached this page before the crash, and RedoRecordOnPage
-  // would skip it after reading the record. Skipping here instead saves
-  // one log read per pre-flushed record — for hot pages (root, bitmap)
-  // the plan spans the whole redo interval but the page was written back
-  // moments before the crash, so nearly all of it prunes away. A fresh
-  // or never-flushed page reads page_lsn 0 and keeps its full plan.
-  Lsn page_lsn = 0;
-  {
-    PageGuard g;
-    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-    page_lsn = g.view().page_lsn();
-  }
-  auto it = std::upper_bound(plan.begin(), plan.end(), page_lsn);
-  for (; it != plan.end(); ++it) {
-    LogRecord rec;
+  // One fetch and one X latch for the whole plan. The page is claimed in
+  // the gate (kRedoing), so every other fetcher waits there, not on this
+  // latch. Hoisted page-LSN test: everything at or below the on-disk page
+  // LSN already reached this page before the crash. Skipping it here
+  // saves one log read per pre-flushed record — for hot pages (root,
+  // bitmap) the plan spans the whole redo interval but the page was
+  // written back moments before the crash, so nearly all of it prunes
+  // away. A fresh or never-flushed page reads page_lsn 0 and keeps its
+  // full plan.
+  PageGuard g;
+  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
+  LogRecord rec;  // reused: the log reads allocate nothing per record
+  for (auto it = std::upper_bound(plan.begin(), plan.end(),
+                                  g.view().page_lsn());
+       it != plan.end(); ++it) {
     GISTCR_RETURN_IF_ERROR(log_->ReadRecord(*it, &rec));
-    GISTCR_RETURN_IF_ERROR(RedoRecordOnPage(rec, pid));
+    if (g.view().page_lsn() < rec.lsn) {
+      GISTCR_RETURN_IF_ERROR(ApplyRedo(rec, &g));
+    }
     m_redone_->Add(1);
   }
   return Status::OK();
@@ -504,16 +514,13 @@ Status RecoveryManager::RedoRecord(const LogRecord& rec) {
   std::vector<PageId> pages;
   PagesOfRecord(rec, &pages);
   for (PageId pid : pages) {
-    GISTCR_RETURN_IF_ERROR(RedoRecordOnPage(rec, pid));
+    PageGuard g;
+    GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
+    if (g.view().page_lsn() < rec.lsn) {
+      GISTCR_RETURN_IF_ERROR(ApplyRedo(rec, &g));
+    }
   }
   return Status::OK();
-}
-
-Status RecoveryManager::RedoRecordOnPage(const LogRecord& rec, PageId pid) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchX(pool_, pid, &g));
-  if (g.view().page_lsn() >= rec.lsn) return Status::OK();
-  return ApplyRedo(rec, &g);
 }
 
 Status RecoveryManager::ApplyRedo(const LogRecord& rec, PageGuard* g) {

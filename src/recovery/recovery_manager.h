@@ -89,8 +89,9 @@ class RecoveryManager : public UndoApplier {
   /// counter) and forces it.
   StatusOr<CheckpointLsns> Checkpoint();
 
-  /// Page-oriented redo of one record, once for each page it mutates
-  /// (public for targeted tests).
+  /// Page-oriented redo of one record, once for each page it mutates:
+  /// fetch the page X-latched, test its page LSN, apply (public for
+  /// targeted tests).
   Status RedoRecord(const LogRecord& rec);
 
   /// UndoApplier: undoes one record on behalf of a rollback: X-latches
@@ -99,12 +100,6 @@ class RecoveryManager : public UndoApplier {
   Status UndoRecord(Transaction* txn, const LogRecord& rec) override;
 
  private:
-  /// Redo of one record restricted to the image of page \p pid: fetch it
-  /// X-latched, test its page LSN, apply. A record touching two pages
-  /// (split, root change) is applied once per page, each under that
-  /// page's own plan.
-  Status RedoRecordOnPage(const LogRecord& rec, PageId pid);
-
   /// Decodes \p rec and calls its page applier on \p g.
   Status ApplyRedo(const LogRecord& rec, PageGuard* g);
 
@@ -119,8 +114,9 @@ class RecoveryManager : public UndoApplier {
   /// backchain — to kInvalidLsn once no action is open.
   Status UndoUnfinishedNtaStep(Transaction* txn, Lsn* next);
 
-  /// RecoveryGate replay callback: reads each planned record and applies
-  /// it to \p pid. The page-LSN test skips whatever already reached disk.
+  /// RecoveryGate replay callback: fetches and X-latches \p pid once,
+  /// then reads each planned record above its page LSN and applies it.
+  /// The page-LSN test skips whatever already reached disk.
   Status ReplayPagePlan(PageId pid, const std::vector<Lsn>& plan);
 
   Status Corrupt(const char* what) {

@@ -142,8 +142,8 @@ Status TransactionManager::Commit(Transaction* txn) {
 
 Status TransactionManager::UndoTo(Transaction* txn, Lsn stop_lsn) {
   Lsn cur = txn->last_lsn();
+  LogRecord rec;  // reused: the log reads allocate nothing per record
   while (cur != kInvalidLsn && cur > stop_lsn) {
-    LogRecord rec;
     GISTCR_RETURN_IF_ERROR(log_->ReadRecord(cur, &rec));
     switch (rec.type) {
       case LogRecordType::kClr:

@@ -20,6 +20,24 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'I', 'S', 'T', 'W', 'A', 'L', '1'};
 
+/// Longest plausible record; a longer length field is garbage.
+constexpr uint32_t kMaxRecordBytes = 64u << 20;
+
+/// pread that retries interrupted and short reads: returns the bytes read,
+/// fewer than \p n only at the end of the file, or -1 on an I/O error.
+ssize_t PreadFull(int fd, char* buf, size_t n, Lsn offset) {
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, buf + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) return -1;
+    if (r == 0) break;
+    got += static_cast<size_t>(r);
+  }
+  return static_cast<ssize_t>(got);
+}
+
 }  // namespace
 
 LogManager::LogManager() { AttachMetrics(nullptr); }
@@ -68,20 +86,12 @@ Status LogManager::Open(const std::string& path) {
   }
 
   MutexLock l(mu_);
-  GISTCR_CHECK(fd_ < 0);
+  GISTCR_CHECK(fd_.load(std::memory_order_relaxed) < 0);
   GISTCR_CHECK(!flusher_thread_.joinable());
-  fd_ = fd;
+  fd_.store(fd, std::memory_order_release);
   path_ = path;
-  buffer_base_ = static_cast<Lsn>(size);
-  next_lsn_.store(buffer_base_, std::memory_order_release);
   requested_lsn_ = kInvalidLsn;
-  durable_lsn_.store(buffer_base_ > kFirstLsn ? buffer_base_ - 1 : kInvalidLsn,
-                     std::memory_order_release);
-  // last_lsn_ starts at the end of the durable log, at or above every
-  // record in the file: for NSN purposes it only has to be >= every NSN
-  // already assigned, and every Append raises it from here.
-  last_lsn_.store(buffer_base_ > kFirstLsn ? buffer_base_ - 1 : kInvalidLsn,
-                  std::memory_order_release);
+  SetEndLocked(static_cast<Lsn>(size));
   flusher_stop_ = false;
   flusher_thread_ = std::thread([this] { FlusherLoop(); });
   return Status::OK();
@@ -96,7 +106,8 @@ void LogManager::Close() {
   }
   if (flusher_thread_.joinable()) flusher_thread_.join();
   MutexLock l(mu_);
-  if (fd_ < 0) return;
+  const int fd = fd_.load(std::memory_order_relaxed);
+  if (fd < 0) return;
   // Best-effort drain: shutdown cannot do anything with a flush failure,
   // and recovery tolerates a truncated tail. The flusher has exited, so
   // any in-flight batch has already landed or been spliced back.
@@ -109,8 +120,8 @@ void LogManager::Close() {
     l.Lock();
     FinishBatchLocked(io, st);
   }
-  ::close(fd_);
-  fd_ = -1;
+  ::close(fd);
+  fd_.store(-1, std::memory_order_release);
 }
 
 Status LogManager::Append(LogRecord* rec) {
@@ -129,7 +140,7 @@ Status LogManager::Append(LogRecord* rec) {
   GISTCR_DCHECK(scratch.size() == rec->SerializedSize());
 
   MutexLock l(mu_);
-  GISTCR_CHECK(fd_ >= 0);
+  GISTCR_CHECK(fd_.load(std::memory_order_relaxed) >= 0);
   rec->lsn = next_lsn_.load(std::memory_order_relaxed);
   buffer_.append(scratch);
   next_lsn_.store(rec->lsn + scratch.size(), std::memory_order_release);
@@ -200,10 +211,10 @@ LogManager::BatchIo LogManager::CutBatchLocked() {
   pending_commits_ = 0;
   flush_in_flight_ = true;
   BatchIo io;
-  io.fd = fd_;
+  io.fd = fd_.load(std::memory_order_relaxed);
   io.data = flushing_.data();
   io.size = flushing_.size();
-  io.base = buffer_base_;
+  io.base = durable_end_.load(std::memory_order_relaxed);
   io.last = last_lsn_.load(std::memory_order_acquire);
   return io;
 }
@@ -258,7 +269,7 @@ Status LogManager::WriteBatch(const BatchIo& io, bool flusher,
 void LogManager::FinishBatchLocked(const BatchIo& io, const Status& st) {
   flush_in_flight_ = false;
   if (st.ok()) {
-    buffer_base_ += flushing_.size();
+    durable_end_.store(io.base + io.size, std::memory_order_release);
     flushing_.clear();
     durable_lsn_.store(io.last, std::memory_order_release);
   } else {
@@ -289,7 +300,7 @@ Status LogManager::Flush(Lsn lsn) {
   GISTCR_TRACE_SCOPE("wal.flush.wait");
   const uint64_t t0 = obs::NowNanos();
   MutexLock l(mu_);
-  GISTCR_CHECK(fd_ >= 0);
+  GISTCR_CHECK(fd_.load(std::memory_order_relaxed) >= 0);
   {
     // DiscardTail may have dropped the records we were asked about; never
     // wait for an LSN that no longer exists. A caller naming a specific
@@ -330,15 +341,16 @@ Status LogManager::Flush(Lsn lsn) {
 }
 
 Status LogManager::ReadBufferedLocked(Lsn lsn, LogRecord* rec) {
-  // [buffer_base_, buffer_base_ + flushing_.size()) lives in flushing_
+  // [durable_end_, durable_end_ + flushing_.size()) lives in flushing_
   // (the in-flight batch); everything beyond lives in buffer_. Batches are
   // cut at record boundaries, so a record never spans the two.
-  const Lsn flushing_end = buffer_base_ + flushing_.size();
+  const Lsn base = durable_end_.load(std::memory_order_relaxed);
+  const Lsn flushing_end = base + flushing_.size();
   const std::string* src;
   Lsn off;
   if (lsn < flushing_end) {
     src = &flushing_;
-    off = lsn - buffer_base_;
+    off = lsn - base;
   } else {
     src = &buffer_;
     off = lsn - flushing_end;
@@ -354,27 +366,40 @@ Status LogManager::ReadBufferedLocked(Lsn lsn, LogRecord* rec) {
 }
 
 Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec) {
-  MutexLock l(mu_);
-  GISTCR_CHECK(fd_ >= 0);
-  if (lsn >= buffer_base_) {
-    return ReadBufferedLocked(lsn, rec);
+  if (lsn >= durable_end_.load(std::memory_order_acquire)) {
+    MutexLock l(mu_);
+    GISTCR_CHECK(fd_.load(std::memory_order_relaxed) >= 0);
+    if (lsn >= durable_end_.load(std::memory_order_relaxed)) {
+      return ReadBufferedLocked(lsn, rec);
+    }
+    // The batch holding lsn landed meanwhile: it is durable now.
   }
-  // Durable region: read the header first to size the record.
-  char header[LogRecord::kHeaderSize];
-  ssize_t n = ::pread(fd_, header, sizeof(header), static_cast<off_t>(lsn));
-  if (n != static_cast<ssize_t>(sizeof(header))) {
-    return Status::NotFound("lsn beyond durable log");
+  // No mutex: bytes below the durable end never change (header comment).
+  const int fd = fd_.load(std::memory_order_acquire);
+  const Lsn end = durable_end_.load(std::memory_order_acquire);
+  GISTCR_CHECK(fd >= 0);
+  GISTCR_DCHECK(lsn < end);
+  // Grows to the longest record this thread has read, then stays.
+  static thread_local std::vector<char> buf(kReadPrefix);
+  const uint64_t avail = end - lsn;
+  const ssize_t n =
+      PreadFull(fd, buf.data(), std::min<uint64_t>(kReadPrefix, avail), lsn);
+  if (n < 0) {
+    return Status::IOError("pread log: " + std::string(std::strerror(errno)));
   }
-  const uint32_t total = DecodeFixed32(header);
-  if (total < LogRecord::kHeaderSize || total > (64u << 20)) {
+  const size_t got = static_cast<size_t>(n);
+  if (got < LogRecord::kHeaderSize) {
+    return Status::Corruption("log record: short header");
+  }
+  const uint32_t total = DecodeFixed32(buf.data());
+  if (total < LogRecord::kHeaderSize || total > kMaxRecordBytes) {
     return Status::Corruption("log record: implausible length");
   }
-  std::vector<char> buf(total);
-  std::memcpy(buf.data(), header, sizeof(header));
-  if (total > sizeof(header)) {
-    n = ::pread(fd_, buf.data() + sizeof(header), total - sizeof(header),
-                static_cast<off_t>(lsn + sizeof(header)));
-    if (n != static_cast<ssize_t>(total - sizeof(header))) {
+  if (total > avail) return Status::Corruption("log record: torn");
+  if (total > got) {
+    if (buf.size() < total) buf.resize(total);
+    if (PreadFull(fd, buf.data() + got, total - got, lsn + got) !=
+        static_cast<ssize_t>(total - got)) {
       return Status::Corruption("log record: torn");
     }
   }
@@ -387,22 +412,104 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec) {
 Status LogManager::Scan(Lsn from, Lsn upto,
                         const std::function<bool(const LogRecord&)>& fn) {
   Lsn lsn = from == kInvalidLsn ? kFirstLsn : from;
-  for (;;) {
-    LogRecord rec;
-    Status st = ReadRecord(lsn, &rec);
-    if (st.IsNotFound()) break;           // clean end of log
-    if (st.IsCorruption()) break;         // torn tail after a crash
+  const Lsn last = upto == kInvalidLsn ? ~Lsn{0} : upto;
+  LogRecord rec;  // reused: every record decodes into it
+  // The durable part, in chunks and without the mutex (see ReadRecord).
+  const int fd = fd_.load(std::memory_order_acquire);
+  const Lsn end = durable_end_.load(std::memory_order_acquire);
+  GISTCR_CHECK(fd >= 0);
+  std::vector<char> chunk;  // sized to the bytes read, not to kScanChunk
+  Lsn chunk_lsn = lsn;
+  size_t chunk_len = 0;
+  // Refills the chunk from lsn, the start of the record being decoded.
+  auto refill = [&](uint64_t want) -> Status {
+    if (chunk.size() < want) chunk.resize(want);
+    const ssize_t n = PreadFull(fd, chunk.data(), want, lsn);
+    if (n < 0) {
+      return Status::IOError("pread log: " +
+                             std::string(std::strerror(errno)));
+    }
+    chunk_lsn = lsn;
+    chunk_len = static_cast<size_t>(n);
+    return Status::OK();
+  };
+  while (lsn < end && lsn <= last) {
+    if (lsn + LogRecord::kHeaderSize > chunk_lsn + chunk_len) {
+      GISTCR_RETURN_IF_ERROR(refill(std::min<uint64_t>(kScanChunk, end - lsn)));
+      if (chunk_len < LogRecord::kHeaderSize) return Status::OK();
+    }
+    const uint32_t total = DecodeFixed32(chunk.data() + (lsn - chunk_lsn));
+    if (total < LogRecord::kHeaderSize || total > kMaxRecordBytes ||
+        total > end - lsn) {
+      return Status::OK();  // implausible length, or a body past the end
+    }
+    if (lsn + total > chunk_lsn + chunk_len) {
+      // Straddles the chunk's end, or is longer than a chunk: read it whole.
+      GISTCR_RETURN_IF_ERROR(refill(
+          std::max<uint64_t>(total, std::min<uint64_t>(kScanChunk, end - lsn))));
+      if (chunk_len < total) return Status::OK();
+    }
+    uint32_t consumed;
+    if (!rec.DecodeFrom(Slice(chunk.data() + (lsn - chunk_lsn), total),
+                        &consumed)
+             .ok()) {
+      return Status::OK();  // CRC failure
+    }
+    rec.lsn = lsn;
+    if (!fn(rec)) return Status::OK();
+    lsn += total;
+  }
+  // Past the durable end seen above: the in-memory tail, and any batch
+  // that landed since.
+  while (lsn <= last) {
+    const Status st = ReadRecord(lsn, &rec);
+    if (st.IsNotFound() || st.IsCorruption()) break;  // log end, torn tail
     GISTCR_RETURN_IF_ERROR(st);
-    if (upto != kInvalidLsn && rec.lsn > upto) break;
     if (!fn(rec)) break;
     lsn += rec.SerializedSize();
   }
   return Status::OK();
 }
 
+Status LogManager::CutTail(Lsn end) {
+  int fd = -1;
+  {
+    MutexLock l(mu_);
+    fd = fd_.load(std::memory_order_relaxed);
+    GISTCR_CHECK(fd >= 0);
+    GISTCR_CHECK(buffer_.empty() && !flush_in_flight_);
+    const Lsn size = durable_end_.load(std::memory_order_relaxed);
+    GISTCR_CHECK(end >= kFirstLsn && end <= size);
+    if (end == size) return Status::OK();
+  }
+  // The file operations run without mu_ (sync-under-mutex). Nothing is
+  // appended meanwhile, so nothing reads or writes the cut bytes.
+  if (::ftruncate(fd, static_cast<off_t>(end)) != 0) {
+    return Status::IOError("ftruncate log: " +
+                           std::string(std::strerror(errno)));
+  }
+  if (::fdatasync(fd) != 0) return Status::IOError("fdatasync log");
+  MutexLock l(mu_);
+  GISTCR_CHECK(buffer_.empty() && !flush_in_flight_);
+  SetEndLocked(end);
+  return Status::OK();
+}
+
+void LogManager::SetEndLocked(Lsn end) {
+  durable_end_.store(end, std::memory_order_release);
+  next_lsn_.store(end, std::memory_order_release);
+  // durable_lsn_ and last_lsn_ start at the byte below the end, at or
+  // above every record in the file: for NSN purposes last_lsn_ only has to
+  // be >= every NSN already assigned, and every Append raises it from here.
+  const Lsn below = end > kFirstLsn ? end - 1 : kInvalidLsn;
+  durable_lsn_.store(below, std::memory_order_release);
+  last_lsn_.store(below, std::memory_order_release);
+}
+
 uint64_t LogManager::TotalBytes() const {
   MutexLock l(mu_);
-  return buffer_base_ + flushing_.size() + buffer_.size() - kFirstLsn;
+  return durable_end_.load(std::memory_order_relaxed) + flushing_.size() +
+         buffer_.size() - kFirstLsn;
 }
 
 LogManager::FlusherStats LogManager::GetFlusherStats() const {
@@ -427,18 +534,20 @@ StatusOr<uint64_t> LogManager::ReclaimBefore(Lsn lsn) {
   uint64_t start = 0, end = 0;
   {
     MutexLock l(mu_);
-    GISTCR_CHECK(fd_ >= 0);
-    fd = fd_;
+    fd = fd_.load(std::memory_order_relaxed);
+    GISTCR_CHECK(fd >= 0);
     const Lsn already = reclaimed_before_.load(std::memory_order_acquire);
     start = ((already + kBlock - 1) / kBlock) * kBlock;
-    end = (std::min<Lsn>(lsn, buffer_base_) / kBlock) * kBlock;
+    end = (std::min<Lsn>(lsn, durable_end_.load(std::memory_order_relaxed)) /
+           kBlock) * kBlock;
   }
   if (end <= start) return static_cast<uint64_t>(0);
 #ifdef FALLOC_FL_PUNCH_HOLE
   // The punch runs without mu_, so appends and flushes never wait behind
-  // the filesystem. The range is durable (below buffer_base_, which only
-  // grows) and no longer needed, so nothing reads or writes it meanwhile;
-  // reclaimed_before_ moves only here, and reclaims never overlap.
+  // the filesystem. The range is durable (below durable_end_, which only
+  // grows once appends start) and no longer needed, so nothing reads or
+  // writes it meanwhile; reclaimed_before_ moves only here, and reclaims
+  // never overlap.
   if (::fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
                   static_cast<off_t>(start),
                   static_cast<off_t>(end - start)) != 0) {
@@ -466,7 +575,8 @@ void LogManager::DiscardTail() {
   buffer_.clear();
   pending_records_ = 0;
   pending_commits_ = 0;
-  next_lsn_.store(buffer_base_, std::memory_order_release);
+  next_lsn_.store(durable_end_.load(std::memory_order_relaxed),
+                  std::memory_order_release);
   last_lsn_.store(durable_lsn_.load(std::memory_order_acquire),
                   std::memory_order_release);
   if (requested_lsn_ != kInvalidLsn) {

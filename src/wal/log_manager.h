@@ -34,6 +34,9 @@ namespace gistcr {
 ///    retires every record (and so every commit) appended before it — true
 ///    group commit. A flush failure fans out to *every* waiter blocked at
 ///    that moment and leaves the batch in the tail buffer for retry.
+///  - **Readers** (restart's analysis and replay, rollback): records below
+///    the durable end are read from the file without the mutex (Scan,
+///    ReadRecord); only the in-memory tail is read under it.
 ///
 /// Flush(lsn) is the waiter side of the handshake: it records the request,
 /// wakes the flusher, and blocks until durable_lsn() covers the target or
@@ -50,7 +53,8 @@ class LogManager {
 
   /// Opens (creating if absent) the log file, positions at its end, and
   /// starts the flusher thread. Scans backwards-compatible: an existing
-  /// file is validated lazily by Scan during recovery.
+  /// file is validated lazily by Scan during recovery, which cuts a torn
+  /// tail off with CutTail.
   Status Open(const std::string& path);
 
   /// Stops the flusher (draining the tail buffer best-effort) and closes
@@ -80,22 +84,53 @@ class LogManager {
   /// durable end.) Lock-free.
   Lsn next_lsn() const { return next_lsn_.load(std::memory_order_acquire); }
 
-  /// Reads the record at \p lsn (from the durable file or the in-memory
-  /// tail). Sets rec->lsn.
+  /// Reads the record at \p lsn and sets rec->lsn. A record below the
+  /// durable end is read from the file without the mutex: one pread of a
+  /// kReadPrefix-byte prefix into a per-thread buffer, and a second only
+  /// for a longer record. Decoding reuses rec->payload's capacity, so a
+  /// caller that reuses one LogRecord allocates nothing per record. A
+  /// record at or above the durable end is decoded from the in-memory tail
+  /// under the mutex. NotFound past the log end; Corruption for bytes that
+  /// hold no whole record.
+  ///
+  /// Durable bytes never change: a batch becomes durable only after its
+  /// pwrite and fdatasync succeed, and reclaim punches only below the
+  /// redo floor, at or above which every restart and rollback read lies.
+  /// Must not run concurrently with Close.
   Status ReadRecord(Lsn lsn, LogRecord* rec);
 
   /// Iterates durable+buffered records with from <= lsn <= upto, in LSN
   /// order (\p from kInvalidLsn: from the log start; \p upto kInvalidLsn:
-  /// to the log end). The callback may return false to stop. Stops cleanly
-  /// at the first torn or corrupt record (the crash-truncated tail).
-  /// Instant restart bounds its analysis at the log end it saw, so redo
-  /// planning stays confined to that window while new user appends extend
-  /// the log concurrently.
+  /// to the log end). The callback may return false to stop; the record it
+  /// gets is valid only during the call.
+  ///
+  /// The one sequential reader: up to the durable end it saw when called,
+  /// the scan preads kScanChunk-byte chunks without the mutex (the buffer
+  /// sized to the bytes read, a record longer than a chunk read whole) and
+  /// decodes each record in place into one reused LogRecord; then it goes
+  /// on record by record through whatever lies beyond (ReadRecord). It
+  /// stops quietly at the first torn or corrupt record — a short header,
+  /// an implausible length, a body that runs past the end, a CRC failure:
+  /// the crash-truncated tail. Instant restart bounds its analysis at the
+  /// log end it saw, so redo planning stays confined to that window while
+  /// new user appends extend the log concurrently.
   Status Scan(Lsn from, Lsn upto,
               const std::function<bool(const LogRecord&)>& fn);
 
+  /// Cuts the file at \p end, the end of the last whole record restart's
+  /// analysis read, so torn bytes above it cannot hide the records
+  /// appended after them from the next restart: ftruncate + fdatasync
+  /// without the mutex, then next_lsn() starts at \p end, and durable_lsn()
+  /// and last_lsn() at the byte below it, as after Open. Call after Open
+  /// and before anything is appended; \p end must not pass the file's end.
+  Status CutTail(Lsn end);
+
   /// First valid LSN in the log (just past the file magic).
   static constexpr Lsn kFirstLsn = 8;
+  /// Bytes a durable ReadRecord reads first; most records fit.
+  static constexpr size_t kReadPrefix = 1024;
+  /// Bytes a Scan reads from the durable file at a time.
+  static constexpr size_t kScanChunk = 1u << 20;
 
   /// Total bytes appended so far (for benchmarks measuring log volume).
   uint64_t TotalBytes() const;
@@ -192,6 +227,10 @@ class LogManager {
   /// the tail end.
   Status ReadBufferedLocked(Lsn lsn, LogRecord* rec) GISTCR_REQUIRES(mu_);
 
+  /// Publishes \p end as the file's durable end and the next LSN (Open,
+  /// CutTail).
+  void SetEndLocked(Lsn end) GISTCR_REQUIRES(mu_);
+
   /// Flush-ahead cap: appenders beyond this much unflushed tail wake the
   /// flusher even with no durability waiter, bounding tail-buffer memory.
   static constexpr size_t kFlushAheadBytes = 8u << 20;
@@ -215,19 +254,15 @@ class LogManager {
   /// sleeps on it.
   CondVar work_cv_;
 
-  int fd_ GISTCR_GUARDED_BY(mu_) = -1;
   std::string path_ GISTCR_GUARDED_BY(mu_);
   /// Unflushed tail past flushing_; first byte is at LSN
-  /// buffer_base_ + flushing_.size().
+  /// durable_end_ + flushing_.size().
   std::string buffer_ GISTCR_GUARDED_BY(mu_);
   /// Batch the flusher is currently writing (empty when idle); starts at
-  /// LSN buffer_base_. Readable under mu_ while the flusher's I/O is in
+  /// LSN durable_end_. Readable under mu_ while the flusher's I/O is in
   /// flight — the flusher only reads it outside the mutex and only
   /// mutates it (clear / splice back) with the mutex held.
   std::string flushing_ GISTCR_GUARDED_BY(mu_);
-  /// Durable file size == LSN of the first byte of flushing_ (or of
-  /// buffer_ when no flush is in flight).
-  Lsn buffer_base_ GISTCR_GUARDED_BY(mu_) = 0;
   /// Highest LSN any Flush call asked to make durable.
   Lsn requested_lsn_ GISTCR_GUARDED_BY(mu_) = kInvalidLsn;
   /// Appends (and Commit-record appends) since the last flush batch cut.
@@ -257,6 +292,14 @@ class LogManager {
   /// by the flusher thread outside mu_.
   std::function<void(Lsn)> durable_cb_;
 
+  /// The log file and its durable size, the LSN of the first byte of
+  /// flushing_ (or of buffer_ when no flush is in flight). Both are written
+  /// only under mu_ (Open, Close, FinishBatchLocked, CutTail) and read
+  /// lock-free by durable reads, which never run concurrently with Close:
+  /// an acquire load of durable_end_ covers bytes whose pwrite and
+  /// fdatasync returned before it was published.
+  std::atomic<int> fd_{-1};
+  std::atomic<Lsn> durable_end_{0};
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
   std::atomic<Lsn> durable_lsn_{kInvalidLsn};
   /// Written only under mu_, read lock-free by next_lsn(): a

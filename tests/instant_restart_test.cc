@@ -15,8 +15,9 @@
 ///      for a torn tail, a checkpoint taken before anything is appended
 ///      logs a floor the next restart starts from, a checkpoint that
 ///      races a Begin or the drainer still logs a floor below every record
-///      the next restart needs, and a checkpoint inside another never
-///      moves the master back;
+///      the next restart needs, a checkpoint inside another never moves
+///      the master back, and a torn tail is cut before new work lands
+///      behind it;
 ///   5. snapshot reads fall back to repeatable read only while loser undo
 ///      runs;
 ///   6. a loser's unfinished nested top action is rolled back before the
@@ -412,6 +413,90 @@ TEST(InstantRestartTest, HoleBelowCheckpointFailsOpen) {
   auto db_or = Database::Open(dopts);
   EXPECT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
   RemoveDbFiles(path);
+}
+
+// Keys of index \p gist that a read-committed search finds, sorted.
+std::vector<int64_t> CommittedKeys(Database* db, Gist* gist) {
+  Transaction* reader = db->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  EXPECT_OK(gist->Search(reader, BtreeExtension::MakeRange(0, 1000),
+                         &results));
+  EXPECT_OK(db->Commit(reader));
+  std::vector<int64_t> keys;
+  for (const SearchResult& r : results) {
+    keys.push_back(BtreeExtension::Lo(r.key));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// A torn record at the log's end is cut before new work. Left in place,
+// new records were appended after it and the next restart's scan stopped
+// at it: a key committed after the first restart was lost, or, with a
+// checkpoint above the torn bytes, every later Open failed.
+TEST(InstantRestartTest, TornTailIsCutBeforeNewWork) {
+  static BtreeExtension ext;
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint after key 2" : "no checkpoint");
+    const std::string path = TestPath("instant_torn_tail");
+    RemoveDbFiles(path);
+    DatabaseOptions dopts;
+    dopts.path = path;
+    {
+      auto db_or = Database::Create(dopts);
+      ASSERT_OK(db_or.status());
+      auto db = db_or.MoveValue();
+      ASSERT_OK(db->CreateIndex(1, &ext));
+      Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+      ASSERT_OK(db->InsertRecord(txn, db->GetIndex(1).value(),
+                                 BtreeExtension::MakeKey(1), "v")
+                    .status());
+      ASSERT_OK(db->Commit(txn));
+      db->SimulateCrash();
+    }
+    // The first 40 bytes of a record whose write the crash cut short.
+    Lsn whole_end = kInvalidLsn;
+    {
+      LogRecord torn;
+      torn.type = LogRecordType::kAddLeafEntry;
+      torn.txn_id = 99;
+      torn.payload = std::string(100, 't');
+      std::string bytes;
+      torn.EncodeTo(&bytes);
+      FILE* f = std::fopen((path + ".wal").c_str(), "ab");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+      whole_end = static_cast<Lsn>(std::ftell(f));
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, 40, f), 40u);
+      std::fclose(f);
+    }
+    {
+      auto db_or = Database::Open(dopts);
+      ASSERT_OK(db_or.status());
+      auto db = db_or.MoveValue();
+      EXPECT_EQ(db->log()->next_lsn(), whole_end);
+      ASSERT_OK(db->WaitForRecovery());
+      ASSERT_OK(db->OpenIndex(1, &ext));
+      Gist* gist = db->GetIndex(1).value();
+      EXPECT_EQ(CommittedKeys(db.get(), gist), (std::vector<int64_t>{1}));
+      Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+      ASSERT_OK(
+          db->InsertRecord(txn, gist, BtreeExtension::MakeKey(2), "v")
+              .status());
+      ASSERT_OK(db->Commit(txn));  // forced
+      if (checkpoint) ASSERT_OK(db->Checkpoint());
+      db->SimulateCrash();
+    }
+    auto db_or = Database::Open(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->WaitForRecovery());
+    ASSERT_OK(db->OpenIndex(1, &ext));
+    EXPECT_EQ(CommittedKeys(db.get(), db->GetIndex(1).value()),
+              (std::vector<int64_t>{1, 2}));
+    db.reset();
+    RemoveDbFiles(path);
+  }
 }
 
 // A master pointer that names no LSN is damage, not "no checkpoint yet":

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <atomic>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -249,6 +255,258 @@ TEST_F(LogManagerTest, ScanStopsAtTornTail) {
   }));
   EXPECT_EQ(count, 1);
   log2.Close();
+}
+
+// ---------------------------------------------------------------------
+// The sequential reader: Scan reads the durable log in kScanChunk chunks
+// and decodes in place; ReadRecord reads one durable record with one
+// pread (two for a record longer than kReadPrefix).
+// ---------------------------------------------------------------------
+
+/// What a reader must return for one record.
+struct Expected {
+  Lsn lsn;
+  LogRecordType type;
+  TxnId txn_id;
+  Lsn prev_lsn;
+  Lsn undo_next;
+  std::string payload;
+};
+
+/// Appends a record with a \p size-byte payload whose bytes depend on
+/// \p seq, so a record read from the wrong offset cannot match.
+Expected AppendSized(LogManager* log, uint64_t seq, size_t size) {
+  LogRecord r;
+  r.type = seq % 3 == 0 ? LogRecordType::kAddLeafEntry
+                        : LogRecordType::kHeapInsert;
+  r.txn_id = seq + 1;
+  r.prev_lsn = seq * 7;
+  r.undo_next = seq * 11;
+  r.payload.resize(size);
+  for (size_t i = 0; i < size; i++) {
+    r.payload[i] = static_cast<char>('a' + (seq + i) % 26);
+  }
+  EXPECT_OK(log->Append(&r));
+  return {r.lsn, r.type, r.txn_id, r.prev_lsn, r.undo_next, r.payload};
+}
+
+void ExpectSame(const LogRecord& got, const Expected& want) {
+  EXPECT_EQ(got.lsn, want.lsn);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.txn_id, want.txn_id);
+  EXPECT_EQ(got.prev_lsn, want.prev_lsn);
+  EXPECT_EQ(got.undo_next, want.undo_next);
+  EXPECT_TRUE(got.payload == want.payload) << "payload at lsn " << want.lsn;
+}
+
+/// Scans from \p from to the log end and checks the records against
+/// \p want, element for element.
+void ExpectScan(LogManager* log, Lsn from, const std::vector<Expected>& want) {
+  size_t i = 0;
+  ASSERT_OK(log->Scan(from, kInvalidLsn, [&](const LogRecord& rec) {
+    if (i < want.size()) ExpectSame(rec, want[i]);
+    i++;
+    return true;
+  }));
+  EXPECT_EQ(i, want.size());
+}
+
+/// Size of the file at \p path.
+Lsn FileSize(const std::string& path) {
+  struct stat st;
+  EXPECT_EQ(::stat(path.c_str(), &st), 0);
+  return static_cast<Lsn>(st.st_size);
+}
+
+TEST_F(LogManagerTest, ScanReadsRecordStraddlingChunkBoundary) {
+  // 1000-byte records from the log start: the first chunk ends at
+  // kFirstLsn + kScanChunk, which no record boundary hits.
+  std::vector<Expected> want;
+  const Lsn chunk_end = LogManager::kFirstLsn + LogManager::kScanChunk;
+  while (want.empty() || want.back().lsn < chunk_end + 3000) {
+    want.push_back(AppendSized(&log_, want.size(), 1000));
+  }
+  ASSERT_OK(log_.FlushAll());
+  size_t straddlers = 0;
+  for (const Expected& e : want) {
+    const Lsn end = e.lsn + LogRecord::kHeaderSize + e.payload.size();
+    straddlers += e.lsn < chunk_end && end > chunk_end;
+  }
+  ASSERT_EQ(straddlers, 1u);
+  ExpectScan(&log_, kInvalidLsn, want);
+}
+
+TEST_F(LogManagerTest, ScanReadsRecordLargerThanChunk) {
+  std::vector<Expected> want;
+  want.push_back(AppendSized(&log_, 0, 50));
+  want.push_back(AppendSized(&log_, 1, LogManager::kScanChunk + 4096));
+  want.push_back(AppendSized(&log_, 2, 50));
+  want.push_back(AppendSized(&log_, 3, 2 * LogManager::kScanChunk));
+  ASSERT_OK(log_.FlushAll());
+  ExpectScan(&log_, kInvalidLsn, want);
+  LogRecord rec;
+  ASSERT_OK(log_.ReadRecord(want[3].lsn, &rec));
+  ExpectSame(rec, want[3]);
+}
+
+TEST_F(LogManagerTest, ScanFromMidLog) {
+  std::vector<Expected> want;
+  for (uint64_t i = 0; i < 4000; i++) {
+    want.push_back(AppendSized(&log_, i, 300 + i % 700));
+  }
+  ASSERT_OK(log_.FlushAll());
+  ASSERT_GT(want.back().lsn, 2 * LogManager::kScanChunk);
+  for (size_t from : {size_t{1}, size_t{1234}, want.size() - 1}) {
+    SCOPED_TRACE(from);
+    ExpectScan(&log_, want[from].lsn,
+               std::vector<Expected>(want.begin() + from, want.end()));
+  }
+  // An upper bound inside the second chunk ends the scan at that record.
+  const size_t mid = 2500;
+  size_t seen = 0;
+  ASSERT_OK(log_.Scan(want[100].lsn, want[mid].lsn, [&](const LogRecord& r) {
+    ExpectSame(r, want[100 + seen]);
+    seen++;
+    return true;
+  }));
+  EXPECT_EQ(seen, mid - 100 + 1);
+}
+
+TEST_F(LogManagerTest, ScanStopsAtTornRecordInLastChunk) {
+  std::vector<Expected> want;
+  while (want.empty() || want.back().lsn < 2 * LogManager::kScanChunk) {
+    want.push_back(AppendSized(&log_, want.size(), 900));
+  }
+  ASSERT_OK(log_.FlushAll());
+  log_.Close();
+  // The first 60 bytes of one more record: its length reaches past the
+  // file's end.
+  LogRecord torn;
+  torn.type = LogRecordType::kHeapInsert;
+  torn.payload = std::string(500, 'x');
+  std::string bytes;
+  torn.EncodeTo(&bytes);
+  FILE* f = std::fopen(path_.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, 60, f), 60u);
+  std::fclose(f);
+  LogManager log2;
+  ASSERT_OK(log2.Open(path_));
+  ExpectScan(&log2, kInvalidLsn, want);
+  ExpectScan(&log2, want[want.size() - 2].lsn,
+             {want[want.size() - 2], want.back()});
+  log2.Close();
+  // A flipped byte in the last whole record's body fails its CRC: the
+  // scan ends below it.
+  FILE* g = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(g, nullptr);
+  ASSERT_EQ(std::fseek(g, static_cast<long>(want.back().lsn) + 100, SEEK_SET),
+            0);
+  ASSERT_EQ(std::fputc('#', g), '#');
+  std::fclose(g);
+  LogManager log3;
+  ASSERT_OK(log3.Open(path_));
+  want.pop_back();
+  ExpectScan(&log3, kInvalidLsn, want);
+  log3.Close();
+}
+
+TEST_F(LogManagerTest, CutTailDropsTornBytes) {
+  std::vector<Expected> want;
+  want.push_back(AppendSized(&log_, 0, 100));
+  want.push_back(AppendSized(&log_, 1, 100));
+  ASSERT_OK(log_.FlushAll());
+  log_.Close();
+  const Lsn whole_end = FileSize(path_);
+  FILE* f = std::fopen(path_.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char junk[40] = "torn record bytes torn record bytes";
+  ASSERT_EQ(std::fwrite(junk, 1, sizeof(junk), f), sizeof(junk));
+  std::fclose(f);
+  {
+    LogManager log2;
+    ASSERT_OK(log2.Open(path_));
+    EXPECT_EQ(log2.next_lsn(), whole_end + sizeof(junk));
+    ASSERT_OK(log2.CutTail(whole_end));
+    EXPECT_EQ(FileSize(path_), whole_end);
+    EXPECT_EQ(log2.next_lsn(), whole_end);
+    EXPECT_EQ(log2.durable_lsn(), whole_end - 1);
+    EXPECT_EQ(log2.last_lsn(), whole_end - 1);
+    // A new record lands right behind the last whole one and is forced,
+    // not taken for durable already.
+    want.push_back(AppendSized(&log2, 2, 100));
+    EXPECT_EQ(want.back().lsn, whole_end);
+    EXPECT_LT(log2.durable_lsn(), want.back().lsn);
+    ASSERT_OK(log2.Flush(want.back().lsn));
+    log2.Close();
+  }
+  LogManager log3;
+  ASSERT_OK(log3.Open(path_));
+  ExpectScan(&log3, kInvalidLsn, want);
+  log3.Close();
+}
+
+TEST_F(LogManagerTest, ScanWhileAppendingAndFlushing) {
+  // One appender, so the record at last_lsn() has txn id k exactly when k
+  // records precede it in the log. Batches land while each scan runs, so
+  // records move from the tail to the file under it.
+  log_.SetSyncOnFlush(false);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < 40000 && !stop.load(); i++) {
+      const Expected e = AppendSized(&log_, i, 100 + i % 400);
+      if (i % 32 == 31) EXPECT_OK(log_.Flush(e.lsn));
+    }
+  });
+  for (int round = 0; round < 30; round++) {
+    const Lsn upto = log_.last_lsn();
+    if (upto == kInvalidLsn) {
+      std::this_thread::yield();
+      continue;
+    }
+    TxnId next = 1;
+    Lsn last_seen = kInvalidLsn;
+    ASSERT_OK(log_.Scan(kInvalidLsn, upto, [&](const LogRecord& rec) {
+      EXPECT_EQ(rec.txn_id, next);
+      next++;
+      last_seen = rec.lsn;
+      return true;
+    }));
+    EXPECT_EQ(last_seen, upto);
+  }
+  stop.store(true);
+  writer.join();
+}
+
+TEST_F(LogManagerTest, ScanMatchesChainedReadRecord) {
+  // Random sizes on both sides of kReadPrefix, a few past kScanChunk; the
+  // last records stay in the in-memory tail.
+  std::mt19937_64 rng(23);
+  std::vector<Expected> want;
+  for (uint64_t i = 0; i < 4000; i++) {
+    const uint64_t pick = rng() % 100;
+    size_t size = rng() % 2000;
+    if (pick == 0) size = LogManager::kScanChunk + rng() % 5000;
+    if (pick < 5) size = rng() % 20000;
+    if (i == 3900) ASSERT_OK(log_.FlushAll());
+    want.push_back(AppendSized(&log_, i, size));
+  }
+  std::vector<Expected> scanned;
+  ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+    scanned.push_back({rec.lsn, rec.type, rec.txn_id, rec.prev_lsn,
+                       rec.undo_next, rec.payload});
+    return true;
+  }));
+  ASSERT_EQ(scanned.size(), want.size());
+  Lsn lsn = LogManager::kFirstLsn;
+  LogRecord rec;  // reused, as restart's readers reuse theirs
+  for (size_t i = 0; i < want.size(); i++) {
+    ASSERT_OK(log_.ReadRecord(lsn, &rec));
+    ExpectSame(rec, scanned[i]);
+    ExpectSame(rec, want[i]);
+    lsn += rec.SerializedSize();
+  }
+  EXPECT_EQ(lsn, log_.next_lsn());
 }
 
 TEST_F(LogManagerTest, TotalBytesTracksVolume) {

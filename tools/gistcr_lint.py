@@ -44,13 +44,15 @@ Rules
       (void) deliberately.
 
   sync-under-mutex
-      No fsync/fdatasync, fallocate or DiskManager::Sync call while a
-      MutexLock or SharedLock from common/mutex.h is held in the enclosing
-      scope. A disk sync (or a hole punch, which waits on the filesystem
-      journal) takes milliseconds; holding a mutex across one serializes
-      every thread that touches the same shared state behind the platter
-      (the whole point of the WAL flusher split, DESIGN.md section 11).
-      MutexLock::Unlock()/Lock() windows are tracked: sync inside an
+      No fsync/fdatasync, fallocate, raw pread/pwrite or DiskManager::Sync
+      call while a MutexLock or SharedLock from common/mutex.h is held in
+      the enclosing scope. A disk sync (or a hole punch, which waits on the
+      filesystem journal) takes milliseconds, and a pread or pwrite can
+      wait on the disk just the same; holding a mutex across one
+      serializes every thread that touches the same shared state behind
+      the platter (the whole point of the WAL flusher split, and of
+      restart's lock-free log reads, DESIGN.md section 11).
+      MutexLock::Unlock()/Lock() windows are tracked: I/O inside an
       unlocked window is fine.
 
   serialize-under-latch
@@ -860,12 +862,13 @@ PREDICATE_ATTACH_RE = re.compile(
 
 # sync-under-mutex: scoped-lock tracking (MutexLock/SharedLock from
 # common/mutex.h) plus the explicit Unlock()/Lock() windows MutexLock
-# supports, against direct disk syncs.
+# supports, against direct disk syncs and raw file reads and writes.
 MUTEX_SCOPE_DECL_RE = re.compile(r"\b(?:MutexLock|SharedLock)\s+(\w+)\s*[({]")
 MUTEX_UNLOCK_RE = re.compile(r"\b(\w+)\s*\.\s*Unlock\s*\(\s*\)")
 MUTEX_RELOCK_RE = re.compile(r"\b(\w+)\s*\.\s*Lock\s*\(\s*\)")
 SYNC_CALL_RE = re.compile(
     r"\b(?:::\s*)?f(?:data)?sync\s*\(|\bfallocate\s*\("
+    r"|\bp(?:read|write)(?:v|64)?\s*\("
     r"|(?:\.|->)\s*Sync\s*\(")
 
 # stamping-epoch-unclosed: epoch opens on a receiver-qualified
@@ -1047,10 +1050,10 @@ class FileLinter:
                 if holder is not None:
                     report(
                         "sync-under-mutex",
-                        "disk sync (fsync/fdatasync/fallocate/"
+                        "disk I/O (fsync/fdatasync/fallocate/pread/pwrite/"
                         "DiskManager::Sync) "
                         f"while MutexLock '{holder}' is held; release the "
-                        "mutex across the sync (see the WAL flusher)",
+                        "mutex across the I/O (see the WAL flusher)",
                     )
             for m in MUTEX_RELOCK_RE.finditer(line):
                 if m.group(1) in mutex_holds:
