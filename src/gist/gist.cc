@@ -19,6 +19,7 @@ GistStats::GistStats(obs::MetricsRegistry* reg)
       rightlink_follows(*reg->GetCounter("gist.rightlink_follows")),
       predicate_waits(*reg->GetCounter("gist.predicate_waits")),
       rid_lock_waits(*reg->GetCounter("gist.rid_lock_waits")),
+      unlocked_leaf_visits(*reg->GetCounter("gist.unlocked_leaf_visits")),
       gc_removed(*reg->GetCounter("gist.gc_removed")),
       nodes_deleted(*reg->GetCounter("gist.nodes_deleted")) {}
 
@@ -383,6 +384,14 @@ Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
   const bool short_locks =
       txn->isolation() == IsolationLevel::kReadCommitted &&
       spec.attach_kind == PredKind::kSearch;
+  NodeView node(g->view().data());
+  // Commit_LSN (DESIGN.md section 6): no active writer has touched a leaf
+  // last updated below it, so each entry's mark is committed and a short
+  // S lock would wait for nothing. Read under this visit's latch, so a
+  // rescan after a wait tests again.
+  const bool committed = short_locks && !waited->has_value() &&
+                         g->view().page_lsn() < ctx_.txns->CommitLsn();
+  if (committed) stats_.unlocked_leaf_visits.Add(1);
   // A record lock waited for is kept until the rescan checks its entry,
   // so that a stream of writers cannot take it back first and starve the
   // reader. It goes once checked, before another wait, or when the entry
@@ -393,7 +402,6 @@ Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
     ctx_.locks->Unlock(txn->id(), LockName{LockSpace::kRecord, **waited});
     waited->reset();
   };
-  NodeView node(g->view().data());
   const uint16_t n = node.count();
   for (uint16_t i = 0; i < n; i++) {
     if (!ext_->Consistent(node.entry_key(i), spec.query)) continue;
@@ -401,25 +409,27 @@ Status Gist::FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
     const uint64_t rid = node.entry_value(i);
     if (seen->count(rid) != 0) continue;
     const LockName record{LockSpace::kRecord, rid};
-    Status st = ctx_.locks->Lock(txn->id(), record, LockMode::kShared,
-                                 /*wait=*/false);
-    if (st.IsBusy()) {
-      stats_.rid_lock_waits.Add(1);
-      *rescan = true;
-      drop_waited();
-      return WaitUnlatched(g, tree, [&] {
-        GISTCR_RETURN_IF_ERROR(ctx_.locks->Lock(txn->id(), record,
-                                                LockMode::kShared,
-                                                /*wait=*/true));
-        if (short_locks) *waited = rid;
-        return Status::OK();
-      });
+    if (!committed) {
+      Status st = ctx_.locks->Lock(txn->id(), record, LockMode::kShared,
+                                   /*wait=*/false);
+      if (st.IsBusy()) {
+        stats_.rid_lock_waits.Add(1);
+        *rescan = true;
+        drop_waited();
+        return WaitUnlatched(g, tree, [&] {
+          GISTCR_RETURN_IF_ERROR(ctx_.locks->Lock(txn->id(), record,
+                                                  LockMode::kShared,
+                                                  /*wait=*/true));
+          if (short_locks) *waited = rid;
+          return Status::OK();
+        });
+      }
+      GISTCR_RETURN_IF_ERROR(st);
     }
-    GISTCR_RETURN_IF_ERROR(st);
-    // Still marked once we hold the S lock: the deleter committed; the
-    // entry is logically gone.
+    // Still marked once we hold the S lock (or on a committed leaf): the
+    // deleter committed; the entry is logically gone.
     const bool live = node.entry_del_txn(i) == kInvalidTxnId;
-    if (short_locks) {
+    if (short_locks && !committed) {
       // Unlock drops one acquisition: a lock this transaction took for
       // its own write stays held.
       ctx_.locks->Unlock(txn->id(), record);

@@ -119,6 +119,9 @@ struct GistStats {
   obs::Counter& rightlink_follows;
   obs::Counter& predicate_waits;
   obs::Counter& rid_lock_waits;
+  /// Leaves a read-committed search filtered without record locks, their
+  /// page LSN below the Commit_LSN.
+  obs::Counter& unlocked_leaf_visits;
   obs::Counter& gc_removed;
   obs::Counter& nodes_deleted;
 };
@@ -333,6 +336,8 @@ class Gist {
   /// (`seen` keeps results unique). A read-committed search unlocks each
   /// record once it has checked its delete mark; a record it waited for
   /// is kept in \p waited, still locked, until the rescan has checked it.
+  /// With no such record, it takes no record lock at all on a leaf whose
+  /// page LSN is below TransactionManager::CommitLsn.
   Status FilterLeafLocked(Transaction* txn, const ReadSpec& spec,
                           PageGuard* g, std::unordered_set<uint64_t>* seen,
                           std::vector<SearchResult>* out,

@@ -477,21 +477,20 @@ Status Gist::LatchEntry(PageId start, Nsn nsn, Slice key, uint64_t value,
 Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
   NodeView node(leaf->view().data());
   // Marks are logged before they are applied, and applied under the leaf
-  // X latch held here: with no active transaction logged (oldest unset),
-  // no mark on this leaf can belong to an active transaction.
-  const Lsn oldest = ctx_.txns->OldestActiveFirstLsn();
+  // X latch held here: a leaf last updated below the Commit_LSN carries
+  // no mark of an active transaction.
   const bool all_committed =
-      oldest == kInvalidLsn || leaf->view().page_lsn() < oldest;
+      leaf->view().page_lsn() < ctx_.txns->CommitLsn();
   GarbageCollectionPayload pl;
   pl.page = leaf->page_id();
   for (uint16_t i = 0; i < node.count(); i++) {
     const TxnId d = node.entry_del_txn(i);
     if (d == kInvalidTxnId) continue;
     // Commit_LSN fast path (section 7.1 footnote 11): if the page was last
-    // touched before the oldest active transaction began, every mark on it
-    // belongs to a terminated transaction. Snapshot readers extend the
-    // entry's lifetime past the deleter's commit: physical removal must
-    // also wait until no active snapshot can still see it (section 14).
+    // touched below the Commit_LSN, every mark on it belongs to a
+    // terminated transaction. Snapshot readers extend the entry's lifetime
+    // past the deleter's commit: physical removal must also wait until no
+    // active snapshot can still see it (section 14).
     if (all_committed || !ctx_.txns->IsActive(d)) {
       if (!ctx_.mvcc->SafeToReclaim(node.entry_value(i), d)) continue;
       pl.removed.push_back(node.GetEntry(i));

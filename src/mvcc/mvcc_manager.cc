@@ -138,7 +138,7 @@ void MvccManager::NoteDelete(uint64_t rid, TxnId txn) {
   chain.push_back(rec);
 }
 
-void MvccManager::StampCommit(TxnId txn, Lsn commit_lsn) {
+std::vector<uint64_t> MvccManager::StampCommit(TxnId txn, Lsn commit_lsn) {
   std::vector<uint64_t> rids;
   {
     MutexLock l(pending_mu_);
@@ -171,6 +171,7 @@ void MvccManager::StampCommit(TxnId txn, Lsn commit_lsn) {
   // snapshot stamp covering this commit. Runs even when the transaction
   // had no pending versions — the epoch was opened unconditionally.
   CancelStamping(txn);
+  return rids;
 }
 
 void MvccManager::DropAborted(TxnId txn) {
@@ -292,50 +293,43 @@ bool MvccManager::CanRetireNodes() {
   return false;
 }
 
+Lsn MvccManager::PruneHorizon() const {
+  // Min-active and the no-snapshot fallback stamp are read under
+  // snap_mu_, the same mutex BeginSnapshot holds while it stamps and
+  // registers — so a concurrent BeginSnapshot either lands in the scan
+  // (horizon <= its stamp) or gets a stamp >= the fallback read, and
+  // everything pruned answers identically for it (see BeginSnapshot).
+  MutexLock l(snap_mu_);
+  const Lsn min_snap = MinActiveSnapshotLocked();
+  // With no active snapshot, everything committed (hence durable, hence
+  // below any future snapshot stamp) is prunable.
+  return min_snap != kInvalidLsn ? min_snap : SnapshotStamp() + 1;
+}
+
+size_t MvccManager::PruneChain(Chain* chain, Lsn horizon) {
+  const auto end = std::remove_if(
+      chain->begin(), chain->end(), [&](const VersionRecord& rec) {
+        // Superseded version: gone for everyone once the delete commits
+        // below the horizon. Live version: becomes "ancient" (missing =>
+        // visible) once its insert is below the horizon.
+        const Lsn ts =
+            rec.delete_txn != kInvalidTxnId ? rec.delete_ts : rec.insert_ts;
+        return ts != kInvalidLsn && ts < horizon;
+      });
+  const size_t pruned = static_cast<size_t>(chain->end() - end);
+  chain->erase(end, chain->end());
+  return pruned;
+}
+
 size_t MvccManager::Prune() {
-  Lsn horizon;
-  {
-    // Min-active and the no-snapshot fallback stamp are read under
-    // snap_mu_, the same mutex BeginSnapshot holds while it stamps and
-    // registers — so a concurrent BeginSnapshot either lands in the scan
-    // (horizon <= its stamp) or gets a stamp >= the fallback read, and
-    // everything pruned answers identically for it (see BeginSnapshot).
-    MutexLock l(snap_mu_);
-    const Lsn min_snap = MinActiveSnapshotLocked();
-    // With no active snapshot, everything committed (hence durable, hence
-    // below any future snapshot stamp) is prunable.
-    horizon = min_snap != kInvalidLsn ? min_snap : SnapshotStamp() + 1;
-  }
+  const Lsn horizon = PruneHorizon();
   size_t pruned = 0;
   for (size_t i = 0; i < kNumShards; i++) {
     Shard& s = *shards_[i];
     MutexLock l(s.mu);
     for (auto it = s.chains.begin(); it != s.chains.end();) {
-      Chain& chain = it->second;
-      chain.erase(
-          std::remove_if(chain.begin(), chain.end(),
-                         [&](const VersionRecord& rec) {
-                           if (rec.delete_txn != kInvalidTxnId) {
-                             // Superseded version: gone for everyone once
-                             // the delete commits below the horizon.
-                             if (rec.delete_ts != kInvalidLsn &&
-                                 rec.delete_ts < horizon) {
-                               pruned++;
-                               return true;
-                             }
-                             return false;
-                           }
-                           // Live version: becomes "ancient" (missing =>
-                           // visible) once its insert is below the horizon.
-                           if (rec.insert_ts != kInvalidLsn &&
-                               rec.insert_ts < horizon) {
-                             pruned++;
-                             return true;
-                           }
-                           return false;
-                         }),
-          chain.end());
-      if (chain.empty()) {
+      pruned += PruneChain(&it->second, horizon);
+      if (it->second.empty()) {
         it = s.chains.erase(it);
       } else {
         ++it;
@@ -344,6 +338,21 @@ size_t MvccManager::Prune() {
   }
   m_pruned_->Add(pruned);
   return pruned;
+}
+
+void MvccManager::PruneRids(const std::vector<uint64_t>& rids) {
+  if (rids.empty()) return;
+  const Lsn horizon = PruneHorizon();
+  size_t pruned = 0;
+  for (uint64_t rid : rids) {
+    Shard& s = ShardOf(rid);
+    MutexLock l(s.mu);
+    auto it = s.chains.find(rid);
+    if (it == s.chains.end()) continue;
+    pruned += PruneChain(&it->second, horizon);
+    if (it->second.empty()) s.chains.erase(it);
+  }
+  m_pruned_->Add(pruned);
 }
 
 size_t MvccManager::StoreSize() const {

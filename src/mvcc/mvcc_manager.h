@@ -112,8 +112,9 @@ class MvccManager {
   /// Commit-time stamping: every pending record of \p txn gets
   /// \p commit_lsn, then the stamping epoch closes. Must run before the
   /// commit record is forced (see the class comment for why the epoch +
-  /// pre-force ordering closes the visibility race).
-  void StampCommit(TxnId txn, Lsn commit_lsn);
+  /// pre-force ordering closes the visibility race). Returns the rids it
+  /// stamped, for PruneRids once the commit is durable.
+  std::vector<uint64_t> StampCommit(TxnId txn, Lsn commit_lsn);
 
   /// Abort epilogue: forgets \p txn's pending-stamp bookkeeping and clears
   /// any leftover pending records. Call only *after* rollback has undone
@@ -156,6 +157,11 @@ class MvccManager {
   /// (those become "ancient"). Returns the number of records pruned.
   size_t Prune();
 
+  /// Prune's test applied to the chains of \p rids alone: the commit
+  /// path hands in what StampCommit stamped once its Commit is durable,
+  /// so a commit drops its own records when no snapshot can see them.
+  void PruneRids(const std::vector<uint64_t>& rids);
+
   /// Records currently in the store (tests, introspection).
   size_t StoreSize() const;
 
@@ -189,6 +195,16 @@ class MvccManager {
   }
 
   Lsn MinActiveSnapshotLocked() const GISTCR_REQUIRES(snap_mu_);
+
+  /// The pruning horizon: the oldest active snapshot stamp, or past the
+  /// current stamp when none is active. Read under snap_mu_, the mutex
+  /// BeginSnapshot stamps and registers under (see Prune).
+  Lsn PruneHorizon() const;
+
+  /// Drops the records of \p chain no snapshot at or above \p horizon
+  /// can observe; returns how many. The one pruning test, shared by
+  /// Prune and PruneRids.
+  static size_t PruneChain(Chain* chain, Lsn horizon);
 
   Shard& ShardOf(uint64_t rid) const {
     const uint64_t h = rid * 0x9E3779B97F4A7C15ull;

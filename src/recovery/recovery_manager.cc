@@ -375,9 +375,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
       GISTCR_RETURN_IF_ERROR(txns_->locks()->Lock(
           id, LockName{LockSpace::kRecord, item.rid}, LockMode::kExclusive));
     }
-    Transaction* txn = txns_->ResurrectForUndo(id, loser.last);
-    txn->set_first_lsn(loser.first);
-    losers_.push_back(txn);
+    losers_.push_back(txns_->ResurrectForUndo(id, loser.first, loser.last));
   }
   txns_->SetRecoveryUndoActive(true);
 

@@ -57,10 +57,10 @@ class Transaction {
 
   // The backchain head and first LSN are written only by the transaction's
   // own thread but read cross-thread (ActiveTxns reads last_lsn; the
-  // Commit_LSN garbage-collection test and the checkpoint's redo floor
-  // read first_lsn), hence atomics. first_lsn stays kInvalidLsn until the
-  // transaction logs; its first record publishes it (the log's next LSN)
-  // before appending, so it is at or below that record.
+  // Commit_LSN refresh and the checkpoint's redo floor read first_lsn),
+  // hence atomics. first_lsn stays kInvalidLsn until the transaction
+  // logs; its first record publishes it (the log's next LSN) before
+  // appending, so it is at or below that record.
   Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
   void set_last_lsn(Lsn l) { last_lsn_.store(l, std::memory_order_release); }
   Lsn first_lsn() const {

@@ -121,7 +121,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     mvcc_->CancelStamping(txn->id());
     return append_st;
   }
-  mvcc_->StampCommit(txn->id(), commit.lsn);
+  const std::vector<uint64_t> stamped =
+      mvcc_->StampCommit(txn->id(), commit.lsn);
   // Commit appended but not forced: recovery must treat the txn as a loser
   // unless the record happens to be durable already.
   GISTCR_CRASHPOINT("txn.commit.before_log_force");
@@ -130,14 +131,29 @@ Status TransactionManager::Commit(Transaction* txn) {
   GISTCR_CRASHPOINT("txn.commit.after_log_force");
   txn->set_state(TxnState::kCommitted);
   ReleaseAllFor(txn);
+  // The log ran the durable fan-out before Flush returned, so the
+  // snapshot stamp covers this commit: the version records it stamped go
+  // now unless an open snapshot can still see them (DESIGN.md section
+  // 14.4).
+  mvcc_->PruneRids(stamped);
   LogRecord end;
   end.type = LogRecordType::kEnd;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &end));
   m_commit_ns_->Record(obs::NowNanos() - t0);
   m_commits_->Add(1);
+  EraseLogged(txn);
+  return Status::OK();
+}
+
+void TransactionManager::EraseLogged(Transaction* txn) {
   MutexLock l(mu_);
   table_.erase(txn->id());
-  return Status::OK();
+  const Lsn end = log_->next_lsn();
+  const Lsn oldest = OldestActiveFirstLsnLocked();
+  const Lsn c = oldest == kInvalidLsn ? end : std::min(end, oldest);
+  if (c > commit_lsn_.load(std::memory_order_relaxed)) {
+    commit_lsn_.store(c, std::memory_order_release);
+  }
 }
 
 Status TransactionManager::UndoTo(Transaction* txn, Lsn stop_lsn) {
@@ -192,8 +208,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   end.type = LogRecordType::kEnd;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &end));
   m_aborts_->Add(1);
-  MutexLock l(mu_);
-  table_.erase(txn->id());
+  EraseLogged(txn);
   return Status::OK();
 }
 
@@ -232,6 +247,10 @@ bool TransactionManager::IsActive(TxnId txn_id) {
 
 Lsn TransactionManager::OldestActiveFirstLsn() {
   MutexLock l(mu_);
+  return OldestActiveFirstLsnLocked();
+}
+
+Lsn TransactionManager::OldestActiveFirstLsnLocked() {
   Lsn oldest = kInvalidLsn;
   for (auto& [id, txn] : table_) {
     (void)id;
@@ -254,9 +273,11 @@ std::vector<std::pair<TxnId, Lsn>> TransactionManager::ActiveTxns() {
   return out;
 }
 
-Transaction* TransactionManager::ResurrectForUndo(TxnId id, Lsn last_lsn) {
+Transaction* TransactionManager::ResurrectForUndo(TxnId id, Lsn first_lsn,
+                                                  Lsn last_lsn) {
   MutexLock l(mu_);
   auto t = std::make_unique<Transaction>(id, IsolationLevel::kRepeatableRead);
+  t->set_first_lsn(first_lsn);
   t->set_last_lsn(last_lsn);
   Transaction* txn = t.get();
   table_[id] = std::move(t);

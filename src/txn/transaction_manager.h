@@ -1,6 +1,7 @@
 #ifndef GISTCR_TXN_TRANSACTION_MANAGER_H_
 #define GISTCR_TXN_TRANSACTION_MANAGER_H_
 
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 
@@ -95,19 +96,31 @@ class TransactionManager {
   bool IsActive(TxnId txn_id);
 
   /// first_lsn of the oldest active transaction that has logged, or
-  /// kInvalidLsn if none — the Commit_LSN test that lets garbage
-  /// collection skip per-entry checks (paper section 7.1, footnote 11),
-  /// and one bound of a checkpoint's redo floor. Transactions that logged
-  /// nothing do not hold it down.
+  /// kInvalidLsn if none: one bound of a checkpoint's redo floor and of
+  /// log reclaim. Transactions that logged nothing do not hold it down.
   Lsn OldestActiveFirstLsn();
+
+  /// Mohan's Commit_LSN (paper section 7.1, footnote 11): every update
+  /// logged below it belongs to a transaction that has ended, having
+  /// forced its Commit or undone its updates. A page whose LSN is below
+  /// it holds only committed data, so garbage collection skips its
+  /// per-entry checks and a read-committed search its record locks
+  /// (DESIGN.md section 6). A cached value that only moves up, refreshed
+  /// as each logged transaction leaves the table; kInvalidLsn (no page
+  /// qualifies) until the first one does after Create or Open.
+  Lsn CommitLsn() const {
+    return commit_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Active transaction table snapshot: (id, last_lsn) of each,
   /// kInvalidLsn for one that logged nothing.
   std::vector<std::pair<TxnId, Lsn>> ActiveTxns();
 
   /// Restart support: recovery re-creates loser transactions to drive
-  /// their undo through the normal rollback machinery.
-  Transaction* ResurrectForUndo(TxnId id, Lsn last_lsn);
+  /// their undo through the normal rollback machinery. The loser enters
+  /// the table with its first LSN, so it holds down the Commit_LSN and the
+  /// redo floor from the moment any refresh or checkpoint can see it.
+  Transaction* ResurrectForUndo(TxnId id, Lsn first_lsn, Lsn last_lsn);
 
   /// Restart support: analysis pass hands back the next fresh txn id.
   void SetNextTxnId(TxnId next);
@@ -129,12 +142,24 @@ class TransactionManager {
   /// counter ticks, which \p committed selects.
   Status EndUnlogged(Transaction* txn, bool committed);
 
+  /// Erases a logged transaction that has ended (its Commit forced, or
+  /// its updates undone) and, in the same critical section, refreshes the
+  /// Commit_LSN: the log end, read first, lowered to the first LSN of
+  /// every transaction still active. Any value computed so stays valid:
+  /// later records land at or above that log end, and an active
+  /// transaction's updates at or above its first LSN.
+  void EraseLogged(Transaction* txn);
+
+  Lsn OldestActiveFirstLsnLocked() GISTCR_REQUIRES(mu_);
+
   LogManager* log_;
   LockManager* locks_;
   PredicateManager* preds_;
   UndoApplier* applier_ = nullptr;
   MvccManager* mvcc_;
   std::atomic<bool> recovery_undo_active_{false};
+  /// Written only under mu_ (EraseLogged), read lock-free by CommitLsn.
+  std::atomic<Lsn> commit_lsn_{kInvalidLsn};
 
   obs::Counter* m_begins_ = nullptr;
   obs::Counter* m_commits_ = nullptr;
@@ -144,7 +169,7 @@ class TransactionManager {
   Mutex mu_{GISTCR_LOCK_RANK(kTxnManager, "txn.mu")};
   /// Every active transaction, snapshot readers included. Those that
   /// logged nothing have no first LSN, so OldestActiveFirstLsn (and with
-  /// it the checkpoint's redo floor) skips them.
+  /// it the checkpoint's redo floor) and the Commit_LSN skip them.
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> table_
       GISTCR_GUARDED_BY(mu_);
   TxnId next_txn_id_ GISTCR_GUARDED_BY(mu_) = 1;

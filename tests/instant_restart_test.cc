@@ -38,6 +38,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -837,6 +838,105 @@ TEST(InstantRestartTest, SnapshotDowngradesWhileLoserUndoRuns) {
   Transaction* txn = db->Begin(IsolationLevel::kSnapshot);
   EXPECT_TRUE(txn->is_snapshot());
   ASSERT_OK(db->Commit(txn));
+  db.reset();
+  RemoveDbFiles(path);
+}
+
+// A loser holds the Commit_LSN down at its first LSN until its undo ends,
+// so a read-committed search over its uncommitted insert and delete mark
+// takes the locked filter even after a new transaction has committed:
+// it blocks on the loser's record locks while the background undo runs,
+// then sees the committed keys, neither the insert nor the delete.
+TEST(InstantRestartTest, ReadCommittedReaderSeesNoLoserEntryDuringUndo) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("instant_rc_loser");
+  RemoveDbFiles(path);
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  std::vector<int64_t> committed;
+  {
+    auto db_or = Database::Create(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext));
+    Gist* gist = db->GetIndex(1).value();
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    std::vector<Rid> rids;
+    for (int64_t k = 0; k < 10; k++) {
+      auto rid = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "v");
+      ASSERT_OK(rid.status());
+      rids.push_back(rid.value());
+      committed.push_back(k);
+    }
+    ASSERT_OK(db->Commit(txn));
+    Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+    ASSERT_OK(
+        db->InsertRecord(loser, gist, BtreeExtension::MakeKey(100), "l")
+            .status());
+    ASSERT_OK(
+        db->DeleteRecord(loser, gist, BtreeExtension::MakeKey(5), rids[5]));
+    ASSERT_OK(db->log()->FlushAll());
+    db->SimulateCrash();
+  }
+
+  // Park the loser's undo until the reader is done.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPointHook("instant.undo", [&] {
+    parked.set_value();
+    released.wait();
+  });
+  auto db_or = Database::Open(dopts);
+  if (!db_or.ok()) FaultInjector::Global().Reset();
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  const bool was_parked = parked.get_future().wait_for(
+                              std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+  Status st = db->OpenIndex(1, &ext);
+  Gist* gist = st.ok() ? db->GetIndex(1).value() : nullptr;
+  if (st.ok() && was_parked) {
+    // A logged transaction ends on the loser's leaf: the Commit_LSN is
+    // refreshed while the loser is still in the table.
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    st = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(200), "n")
+             .status();
+    if (st.ok()) st = db->Commit(txn);
+  }
+  std::atomic<bool> read_done{false};
+  std::vector<int64_t> seen;
+  std::thread reader;
+  bool blocked = false;
+  if (st.ok() && was_parked) {
+    reader = std::thread([&] {
+      Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+      std::vector<SearchResult> results;
+      EXPECT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 150),
+                             &results));
+      EXPECT_OK(db->Commit(txn));
+      for (const SearchResult& r : results) {
+        seen.push_back(BtreeExtension::Lo(r.key));
+      }
+      read_done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    blocked = !read_done.load();
+  }
+  release.set_value();
+  if (reader.joinable()) reader.join();
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(was_parked);
+  ASSERT_OK(st);
+  EXPECT_TRUE(blocked) << "reader read the loser's leaf without a lock";
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, committed);
+
+  ASSERT_OK(db->WaitForRecovery());
   db.reset();
   RemoveDbFiles(path);
 }

@@ -327,6 +327,167 @@ TEST_F(IsolationTest, ReaderSeesOnlyForcedCommits) {
   ASSERT_OK(db_->Commit(t));
 }
 
+// Commit_LSN (DESIGN.md section 6): once every writer has ended, each leaf
+// was last updated below the Commit_LSN, and a read-committed search takes
+// no record lock. Its lock-manager calls are its transaction-id lock and
+// one signaling lock per node it visits; committed delete marks are
+// skipped.
+TEST_F(IsolationTest, CommittedLeafSearchTakesNoRecordLocks) {
+  Transaction* t0 = db_->Begin();
+  std::vector<Rid> rids;
+  for (int64_t k = 0; k < 40; k++) rids.push_back(MustInsert(t0, k));
+  ASSERT_OK(db_->Commit(t0));
+  Transaction* del = db_->Begin();
+  std::vector<int64_t> want;
+  for (int64_t k = 0; k < 40; k++) {
+    if (k % 4 != 0) {
+      want.push_back(k);
+      continue;
+    }
+    ASSERT_OK(db_->DeleteRecord(del, gist_, BtreeExtension::MakeKey(k),
+                                rids[static_cast<size_t>(k)]));
+  }
+  ASSERT_OK(db_->Commit(del));
+
+  obs::Counter* acquires = db_->metrics()->GetCounter("lock.acquires");
+  obs::Counter* unlocked =
+      db_->metrics()->GetCounter("gist.unlocked_leaf_visits");
+  uint64_t visits = 0;
+  gist_->test_hooks().before_visit_node = [&](PageId) { visits++; };
+  const uint64_t acquires_before = acquires->value();
+  const uint64_t unlocked_before = unlocked->value();
+  Transaction* t1 = db_->Begin(IsolationLevel::kReadCommitted);
+  EXPECT_EQ(Scan(t1, 0, 100), want);
+  ASSERT_OK(db_->Commit(t1));
+  gist_->test_hooks().before_visit_node = nullptr;
+
+  EXPECT_EQ(acquires->value() - acquires_before, 1 + visits);
+  EXPECT_GE(unlocked->value() - unlocked_before, 5u);  // 40 keys, 8 a leaf
+}
+
+// Parity of the two read-committed leaf filters: the same search over the
+// same committed leaves, run while an updater that logged before them
+// stays open (no leaf is below the Commit_LSN: the locked filter) and
+// after it ended (every leaf is: the unlocked filter), returns the same
+// keys. The locked run takes one record lock per entry it checks, that is
+// per result and per committed delete mark; the unlocked run none.
+TEST_F(IsolationTest, LockedAndUnlockedLeafFiltersAgree) {
+  Transaction* open = db_->Begin(IsolationLevel::kReadCommitted);
+  MustInsert(open, 1000);  // logs first, outside the scanned range
+  Transaction* t0 = db_->Begin();
+  std::vector<Rid> rids;
+  for (int64_t k = 0; k < 40; k++) rids.push_back(MustInsert(t0, k));
+  ASSERT_OK(db_->Commit(t0));
+  Transaction* del = db_->Begin();
+  for (int64_t k = 0; k < 40; k += 4) {
+    ASSERT_OK(db_->DeleteRecord(del, gist_, BtreeExtension::MakeKey(k),
+                                rids[static_cast<size_t>(k)]));
+  }
+  ASSERT_OK(db_->Commit(del));
+
+  obs::Counter* acquires = db_->metrics()->GetCounter("lock.acquires");
+  obs::Counter* unlocked =
+      db_->metrics()->GetCounter("gist.unlocked_leaf_visits");
+  uint64_t visits = 0;
+  gist_->test_hooks().before_visit_node = [&](PageId) { visits++; };
+  // Lock-manager calls beyond the txn-id lock and the signaling locks.
+  auto scan = [&](uint64_t* record_locks) {
+    visits = 0;
+    const uint64_t before = acquires->value();
+    Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+    std::vector<int64_t> keys = Scan(t, 0, 100);
+    EXPECT_OK(db_->Commit(t));
+    *record_locks = acquires->value() - before - 1 - visits;
+    return keys;
+  };
+  const uint64_t unlocked_before = unlocked->value();
+  uint64_t locked_records = 0;
+  const std::vector<int64_t> locked_keys = scan(&locked_records);
+  EXPECT_EQ(unlocked->value(), unlocked_before);
+  ASSERT_OK(db_->Abort(open));
+  uint64_t unlocked_records = 0;
+  const std::vector<int64_t> unlocked_keys = scan(&unlocked_records);
+  EXPECT_GT(unlocked->value(), unlocked_before);
+  gist_->test_hooks().before_visit_node = nullptr;
+
+  EXPECT_EQ(locked_keys.size(), 30u);
+  EXPECT_EQ(locked_keys, unlocked_keys);
+  EXPECT_EQ(locked_records, locked_keys.size() + 10);
+  EXPECT_EQ(unlocked_records, 0u);
+}
+
+// Writers that only ever abort: each inserts an odd key and delete-marks
+// an even one, holds both a moment and rolls back, while the other
+// writer's aborts keep refreshing the Commit_LSN. A read-committed reader
+// must never see an odd key (an uncommitted insert) nor miss an even one
+// (an uncommitted delete): the Commit_LSN must stay at or below the first
+// LSN of every writer still open.
+TEST_F(IsolationTest, ReadCommittedNeverSeesUncommittedUnderLoad) {
+  constexpr int64_t kEvens = 64;
+  Transaction* t0 = db_->Begin();
+  std::vector<Rid> rids;
+  std::vector<int64_t> evens;
+  for (int64_t k = 0; k < 2 * kEvens; k += 2) {
+    rids.push_back(MustInsert(t0, k));
+    evens.push_back(k);
+  }
+  ASSERT_OK(db_->Commit(t0));
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scans{0};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 0; w < 2; w++) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = w; !stop.load(); i += 2) {
+        Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+        const size_t even = (i * 7) % kEvens;
+        const int64_t odd = 2 * static_cast<int64_t>((i * 13) % kEvens) + 1;
+        Status st =
+            db_->InsertRecord(t, gist_, BtreeExtension::MakeKey(odd), "w")
+                .status();
+        if (st.ok()) {
+          st = db_->DeleteRecord(
+              t, gist_, BtreeExtension::MakeKey(evens[even]), rids[even]);
+        }
+        if (!st.ok()) failed++;
+        std::this_thread::yield();
+        if (!db_->Abort(t).ok()) failed++;
+      }
+    });
+  }
+  for (int r = 0; r < 2; r++) {
+    threads.emplace_back([&] {
+      while (!stop.load()) {
+        Transaction* t = db_->Begin(IsolationLevel::kReadCommitted);
+        std::vector<SearchResult> results;
+        const Status st = gist_->Search(
+            t, BtreeExtension::MakeRange(0, 2 * kEvens), &results);
+        if (!st.ok() || !db_->Commit(t).ok()) {
+          failed++;
+          continue;
+        }
+        std::vector<int64_t> keys;
+        for (const SearchResult& sr : results) {
+          keys.push_back(BtreeExtension::Lo(sr.key));
+        }
+        std::sort(keys.begin(), keys.end());
+        if (keys != evens) wrong++;
+        scans++;
+      }
+    });
+  }
+  std::this_thread::sleep_for(1500ms);
+  stop = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << scans.load() << " scans";
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(db_->metrics()->GetCounter("gist.unlocked_leaf_visits")->value(),
+            0u);
+}
+
 TEST_F(IsolationTest, ScanBlocksOnUncommittedInsert) {
   Transaction* t1 = db_->Begin(IsolationLevel::kReadCommitted);
   MustInsert(t1, 42);  // holds X on the record until commit

@@ -148,19 +148,62 @@ TEST_F(MvccGcTest, SavepointRollbackUnstampsVersions) {
 
   // Roll an insert back to a savepoint while the transaction stays alive;
   // its pending version must vanish rather than get stamped at commit.
+  // A snapshot open across the commit pins the kept version's record,
+  // which the commit would otherwise drop at once.
   Transaction* txn = db_->Begin();
   const Rid keep = MustInsert(txn, 1);
   ASSERT_OK(db_->txns()->Savepoint(txn, "sp"));
   const Rid undone = MustInsert(txn, 2);
   ASSERT_OK(db_->txns()->RollbackToSavepoint(txn, "sp"));
+  Transaction* pin = db_->Begin(IsolationLevel::kSnapshot);
   ASSERT_OK(db_->Commit(txn));
 
   EXPECT_EQ(mvcc->ChainLength(undone.Pack()), 0u);
   EXPECT_EQ(mvcc->ChainLength(keep.Pack()), 1u);
+  EXPECT_TRUE(Scan(pin, 0, 100).empty());
+  ASSERT_OK(db_->Commit(pin));
 
   Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
   EXPECT_EQ(Scan(snap, 0, 100), (std::vector<int64_t>{1}));
   ASSERT_OK(db_->Commit(snap));
+}
+
+// A commit drops its own version records once its Commit is durable and
+// no open snapshot can see them: with no snapshot the store stays empty
+// across commits of inserts and of deletes. A snapshot opened before a
+// commit pins that commit's records, and still does not see its insert.
+TEST_F(MvccGcTest, CommitDropsVersionsNoSnapshotCanSee) {
+  MvccManager* mvcc = db_->mvcc();
+  obs::Counter* pruned = db_->metrics()->GetCounter("mvcc.versions_pruned");
+  Transaction* ins = db_->Begin();
+  std::vector<Rid> rids;
+  for (int64_t k = 1; k <= 20; k++) rids.push_back(MustInsert(ins, k));
+  EXPECT_EQ(mvcc->StoreSize(), 20u);  // pending until the commit
+  ASSERT_OK(db_->Commit(ins));
+  EXPECT_EQ(mvcc->StoreSize(), 0u);
+  EXPECT_EQ(pruned->value(), 20u);
+
+  Transaction* del = db_->Begin();
+  for (int64_t k = 1; k <= 10; k++) {
+    ASSERT_OK(db_->DeleteRecord(del, gist_, BtreeExtension::MakeKey(k),
+                                rids[static_cast<size_t>(k - 1)]));
+  }
+  ASSERT_OK(db_->Commit(del));
+  EXPECT_EQ(mvcc->StoreSize(), 0u);
+
+  Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
+  Transaction* w = db_->Begin();
+  MustInsert(w, 50);
+  ASSERT_OK(db_->DeleteRecord(w, gist_, BtreeExtension::MakeKey(11),
+                              rids[10]));
+  ASSERT_OK(db_->Commit(w));
+  EXPECT_EQ(mvcc->StoreSize(), 2u);
+  std::vector<int64_t> want;
+  for (int64_t k = 11; k <= 20; k++) want.push_back(k);
+  EXPECT_EQ(Scan(snap, 0, 100), want);
+  ASSERT_OK(db_->Commit(snap));
+  EXPECT_EQ(mvcc->Prune(), 2u);
+  EXPECT_EQ(mvcc->StoreSize(), 0u);
 }
 
 // --- MvccManager race regressions (store-level, no database) ---------------

@@ -158,6 +158,32 @@ TEST_F(TxnTest, OldestActiveFirstLsnTracksBackchains) {
   ASSERT_OK(txns_->Commit(reader));
 }
 
+// The Commit_LSN (DESIGN.md section 6) is refreshed as each logged
+// transaction ends. It never rises above an open updater's first LSN,
+// reaches the log end once none is open, and stays at or below the first
+// LSN of any transaction that logs later.
+TEST_F(TxnTest, CommitLsnStaysAtOrBelowEveryActiveFirstLsn) {
+  EXPECT_EQ(txns_->CommitLsn(), kInvalidLsn);  // nothing has ended yet
+  Transaction* a = txns_->Begin();
+  Transaction* b = txns_->Begin();
+  AppendUpdate(a);
+  AppendUpdate(b);
+  Transaction* c = txns_->Begin();
+  AppendUpdate(c);
+  ASSERT_OK(txns_->Commit(c));  // ends while a and b are open
+  EXPECT_NE(txns_->CommitLsn(), kInvalidLsn);
+  EXPECT_LE(txns_->CommitLsn(), a->first_lsn());
+  EXPECT_LE(txns_->CommitLsn(), b->first_lsn());
+  ASSERT_OK(txns_->Commit(a));
+  EXPECT_LE(txns_->CommitLsn(), b->first_lsn());
+  ASSERT_OK(txns_->Abort(b));
+  EXPECT_EQ(txns_->CommitLsn(), log_.next_lsn());
+  Transaction* d = txns_->Begin();
+  AppendUpdate(d);
+  EXPECT_GE(d->first_lsn(), txns_->CommitLsn());
+  ASSERT_OK(txns_->Commit(d));
+}
+
 TEST_F(TxnTest, FirstRecordStartsTheChain) {
   const Lsn end = log_.next_lsn();
   Transaction* t = txns_->Begin();
@@ -191,7 +217,7 @@ TEST_F(TxnTest, ResurrectedLoserUndoesFromLastLsn) {
   const Lsn a = AppendUpdate(t);
   const Lsn b = AppendUpdate(t);
   // Pretend a crash: forget the txn object, then resurrect and abort.
-  Transaction* z = txns_->ResurrectForUndo(id, b);
+  Transaction* z = txns_->ResurrectForUndo(id, t->first_lsn(), b);
   ASSERT_OK(txns_->Abort(z));
   EXPECT_EQ(applier_.undone, (std::vector<Lsn>{b, a}));
 }
