@@ -365,7 +365,9 @@ void MvccWriterChurn(std::atomic<bool>* stop) {
                       return g_env.db->DeleteRecord(
                           txn, g_env.gist, BtreeExtension::MakeKey(k), rid);
                     });
-    if ((k & 0x3FF) == 0) g_env.db->mvcc()->Prune();
+    if ((k & 0x3FF) == 0) {
+      g_env.db->mvcc()->Prune(g_env.db->txns()->SnapshotHorizon());
+    }
   }
 }
 
@@ -452,7 +454,9 @@ void BM_MvccWriterCommit(benchmark::State& state) {
                       return g_env.db->DeleteRecord(
                           txn, g_env.gist, BtreeExtension::MakeKey(k), rid);
                     });
-    if ((k & 0x3FF) == 0) g_env.db->mvcc()->Prune();
+    if ((k & 0x3FF) == 0) {
+      g_env.db->mvcc()->Prune(g_env.db->txns()->SnapshotHorizon());
+    }
     items++;
   }
   const double elapsed_s = static_cast<double>(obs::NowNanos() - t0) / 1e9;

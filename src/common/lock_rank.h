@@ -77,13 +77,6 @@ enum class LockRank : uint16_t {
   kPredicates = 560,
   kTxnManager = 580,
 
-  // MVCC bookkeeping. Never nested among themselves; Visible() is called
-  // with a node latch held, AdvanceDurable holds only kMvccStamping.
-  kMvccSnap = 600,
-  kMvccPending = 610,
-  kMvccShard = 620,
-  kMvccStamping = 630,
-
   // Master-pointer update: held across the rename and the log reclaim
   // after it (which takes the WAL mutex), never across an fsync.
   kDbMaster = 690,
@@ -92,6 +85,11 @@ enum class LockRank : uint16_t {
   // page latches and the allocator/data-store mutexes, and the flusher
   // releases it across every pwrite/fdatasync.
   kWal = 700,
+
+  // MVCC version-store shards: a commit stamps its versions inside its
+  // Commit record's append, under wal.mu; Visible() runs under a node
+  // latch. Memory only; one shard at a time, acquiring nothing further.
+  kMvccShard = 720,
 
   // Leaves: fault injection hooks and observability. Crash points fire
   // under arbitrary protocol locks; trace/slow-op/metrics mutexes guard

@@ -91,11 +91,7 @@ Status Database::InitCommon() {
   // flusher thread, which reads the cached metric pointers from then on.
   disk_.AttachMetrics(&metrics_);
   log_.AttachMetrics(&metrics_);
-  // The MVCC timestamp oracle's fan-out hook must be registered before
-  // the flusher thread starts: snapshot stamps ride on the durable-LSN
-  // broadcast of every group commit.
   mvcc_.AttachMetrics(&metrics_);
-  log_.SetDurableCallback([this](Lsn lsn) { mvcc_.AdvanceDurable(lsn); });
   GISTCR_RETURN_IF_ERROR(log_.Open(opts_.path + ".wal"));
   log_.SetSyncOnFlush(opts_.sync_commit);
   pool_ = std::make_unique<BufferPool>(
@@ -270,10 +266,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
   // everything after this point may touch pages (triggering their inline
   // redo) but never has to wait for the whole log.
   GISTCR_RETURN_IF_ERROR(db->recovery_->StartInstant(ckpt));
-  // Seed the oracle with what is already durable so the first snapshot
-  // (taken before any new commit flushes) sees the pre-restart state.
-  // Only now: analysis may have cut a torn tail, and durable_lsn() with it.
-  db->mvcc_.AdvanceDurable(db->log_.durable_lsn());
 
   // An image whose meta page lacks the magic is not a database. Reading
   // the meta page inline-redoes just that page.
@@ -320,7 +312,7 @@ Status Database::RunMaintenancePass() {
   }
   // Version-store GC (DESIGN.md section 14): prune version records no
   // active snapshot can reach.
-  (void)mvcc_.Prune();
+  (void)mvcc_.Prune(txns_->SnapshotHorizon());
   return Status::OK();
 }
 

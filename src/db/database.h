@@ -196,8 +196,7 @@ class Database {
   /// pointers into it.
   obs::MetricsRegistry metrics_;
   obs::SlowOpLog slow_ops_;
-  /// Version store + timestamp oracle (DESIGN.md section 14). Declared
-  /// before the log so it outlives the flusher thread that feeds it.
+  /// Version store (DESIGN.md section 14).
   MvccManager mvcc_;
   DiskManager disk_;
   LogManager log_;

@@ -50,6 +50,14 @@ class MetaView {
     return kInvalidPageId;
   }
 
+  /// True while the root table has a slot for one more index.
+  bool HasFreeSlot() const {
+    for (uint32_t i = 0; i < kMaxIndexes; i++) {
+      if (DecodeFixed32(p() + 12 + i * 8) == 0) return true;
+    }
+    return false;
+  }
+
   /// Sets (or installs) the root pointer of \p index_id.
   void SetRoot(uint32_t index_id, PageId root) {
     GISTCR_CHECK(index_id != 0);

@@ -36,17 +36,44 @@ Gist::Gist(const GistContext& ctx, const GistExtension* ext, GistOptions opts)
 }
 
 Status Gist::Create() {
+  // Refuse an id the meta page cannot register before anything is
+  // allocated or logged: 0 marks a free slot of the root table.
+  if (opts_.index_id == 0) {
+    return Status::InvalidArgument("index id 0 is reserved");
+  }
+  {
+    auto frame_or = ctx_.pool->Fetch(MetaView::kMetaPageId);
+    GISTCR_RETURN_IF_ERROR(frame_or.status());
+    PageGuard guard(ctx_.pool, frame_or.value());
+    guard.RLatch();
+    MetaView meta(guard.view().data());
+    if (meta.GetRoot(opts_.index_id) != kInvalidPageId) {
+      return Status::InvalidArgument("index " +
+                                     std::to_string(opts_.index_id) +
+                                     " already exists");
+    }
+    if (!meta.HasFreeSlot()) {
+      return Status::NoSpace("index root table is full");
+    }
+  }
   // Index creation is unlogged: it runs at database-creation time and the
   // caller flushes before the first logged operation (see Database).
   // Allocate the root without logging by reserving through a throwaway
   // transaction would log; instead use the allocator's bitmap directly via
-  // a bootstrap transaction whose records are harmless to redo.
+  // a bootstrap transaction whose records are harmless to redo. Every
+  // error ends it, so no failed create holds down the redo floor.
   Transaction* boot = ctx_.txns->Begin(IsolationLevel::kReadCommitted);
-  auto pid_or = ctx_.alloc->Allocate(boot);
-  if (!pid_or.ok()) {
+  Status st = InstallRoot(boot);
+  if (!st.ok()) {
     (void)ctx_.txns->Abort(boot);
-    return pid_or.status();
+    return st;
   }
+  return ctx_.txns->Commit(boot);
+}
+
+Status Gist::InstallRoot(Transaction* boot) {
+  auto pid_or = ctx_.alloc->Allocate(boot);
+  GISTCR_RETURN_IF_ERROR(pid_or.status());
   const PageId root = pid_or.value();
   {
     auto frame_or = ctx_.pool->NewPage(root);
@@ -55,25 +82,23 @@ Status Gist::Create() {
     guard.WLatch();
     NodeView node(guard.view().data());
     node.Init(root, /*level=*/0);
-    // Unlogged index creation (see above): the root and the meta page
+    // Unlogged index creation (see Create): the root and the meta page
     // carry the bootstrap's last LSN and are flushed before first use.
     // gistcr-lint: allow(page-lsn-outside-apply)
     guard.view().set_page_lsn(boot->last_lsn());
     guard.frame()->MarkDirty(boot->last_lsn());
   }
-  {
-    auto frame_or = ctx_.pool->Fetch(MetaView::kMetaPageId);
-    GISTCR_RETURN_IF_ERROR(frame_or.status());
-    PageGuard guard(ctx_.pool, frame_or.value());
-    guard.WLatch();
-    MetaView meta(guard.view().data());
-    GISTCR_CHECK(meta.GetRoot(opts_.index_id) == kInvalidPageId);
-    meta.SetRoot(opts_.index_id, root);
-    // Unlogged, like the root above. gistcr-lint: allow(page-lsn-outside-apply)
-    guard.view().set_page_lsn(boot->last_lsn());
-    guard.frame()->MarkDirty(boot->last_lsn());
-  }
-  return ctx_.txns->Commit(boot);
+  auto frame_or = ctx_.pool->Fetch(MetaView::kMetaPageId);
+  GISTCR_RETURN_IF_ERROR(frame_or.status());
+  PageGuard guard(ctx_.pool, frame_or.value());
+  guard.WLatch();
+  MetaView meta(guard.view().data());
+  GISTCR_CHECK(meta.GetRoot(opts_.index_id) == kInvalidPageId);
+  meta.SetRoot(opts_.index_id, root);
+  // Unlogged, like the root above. gistcr-lint: allow(page-lsn-outside-apply)
+  guard.view().set_page_lsn(boot->last_lsn());
+  guard.frame()->MarkDirty(boot->last_lsn());
+  return Status::OK();
 }
 
 Status Gist::Open() {

@@ -64,8 +64,7 @@ struct GistContext {
   /// Registry the tree's counters/histograms live in (null: process
   /// fallback registry).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Version store + timestamp oracle for snapshot reads (DESIGN.md
-  /// section 14).
+  /// Version store for snapshot reads (DESIGN.md section 14).
   MvccManager* mvcc = nullptr;
 };
 
@@ -147,7 +146,9 @@ class Gist {
 
   /// Creates the index: allocates and formats an empty root leaf and
   /// registers it on the meta page. Unlogged; the caller (Database) flushes
-  /// before the index is used. Call once per index id.
+  /// before the index is used. InvalidArgument for id 0 or an id in use,
+  /// NoSpace when the meta page's root table is full; either before
+  /// anything is allocated or logged.
   Status Create();
 
   /// Opens an existing index (validates the root pointer).
@@ -221,6 +222,9 @@ class Gist {
   };
 
  private:
+  /// Create's body under the bootstrap transaction \p boot: allocates and
+  /// formats the root leaf and registers it on the meta page.
+  Status InstallRoot(Transaction* boot);
 
   // --- shared helpers -------------------------------------------------
   StatusOr<PageId> GetRoot();
@@ -320,10 +324,10 @@ class Gist {
   /// transactions read through FilterLeafSnapshot, everyone else through
   /// the 2PL FilterLeafLocked. Every stacked pointer of a 2PL reader
   /// carries a signaling lock until its visit (section 7.2); a snapshot
-  /// reader takes none, because its registered snapshot defers all node
-  /// retirement (MvccManager::CanRetireNodes) from before it read any
-  /// pointer. \p tree is the kCoarse tree latch, released around lock
-  /// waits.
+  /// reader takes none, because its snapshot, in the transaction table,
+  /// defers all node retirement (TransactionManager::HasActiveSnapshots)
+  /// from before it read any pointer. \p tree is the kCoarse tree latch,
+  /// released around lock waits.
   Status VisitNext(Transaction* txn, const ReadSpec& spec,
                    std::vector<StackEntry>* stack,
                    std::unordered_set<uint64_t>* seen,

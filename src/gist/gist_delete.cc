@@ -44,7 +44,7 @@ Status Gist::DeleteCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
   GISTCR_RETURN_IF_ERROR(ApplyMarkLeafEntry(pl, txn->id(), rec.lsn, &leaf));
   // Version-store shadow of the mark (DESIGN.md section 14): snapshots
   // begun before this delete's commit stamp keep seeing the entry.
-  ctx_.mvcc->NoteDelete(rid.Pack(), txn->id());
+  ctx_.mvcc->NoteDelete(rid.Pack(), txn);
   // Mark applied and logged inside a still-running transaction.
   GISTCR_CRASHPOINT("delete.after_mark");
   leaf.Drop();

@@ -483,6 +483,7 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
       leaf->view().page_lsn() < ctx_.txns->CommitLsn();
   GarbageCollectionPayload pl;
   pl.page = leaf->page_id();
+  Lsn horizon = kInvalidLsn;  // read once, at the first candidate
   for (uint16_t i = 0; i < node.count(); i++) {
     const TxnId d = node.entry_del_txn(i);
     if (d == kInvalidTxnId) continue;
@@ -492,7 +493,10 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
     // past the deleter's commit: physical removal must also wait until no
     // active snapshot can still see it (section 14).
     if (all_committed || !ctx_.txns->IsActive(d)) {
-      if (!ctx_.mvcc->SafeToReclaim(node.entry_value(i), d)) continue;
+      if (horizon == kInvalidLsn) horizon = ctx_.txns->SnapshotHorizon();
+      if (!ctx_.mvcc->SafeToReclaim(node.entry_value(i), d, horizon)) {
+        continue;
+      }
       pl.removed.push_back(node.GetEntry(i));
     }
   }
@@ -605,7 +609,7 @@ Status Gist::InsertCore(Transaction* txn, Slice key, Rid rid, uint64_t op_id,
     // Version-store shadow of the Add-Leaf-Entry (DESIGN.md section 14):
     // a pending record commit-stamping later makes the entry visible to
     // snapshots; rollback clears it via RecoveryManager::UndoRecord.
-    ctx_.mvcc->NoteInsert(entry.value, txn->id());
+    ctx_.mvcc->NoteInsert(entry.value, txn);
     // Entry applied and logged inside a still-running transaction.
     GISTCR_CRASHPOINT("insert.after_leaf_apply");
   }

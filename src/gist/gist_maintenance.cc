@@ -54,7 +54,10 @@ Status Gist::TryDeleteChild(Transaction* txn, PageGuard* parent,
   // latch (held by the GC sweep): a snapshot registered after this check
   // must traverse through the latched parent and will find the entry
   // already removed — it can never stack a pointer to the victim.
-  if (!ctx_.mvcc->CanRetireNodes()) return Status::OK();
+  if (ctx_.txns->HasActiveSnapshots()) {
+    ctx_.mvcc->CountRetireDeferred();
+    return Status::OK();
+  }
   NodeView pn(parent->view().data());
 
   // Refuse to delete the root.

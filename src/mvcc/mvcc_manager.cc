@@ -21,111 +21,24 @@ void MvccManager::AttachMetrics(obs::MetricsRegistry* reg) {
   m_chain_length_ = reg->GetHistogram("mvcc.chain_length");
 }
 
-void MvccManager::BeginStamping(TxnId txn) {
-  MutexLock l(stamping_mu_);
-  stamping_[txn] = stamping_seq_++;
-}
-
-void MvccManager::CancelStamping(TxnId txn) {
-  MutexLock l(stamping_mu_);
-  if (stamping_.erase(txn) > 0) stamping_cv_.NotifyAll();
-}
-
-void MvccManager::AdvanceDurable(Lsn lsn) {
-  {
-    // Drain stamping epochs opened before this fan-out: the batch that
-    // just landed may contain their Commit records, and the snapshot
-    // stamp must not cover a commit whose versions are unstamped. Epochs
-    // opened later (seq >= cutoff) belong to records appended after the
-    // batch was cut — their commit LSNs exceed \p lsn — so the cutoff
-    // both excludes them and bounds the wait.
-    MutexLock l(stamping_mu_);
-    const uint64_t cutoff = stamping_seq_;
-    for (;;) {
-      bool older = false;
-      for (const auto& [id, seq] : stamping_) {
-        (void)id;
-        if (seq < cutoff) {
-          older = true;
-          break;
-        }
-      }
-      if (!older) break;
-      stamping_cv_.Wait(stamping_mu_);
-    }
-  }
-  Lsn cur = durable_stamp_.load(std::memory_order_relaxed);
-  while (lsn > cur && !durable_stamp_.compare_exchange_weak(
-                          cur, lsn, std::memory_order_release,
-                          std::memory_order_relaxed)) {
-  }
-}
-
-Lsn MvccManager::BeginSnapshot(TxnId txn_id) {
-  Lsn stamp;
-  {
-    // Stamp and register in one critical section against the GC horizon
-    // reads (Prune holds snap_mu_ across min-active + SnapshotStamp): a
-    // snapshot either registers before the horizon scan and pins its
-    // history, or reads its stamp after the scan's SnapshotStamp() — in
-    // which case everything pruned was already at-or-below its stamp
-    // (ancient == visible, pruned delete == invisible: same answers).
-    MutexLock l(snap_mu_);
-    stamp = SnapshotStamp();
-    active_snaps_[txn_id] = stamp;
-  }
-  m_snapshot_begins_->Add(1);
-  return stamp;
-}
-
-void MvccManager::EndSnapshot(TxnId txn_id) {
-  MutexLock l(snap_mu_);
-  active_snaps_.erase(txn_id);
-}
-
-Lsn MvccManager::MinActiveSnapshotLocked() const {
-  Lsn min = kInvalidLsn;
-  for (const auto& [id, stamp] : active_snaps_) {
-    (void)id;
-    if (min == kInvalidLsn || stamp < min) min = stamp;
-  }
-  return min;
-}
-
-Lsn MvccManager::MinActiveSnapshot() const {
-  MutexLock l(snap_mu_);
-  return MinActiveSnapshotLocked();
-}
-
-bool MvccManager::HasActiveSnapshots() const {
-  MutexLock l(snap_mu_);
-  return !active_snaps_.empty();
-}
-
-void MvccManager::NoteInsert(uint64_t rid, TxnId txn) {
-  {
-    MutexLock l(pending_mu_);
-    pending_[txn].push_back(rid);
-  }
+void MvccManager::NoteInsert(uint64_t rid, Transaction* txn) {
+  txn->versions().push_back(rid);
   Shard& s = ShardOf(rid);
   MutexLock l(s.mu);
   VersionRecord rec;
-  rec.insert_txn = txn;
+  rec.insert_txn = txn->id();
   s.chains[rid].push_back(rec);
 }
 
-void MvccManager::NoteDelete(uint64_t rid, TxnId txn) {
-  {
-    MutexLock l(pending_mu_);
-    pending_[txn].push_back(rid);
-  }
+void MvccManager::NoteDelete(uint64_t rid, Transaction* txn) {
+  txn->versions().push_back(rid);
   Shard& s = ShardOf(rid);
   MutexLock l(s.mu);
   Chain& chain = s.chains[rid];
   // The live version is the newest record without a delete mark.
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->delete_txn == kInvalidTxnId) {
-      it->delete_txn = txn;
+      it->delete_txn = txn->id();
       it->delete_ts = kInvalidLsn;
       return;
     }
@@ -134,32 +47,24 @@ void MvccManager::NoteDelete(uint64_t rid, TxnId txn) {
   // materialize it with an always-visible insert stamp.
   VersionRecord rec;
   rec.insert_ts = kAncientStamp;
-  rec.delete_txn = txn;
+  rec.delete_txn = txn->id();
   chain.push_back(rec);
 }
 
-std::vector<uint64_t> MvccManager::StampCommit(TxnId txn, Lsn commit_lsn) {
-  std::vector<uint64_t> rids;
-  {
-    MutexLock l(pending_mu_);
-    auto it = pending_.find(txn);
-    if (it != pending_.end()) {
-      rids = std::move(it->second);
-      pending_.erase(it);
-    }
-  }
+void MvccManager::StampCommit(Transaction* txn, Lsn commit_lsn) {
+  const TxnId id = txn->id();
   uint64_t stamped = 0;
-  for (uint64_t rid : rids) {
+  for (uint64_t rid : txn->versions()) {
     Shard& s = ShardOf(rid);
     MutexLock l(s.mu);
     auto it = s.chains.find(rid);
     if (it == s.chains.end()) continue;
     for (VersionRecord& rec : it->second) {
-      if (rec.insert_txn == txn && rec.insert_ts == kInvalidLsn) {
+      if (rec.insert_txn == id && rec.insert_ts == kInvalidLsn) {
         rec.insert_ts = commit_lsn;
         stamped++;
       }
-      if (rec.delete_txn == txn && rec.delete_ts == kInvalidLsn) {
+      if (rec.delete_txn == id && rec.delete_ts == kInvalidLsn) {
         rec.delete_ts = commit_lsn;
         stamped++;
       }
@@ -167,42 +72,6 @@ std::vector<uint64_t> MvccManager::StampCommit(TxnId txn, Lsn commit_lsn) {
     m_chain_length_->Record(it->second.size());
   }
   m_stamped_->Add(stamped);
-  // Stamps in place: close the epoch so the durable fan-out may publish a
-  // snapshot stamp covering this commit. Runs even when the transaction
-  // had no pending versions — the epoch was opened unconditionally.
-  CancelStamping(txn);
-  return rids;
-}
-
-void MvccManager::DropAborted(TxnId txn) {
-  std::vector<uint64_t> rids;
-  {
-    MutexLock l(pending_mu_);
-    auto it = pending_.find(txn);
-    if (it == pending_.end()) return;
-    rids = std::move(it->second);
-    pending_.erase(it);
-  }
-  for (uint64_t rid : rids) {
-    Shard& s = ShardOf(rid);
-    MutexLock l(s.mu);
-    auto it = s.chains.find(rid);
-    if (it == s.chains.end()) continue;
-    Chain& chain = it->second;
-    for (VersionRecord& rec : chain) {
-      // Rollback re-exposes the entry on the page; clear the mark here too.
-      if (rec.delete_txn == txn && rec.delete_ts == kInvalidLsn) {
-        rec.delete_txn = kInvalidTxnId;
-      }
-    }
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [txn](const VersionRecord& rec) {
-                                 return rec.insert_txn == txn &&
-                                        rec.insert_ts == kInvalidLsn;
-                               }),
-                chain.end());
-    if (chain.empty()) s.chains.erase(it);
-  }
 }
 
 void MvccManager::UndoInsert(uint64_t rid, TxnId txn) {
@@ -213,8 +82,7 @@ void MvccManager::UndoInsert(uint64_t rid, TxnId txn) {
   Chain& chain = it->second;
   chain.erase(std::remove_if(chain.begin(), chain.end(),
                              [txn](const VersionRecord& rec) {
-                               return rec.insert_txn == txn &&
-                                      rec.insert_ts == kInvalidLsn;
+                               return rec.insert_txn == txn;
                              }),
               chain.end());
   if (chain.empty()) s.chains.erase(it);
@@ -226,8 +94,9 @@ void MvccManager::UndoDelete(uint64_t rid, TxnId txn) {
   auto it = s.chains.find(rid);
   if (it == s.chains.end()) return;
   for (VersionRecord& rec : it->second) {
-    if (rec.delete_txn == txn && rec.delete_ts == kInvalidLsn) {
+    if (rec.delete_txn == txn) {
       rec.delete_txn = kInvalidTxnId;
+      rec.delete_ts = kInvalidLsn;
     }
   }
 }
@@ -271,8 +140,8 @@ bool MvccManager::Visible(uint64_t rid, TxnId entry_del_txn,
   return false;  // record pruned => delete committed below every snapshot
 }
 
-bool MvccManager::SafeToReclaim(uint64_t rid, TxnId del_txn) const {
-  const Lsn min_snap = MinActiveSnapshot();
+bool MvccManager::SafeToReclaim(uint64_t rid, TxnId del_txn,
+                                Lsn horizon) const {
   Shard& s = ShardOf(rid);
   MutexLock l(s.mu);
   auto it = s.chains.find(rid);
@@ -280,30 +149,9 @@ bool MvccManager::SafeToReclaim(uint64_t rid, TxnId del_txn) const {
   for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
     if (rit->delete_txn != del_txn) continue;
     if (rit->delete_ts == kInvalidLsn) return false;  // stamp still pending
-    // A future snapshot's stamp is >= the current durable LSN >= this
-    // committed stamp, so only currently active snapshots can pin it.
-    return min_snap == kInvalidLsn || rit->delete_ts < min_snap;
+    return rit->delete_ts < horizon;
   }
   return true;
-}
-
-bool MvccManager::CanRetireNodes() {
-  if (!HasActiveSnapshots()) return true;
-  m_retire_deferred_->Add(1);
-  return false;
-}
-
-Lsn MvccManager::PruneHorizon() const {
-  // Min-active and the no-snapshot fallback stamp are read under
-  // snap_mu_, the same mutex BeginSnapshot holds while it stamps and
-  // registers — so a concurrent BeginSnapshot either lands in the scan
-  // (horizon <= its stamp) or gets a stamp >= the fallback read, and
-  // everything pruned answers identically for it (see BeginSnapshot).
-  MutexLock l(snap_mu_);
-  const Lsn min_snap = MinActiveSnapshotLocked();
-  // With no active snapshot, everything committed (hence durable, hence
-  // below any future snapshot stamp) is prunable.
-  return min_snap != kInvalidLsn ? min_snap : SnapshotStamp() + 1;
 }
 
 size_t MvccManager::PruneChain(Chain* chain, Lsn horizon) {
@@ -321,8 +169,7 @@ size_t MvccManager::PruneChain(Chain* chain, Lsn horizon) {
   return pruned;
 }
 
-size_t MvccManager::Prune() {
-  const Lsn horizon = PruneHorizon();
+size_t MvccManager::Prune(Lsn horizon) {
   size_t pruned = 0;
   for (size_t i = 0; i < kNumShards; i++) {
     Shard& s = *shards_[i];
@@ -340,9 +187,8 @@ size_t MvccManager::Prune() {
   return pruned;
 }
 
-void MvccManager::PruneRids(const std::vector<uint64_t>& rids) {
-  if (rids.empty()) return;
-  const Lsn horizon = PruneHorizon();
+void MvccManager::PruneRids(const std::vector<uint64_t>& rids,
+                            Lsn horizon) {
   size_t pruned = 0;
   for (uint64_t rid : rids) {
     Shard& s = ShardOf(rid);

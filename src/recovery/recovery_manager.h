@@ -40,8 +40,9 @@ namespace gistcr {
 class RecoveryManager : public UndoApplier {
  public:
   /// \p mvcc is kept consistent with undo: a rolled-back insert or
-  /// delete-mark must not leave a pending version record behind (partial
-  /// rollback keeps the transaction alive, so commit would stamp it).
+  /// delete-mark must not leave its version record behind, pending (partial
+  /// rollback keeps the transaction alive, so commit would stamp it) or
+  /// stamped (the rollback of a commit whose force failed).
   RecoveryManager(BufferPool* pool, LogManager* log, TransactionManager* txns,
                   GlobalNsn* nsn, MvccManager* mvcc)
       : pool_(pool), log_(log), txns_(txns), nsn_(nsn), mvcc_(mvcc) {

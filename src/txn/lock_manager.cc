@@ -94,12 +94,12 @@ void LockManager::ForgetHeld(TxnId txn, LockName name) {
 }
 
 void LockManager::SetPending(TxnId txn, LockName name) {
-  MutexLock l(pending_mu_);
+  MutexLock l(wait_mu_);
   pending_[txn] = name;
 }
 
 void LockManager::ClearPending(TxnId txn) {
-  MutexLock l(pending_mu_);
+  MutexLock l(wait_mu_);
   pending_.erase(txn);
 }
 
@@ -107,7 +107,7 @@ void LockManager::CollectWaitsFor(TxnId waiter,
                                   std::unordered_set<TxnId>* out) {
   LockName name;
   {
-    MutexLock l(pending_mu_);
+    MutexLock l(wait_mu_);
     auto it = pending_.find(waiter);
     if (it == pending_.end()) return;
     name = it->second;
@@ -398,7 +398,7 @@ bool LockManager::Holds(TxnId txn, LockName name, LockMode mode) {
 std::vector<std::pair<TxnId, TxnId>> LockManager::WaitEdges() {
   std::vector<TxnId> waiters;
   {
-    MutexLock l(pending_mu_);
+    MutexLock l(wait_mu_);
     waiters.reserve(pending_.size());
     for (const auto& [txn, name] : pending_) waiters.push_back(txn);
   }

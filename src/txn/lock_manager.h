@@ -175,9 +175,9 @@ class LockManager {
 
   // The single name each blocked txn is waiting on (a txn runs on one
   // thread, so it waits on at most one name). Drives deadlock DFS.
-  Mutex pending_mu_{GISTCR_LOCK_RANK(kLockPending, "lock.pending.mu")};
+  Mutex wait_mu_{GISTCR_LOCK_RANK(kLockPending, "lock.pending.mu")};
   std::unordered_map<TxnId, LockName> pending_
-      GISTCR_GUARDED_BY(pending_mu_);
+      GISTCR_GUARDED_BY(wait_mu_);
 };
 
 }  // namespace gistcr

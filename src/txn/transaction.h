@@ -47,8 +47,9 @@ class Transaction {
   IsolationLevel isolation() const { return iso_; }
   bool is_snapshot() const { return iso_ == IsolationLevel::kSnapshot; }
 
-  /// Snapshot stamp (durable LSN at begin) for kSnapshot transactions;
-  /// kInvalidLsn otherwise. Set once by TransactionManager::Begin.
+  /// Snapshot stamp (the log's durable LSN at begin) for kSnapshot
+  /// transactions; kInvalidLsn otherwise. Set once by
+  /// TransactionManager::Begin, before the transaction enters the table.
   Lsn snapshot_lsn() const { return snapshot_lsn_; }
   void set_snapshot_lsn(Lsn s) { snapshot_lsn_ = s; }
 
@@ -77,6 +78,12 @@ class Transaction {
 
   std::vector<SavepointInfo>& savepoints() { return savepoints_; }
 
+  /// Packed rids of the leaf entries this transaction inserted or
+  /// delete-marked, in order: the version-store records its commit stamps
+  /// (DESIGN.md section 14.2). Touched only by the transaction's own
+  /// thread.
+  std::vector<uint64_t>& versions() { return versions_; }
+
  private:
   const TxnId id_;
   const IsolationLevel iso_;
@@ -86,6 +93,7 @@ class Transaction {
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
   uint64_t next_op_id_ = 1;
   std::vector<SavepointInfo> savepoints_;
+  std::vector<uint64_t> versions_;
 };
 
 }  // namespace gistcr

@@ -36,13 +36,20 @@ Transaction* TransactionManager::Begin(IsolationLevel iso) {
     id = next_txn_id_++;
     auto t = std::make_unique<Transaction>(id, iso);
     txn = t.get();
+    // Stamp and register in one critical section against SnapshotHorizon
+    // (DESIGN.md section 14.4): a snapshot either is in the table when the
+    // horizon is read and bounds it, or reads its stamp after the
+    // horizon's durable LSN, at or above everything that horizon prunes.
+    if (iso == IsolationLevel::kSnapshot) {
+      txn->set_snapshot_lsn(log_->durable_lsn());
+    }
     table_[id] = std::move(t);
   }
   if (iso == IsolationLevel::kSnapshot) {
     // Read-only snapshot path: no txn-id lock (nothing can need to block
     // on a reader that holds nothing). The acceptance bar is literal:
     // zero lock-manager calls.
-    txn->set_snapshot_lsn(mvcc_->BeginSnapshot(id));
+    mvcc_->CountSnapshotBegin();
     m_begins_->Add(1);
     return txn;
   }
@@ -58,18 +65,16 @@ Transaction* TransactionManager::Begin(IsolationLevel iso) {
 
 Status TransactionManager::EndUnlogged(Transaction* txn, bool committed) {
   txn->set_state(committed ? TxnState::kCommitted : TxnState::kAborted);
-  if (txn->is_snapshot()) {
-    mvcc_->EndSnapshot(txn->id());
-  } else {
-    ReleaseAllFor(txn);
-  }
+  if (!txn->is_snapshot()) ReleaseAllFor(txn);
   (committed ? m_commits_ : m_aborts_)->Add(1);
   MutexLock l(mu_);
   table_.erase(txn->id());
   return Status::OK();
 }
 
-Status TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
+Status TransactionManager::AppendTxnLog(
+    Transaction* txn, LogRecord* rec,
+    const std::function<void(Lsn)>& on_lsn) {
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
   if (txn->first_lsn() == kInvalidLsn) {
@@ -80,7 +85,7 @@ Status TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
     // record (DESIGN.md section 16.2).
     txn->set_first_lsn(log_->next_lsn());
   }
-  GISTCR_RETURN_IF_ERROR(log_->Append(rec));
+  GISTCR_RETURN_IF_ERROR(log_->Append(rec, on_lsn));
   GISTCR_CRASHPOINT("txn.after_log_append");
   txn->set_last_lsn(rec->lsn);
   return Status::OK();
@@ -108,21 +113,13 @@ Status TransactionManager::Commit(Transaction* txn) {
   const uint64_t t0 = obs::NowNanos();
   LogRecord commit;
   commit.type = LogRecordType::kCommit;
-  // Stamp this transaction's versions with the commit LSN *before* the
-  // durable fan-out can cover it: a snapshot stamp S only reaches >=
-  // commit.lsn once the flusher broadcasts a covering durable LSN, and
-  // AdvanceDurable drains stamping epochs opened before the broadcast —
-  // so the epoch must open *before* the Commit record becomes flushable
-  // (a concurrent waiter's force, or flush-ahead pressure, can batch and
-  // fsync it the instant Append returns, well before our own Flush call).
-  mvcc_->BeginStamping(txn->id());
-  Status append_st = AppendTxnLog(txn, &commit);
-  if (!append_st.ok()) {
-    mvcc_->CancelStamping(txn->id());
-    return append_st;
-  }
-  const std::vector<uint64_t> stamped =
-      mvcc_->StampCommit(txn->id(), commit.lsn);
+  // Stamp this transaction's versions with the commit LSN inside the
+  // Commit record's append, under wal.mu: the flusher cuts its batches
+  // under that mutex, so no durable LSN, and with it no snapshot stamp,
+  // covers the record before its versions are stamped (DESIGN.md section
+  // 14.2).
+  GISTCR_RETURN_IF_ERROR(AppendTxnLog(
+      txn, &commit, [this, txn](Lsn lsn) { mvcc_->StampCommit(txn, lsn); }));
   // Commit appended but not forced: recovery must treat the txn as a loser
   // unless the record happens to be durable already.
   GISTCR_CRASHPOINT("txn.commit.before_log_force");
@@ -131,11 +128,11 @@ Status TransactionManager::Commit(Transaction* txn) {
   GISTCR_CRASHPOINT("txn.commit.after_log_force");
   txn->set_state(TxnState::kCommitted);
   ReleaseAllFor(txn);
-  // The log ran the durable fan-out before Flush returned, so the
-  // snapshot stamp covers this commit: the version records it stamped go
-  // now unless an open snapshot can still see them (DESIGN.md section
-  // 14.4).
-  mvcc_->PruneRids(stamped);
+  // The durable LSN covers this commit now: its version records go unless
+  // an open snapshot can still see them (DESIGN.md section 14.4).
+  if (!txn->versions().empty()) {
+    mvcc_->PruneRids(txn->versions(), SnapshotHorizon());
+  }
   LogRecord end;
   end.type = LogRecordType::kEnd;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &end));
@@ -192,16 +189,13 @@ Status TransactionManager::Abort(Transaction* txn) {
   LogRecord abort_rec;
   abort_rec.type = LogRecordType::kAbort;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &abort_rec));
-  // Roll the pages back first: the UndoInsert/UndoDelete hooks inside
-  // UndoRecord retract each version record in step with its page undo, so
-  // a concurrent lock-free snapshot scan always finds version records
-  // matching the page state it validated. Erasing the records up front
-  // would let the scan see this txn's still-present inserts as "ancient"
-  // (dirty read) and its still-marked deletes as committed (lost row).
+  // The UndoInsert/UndoDelete hooks inside UndoRecord retract each
+  // version record in step with its page undo, so a concurrent lock-free
+  // snapshot scan always finds version records matching the page state it
+  // validated. Erasing the records up front would let the scan see this
+  // txn's still-present inserts as "ancient" (dirty read) and its
+  // still-marked deletes as committed (lost row).
   GISTCR_RETURN_IF_ERROR(UndoTo(txn, kInvalidLsn));
-  // Pages clean: now forget the pending-stamp bookkeeping (and any
-  // leftovers the per-op hooks already made no-ops).
-  mvcc_->DropAborted(txn->id());
   txn->set_state(TxnState::kAborted);
   ReleaseAllFor(txn);
   LogRecord end;
@@ -260,6 +254,29 @@ Lsn TransactionManager::OldestActiveFirstLsnLocked() {
     if (oldest == kInvalidLsn || f < oldest) oldest = f;
   }
   return oldest;
+}
+
+bool TransactionManager::HasActiveSnapshots() {
+  MutexLock l(mu_);
+  for (const auto& [id, txn] : table_) {
+    (void)id;
+    if (txn->is_snapshot()) return true;
+  }
+  return false;
+}
+
+Lsn TransactionManager::SnapshotHorizon() {
+  MutexLock l(mu_);
+  Lsn oldest = kInvalidLsn;
+  for (const auto& [id, txn] : table_) {
+    (void)id;
+    if (!txn->is_snapshot()) continue;
+    const Lsn s = txn->snapshot_lsn();
+    if (oldest == kInvalidLsn || s < oldest) oldest = s;
+  }
+  // With no snapshot open, everything committed (hence durable, hence at
+  // or below any future snapshot stamp) is below the horizon.
+  return oldest != kInvalidLsn ? oldest : log_->durable_lsn() + 1;
 }
 
 std::vector<std::pair<TxnId, Lsn>> TransactionManager::ActiveTxns() {

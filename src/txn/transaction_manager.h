@@ -2,6 +2,7 @@
 #define GISTCR_TXN_TRANSACTION_MANAGER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -31,8 +32,9 @@ class UndoApplier {
 /// of transaction.
 class TransactionManager {
  public:
-  /// \p mvcc serves snapshot reads: Begin(kSnapshot) registers with its
-  /// oracle, and Commit stamps versions before forcing the log.
+  /// \p mvcc is the version store snapshot reads filter through: Commit
+  /// stamps the transaction's versions inside its Commit record's append
+  /// and drops them once no snapshot can see them.
   TransactionManager(LogManager* log, LockManager* locks,
                      PredicateManager* preds, MvccManager* mvcc);
   GISTCR_DISALLOW_COPY_AND_ASSIGN(TransactionManager);
@@ -61,7 +63,8 @@ class TransactionManager {
   /// the backchain.
   ///
   /// kSnapshot transactions take no txn-id lock (nothing ever blocks on
-  /// a reader that holds nothing), just a snapshot stamp from the oracle.
+  /// a reader that holds nothing), just a snapshot stamp: the log's
+  /// durable LSN, read in the critical section that enters the table.
   Transaction* Begin(IsolationLevel iso = IsolationLevel::kRepeatableRead);
 
   /// Commit: log Commit, force the log, release predicates and locks, log
@@ -83,7 +86,9 @@ class TransactionManager {
   /// Appends \p rec on behalf of \p txn: fills txn_id/prev_lsn and
   /// advances the backchain head. The transaction's first record publishes
   /// first_lsn before it is appended, and has prev_lsn kInvalidLsn.
-  Status AppendTxnLog(Transaction* txn, LogRecord* rec);
+  /// \p on_lsn goes to LogManager::Append, which runs it under wal.mu.
+  Status AppendTxnLog(Transaction* txn, LogRecord* rec,
+                      const std::function<void(Lsn)>& on_lsn = nullptr);
 
   /// Nested top action bracket (paper section 9.1): remember the backchain
   /// head, run the structure modification, then close with an NTA-End
@@ -116,6 +121,16 @@ class TransactionManager {
   /// kInvalidLsn for one that logged nothing.
   std::vector<std::pair<TxnId, Lsn>> ActiveTxns();
 
+  /// True while a kSnapshot transaction is in the table. Node retirement
+  /// defers while one is (DESIGN.md section 14.4).
+  bool HasActiveSnapshots();
+
+  /// The version-store GC horizon: the oldest open snapshot stamp, or the
+  /// durable LSN + 1 when none is open. Read under the mutex Begin stamps
+  /// and registers a snapshot under, so a snapshot begun later gets a
+  /// stamp at or above every stamp this horizon lets GC drop.
+  Lsn SnapshotHorizon();
+
   /// Restart support: recovery re-creates loser transactions to drive
   /// their undo through the normal rollback machinery. The loser enters
   /// the table with its first LSN, so it holds down the Commit_LSN and the
@@ -136,7 +151,7 @@ class TransactionManager {
   void ReleaseAllFor(Transaction* txn);
 
   /// Ends a transaction that logged nothing: releases its locks and
-  /// predicates (or unregisters its snapshot), frees the descriptor.
+  /// predicates (a snapshot holds none), frees the descriptor.
   /// Shared by Commit and Abort — the only difference for a transaction
   /// that wrote nothing is the reported final state and which lifecycle
   /// counter ticks, which \p committed selects.
@@ -167,9 +182,10 @@ class TransactionManager {
   obs::Histogram* m_commit_ns_ = nullptr;  ///< includes the log force
 
   Mutex mu_{GISTCR_LOCK_RANK(kTxnManager, "txn.mu")};
-  /// Every active transaction, snapshot readers included. Those that
-  /// logged nothing have no first LSN, so OldestActiveFirstLsn (and with
-  /// it the checkpoint's redo floor) and the Commit_LSN skip them.
+  /// Every active transaction, snapshot readers included: the one
+  /// snapshot registry. Those that logged nothing have no first LSN, so
+  /// OldestActiveFirstLsn (and with it the checkpoint's redo floor) and
+  /// the Commit_LSN skip them.
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> table_
       GISTCR_GUARDED_BY(mu_);
   TxnId next_txn_id_ GISTCR_GUARDED_BY(mu_) = 1;

@@ -124,7 +124,8 @@ void LogManager::Close() {
   fd_.store(-1, std::memory_order_release);
 }
 
-Status LogManager::Append(LogRecord* rec) {
+Status LogManager::Append(LogRecord* rec,
+                          const std::function<void(Lsn)>& on_lsn) {
   // Serialize outside the mutex (DESIGN.md section 11): the wire form is
   // LSN-independent (the LSN is the record's file offset, never a field),
   // so the CRC-stamped image can be built into a per-thread scratch buffer
@@ -149,6 +150,9 @@ Status LogManager::Append(LogRecord* rec) {
   m_append_bytes_->Add(scratch.size());
   pending_records_++;
   if (rec->type == LogRecordType::kCommit) pending_commits_++;
+  // Before the mutex goes: the flusher cuts batches under it, so a batch
+  // holding this record, and the durable LSN it publishes, come after.
+  if (on_lsn) on_lsn(rec->lsn);
   // Appends never wait for I/O; past the flush-ahead cap they nudge the
   // flusher so the unflushed tail stays bounded.
   if (buffer_.size() >= kFlushAheadBytes && !flush_in_flight_) {
@@ -259,10 +263,6 @@ Status LogManager::WriteBatch(const BatchIo& io, bool flusher,
     st = FaultInjector::Global().CheckCrashPoint("wal.after_fsync");
   }
   *io_ns = obs::NowNanos() - t0;
-  // Durable fan-out, still outside the mutex: consumers (the MVCC
-  // timestamp oracle) learn the batch landed before any Flush waiter
-  // wakes, so a commit whose waiter resumes is already stamp-visible.
-  if (st.ok() && durable_cb_) durable_cb_(io.last);
   return st;
 }
 

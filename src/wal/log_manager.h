@@ -63,7 +63,15 @@ class LogManager {
 
   /// Appends \p rec, assigning rec->lsn. Does not flush; the record
   /// becomes durable when a later Flush covers its LSN.
-  Status Append(LogRecord* rec);
+  ///
+  /// \p on_lsn, when set, runs with the new LSN before the mutex is
+  /// released, so it happens before any flush batch that can contain the
+  /// record is cut: no durable_lsn() covers the record until it returns.
+  /// The commit path stamps its MVCC versions there (DESIGN.md section
+  /// 14.2). It runs under wal.mu and may touch memory only: no I/O, no
+  /// log call, no lock ranked at or below kWal.
+  Status Append(LogRecord* rec,
+                const std::function<void(Lsn)>& on_lsn = nullptr);
 
   /// Blocks until the log is durable up to and including \p lsn
   /// (kInvalidLsn: everything appended so far). Many concurrent callers
@@ -141,14 +149,6 @@ class LogManager {
   /// may not persist a write the kernel already accepted).
   void DiscardTail();
 
-  /// Registers a fan-out hook the flusher invokes (without the log mutex)
-  /// after each successful batch lands, with the new durable LSN. The MVCC
-  /// timestamp oracle piggybacks its snapshot stamp on this. Call before
-  /// Open; one callback, not a list.
-  void SetDurableCallback(std::function<void(Lsn)> fn) {
-    durable_cb_ = std::move(fn);
-  }
-
   /// When disabled, flushes write to the OS but skip fdatasync. Benchmarks
   /// measuring protocol scaling (not commit durability) turn this off so
   /// fsync latency does not dominate; correctness-under-crash tests keep
@@ -205,7 +205,7 @@ class LogManager {
 
   /// The write path both the flusher and Close's final drain run, with
   /// mu_ released: pwrite the batch at its offset, fdatasync it (when sync
-  /// is on), then fan the durable LSN out. \p flusher marks the flusher's
+  /// is on). \p flusher marks the flusher's
   /// own call, the only one that checks the wal.* crash points and
   /// injected sync faults; *\p io_ns gets the write+sync time.
   Status WriteBatch(const BatchIo& io, bool flusher, uint64_t* io_ns);
@@ -287,10 +287,6 @@ class LogManager {
   bool flusher_stop_ GISTCR_GUARDED_BY(mu_) = false;
 
   std::thread flusher_thread_;  ///< set in Open, joined in Close
-
-  /// Durable fan-out hook (SetDurableCallback). Written before Open, read
-  /// by the flusher thread outside mu_.
-  std::function<void(Lsn)> durable_cb_;
 
   /// The log file and its durable size, the LSN of the first byte of
   /// flushing_ (or of buffer_ when no flush is in flight). Both are written

@@ -2,6 +2,7 @@
 
 #include "access/btree_extension.h"
 #include "access/rtree_extension.h"
+#include "db/meta_page.h"
 #include "tests/test_util.h"
 
 namespace gistcr {
@@ -283,6 +284,46 @@ TEST_F(DatabaseTest, CreateAppendsNoLogRecord) {
   ASSERT_OK(db_or.status());
   db_ = db_or.MoveValue();
   EXPECT_EQ(db_->log()->next_lsn(), LogManager::kFirstLsn);
+}
+
+// An index id that cannot be registered is refused before anything is
+// allocated or logged: id 0 (the meta page's free-slot marker), an id in
+// use, and one past a full root table. No bootstrap transaction is left
+// open, the existing index keeps working, and the database reopens.
+TEST_F(DatabaseTest, CreateIndexRejectsUnusableIds) {
+  auto db_or = Database::Create(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  ASSERT_OK(db_->CreateIndex(1, &bt_));
+  EXPECT_EQ(db_->CreateIndex(0, &bt_).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(db_->CreateIndex(1, &bt_).code(), Status::Code::kInvalidArgument);
+  for (uint32_t id = 2; id <= MetaView::kMaxIndexes; id++) {
+    ASSERT_OK(db_->CreateIndex(id, &bt_));
+  }
+  EXPECT_EQ(db_->CreateIndex(MetaView::kMaxIndexes + 1, &bt_).code(),
+            Status::Code::kNoSpace);
+  EXPECT_TRUE(db_->txns()->ActiveTxns().empty());
+
+  Gist* gist = db_->GetIndex(1).value();
+  Transaction* txn = db_->Begin();
+  ASSERT_OK(db_->InsertRecord(txn, gist, BtreeExtension::MakeKey(7), "v")
+                .status());
+  ASSERT_OK(db_->Commit(txn));
+  db_.reset();
+
+  db_or = Database::Open(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  ASSERT_OK(db_->WaitForRecovery());
+  ASSERT_OK(db_->OpenIndex(1, &bt_));
+  ASSERT_OK(db_->OpenIndex(MetaView::kMaxIndexes, &bt_));
+  gist = db_->GetIndex(1).value();
+  txn = db_->Begin();
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 100), &results));
+  EXPECT_EQ(results.size(), 1u);
+  ASSERT_OK(db_->Commit(txn));
+  ASSERT_OK(gist->CheckInvariants());
 }
 
 }  // namespace

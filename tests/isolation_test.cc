@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -910,6 +911,113 @@ TEST_F(SnapshotIsolationTest, WriteSkewStillPreventedForReadWrite) {
   b.join();
   EXPECT_EQ(deadlocked.load(), 1) << "write skew was not prevented";
   EXPECT_EQ(committed.load(), 1);
+}
+
+// A snapshot sees each commit whole or not at all, and keeps seeing what
+// it saw. Writers commit a key pair {k, k + 1000} in one transaction and
+// delete it in a second; readers scan twice per snapshot. A torn pair, or
+// a second scan that differs from the first, is a commit whose versions
+// were stamped after a snapshot stamp covered its Commit record. A
+// writer's snapshot begun after its commit returns must see its own pair.
+TEST_F(SnapshotIsolationTest, SnapshotsSeeWholeCommitsUnderLoad) {
+  constexpr int64_t kPairOffset = 1000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> snapshots{0};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> unstable{0};
+  std::atomic<uint64_t> own_missing{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> threads;
+  for (int64_t w = 0; w < 2; w++) {
+    threads.emplace_back([&, w] {
+      for (int64_t i = 0; !stop.load(); i++) {
+        const int64_t k = 1 + w * 500 + i % 400;
+        Transaction* ins = db_->Begin();
+        auto lo = db_->InsertRecord(ins, gist_, BtreeExtension::MakeKey(k),
+                                    "v");
+        auto hi = db_->InsertRecord(
+            ins, gist_, BtreeExtension::MakeKey(k + kPairOffset), "v");
+        if (!lo.ok() || !hi.ok() || !db_->Commit(ins).ok()) {
+          failed++;
+          return;
+        }
+        Transaction* own = db_->Begin(IsolationLevel::kSnapshot);
+        if (Scan(own, k, k).size() != 1 ||
+            Scan(own, k + kPairOffset, k + kPairOffset).size() != 1) {
+          own_missing++;
+        }
+        if (!db_->Commit(own).ok()) failed++;
+        Transaction* del = db_->Begin();
+        if (!db_->DeleteRecord(del, gist_, BtreeExtension::MakeKey(k),
+                               lo.value())
+                 .ok() ||
+            !db_->DeleteRecord(del, gist_,
+                               BtreeExtension::MakeKey(k + kPairOffset),
+                               hi.value())
+                 .ok() ||
+            !db_->Commit(del).ok()) {
+          failed++;
+          return;
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 2; r++) {
+    threads.emplace_back([&] {
+      while (!stop.load()) {
+        Transaction* t = db_->Begin(IsolationLevel::kSnapshot);
+        const std::vector<int64_t> first = Scan(t, 0, 2 * kPairOffset);
+        const std::vector<int64_t> second = Scan(t, 0, 2 * kPairOffset);
+        if (!db_->Commit(t).ok()) failed++;
+        if (first != second) unstable++;
+        for (int64_t key : first) {
+          const int64_t mate =
+              key < kPairOffset ? key + kPairOffset : key - kPairOffset;
+          if (!std::binary_search(first.begin(), first.end(), mate)) {
+            torn++;
+            break;
+          }
+        }
+        snapshots++;
+      }
+    });
+  }
+  std::this_thread::sleep_for(1500ms);
+  stop = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << "of " << snapshots.load() << " snapshots";
+  EXPECT_EQ(unstable.load(), 0u) << "of " << snapshots.load() << " snapshots";
+  EXPECT_EQ(own_missing.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+}
+
+// The commit window itself: a snapshot begun after the Commit record is
+// durable but before Commit returns must see the commit, and see it again
+// once Commit returns. A commit stamps its versions inside the append of
+// its Commit record, so no durable LSN ever covers an unstamped commit.
+TEST_F(SnapshotIsolationTest, SnapshotBegunInsideCommitSeesItStably) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  Transaction* w = db_->Begin();
+  MustInsert(w, 42);
+  Transaction* snap = nullptr;
+  std::vector<int64_t> inside;
+  FaultInjector::Global().Reset();
+  // The writer's next append is its Commit record.
+  FaultInjector::Global().ArmCrashPointHook("txn.after_log_append", [&] {
+    EXPECT_OK(db_->log()->FlushAll());
+    snap = db_->Begin(IsolationLevel::kSnapshot);
+    inside = Scan(snap, 0, 100);
+  });
+  ASSERT_OK(db_->Commit(w));
+  FaultInjector::Global().Reset();
+  ASSERT_NE(snap, nullptr);
+  ASSERT_TRUE(snap->is_snapshot());
+  EXPECT_EQ(inside, (std::vector<int64_t>{42}));
+  EXPECT_EQ(Scan(snap, 0, 100), (std::vector<int64_t>{42}));
+  ASSERT_OK(db_->Commit(snap));
 }
 
 // The pure-predicate-locking mode (section 4.2 / ablation C2) must provide

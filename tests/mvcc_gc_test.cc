@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "access/btree_extension.h"
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 
 namespace gistcr {
@@ -51,6 +49,9 @@ class MvccGcTest : public ::testing::Test {
     return keys;
   }
 
+  /// Store GC at the horizon the transaction table gives right now.
+  size_t Prune() { return db_->mvcc()->Prune(db_->txns()->SnapshotHorizon()); }
+
   std::string path_;
   std::unique_ptr<Database> db_;
   BtreeExtension ext_;
@@ -87,14 +88,14 @@ TEST_F(MvccGcTest, PruneShrinksChainsOnceUnpinned) {
 
   // Pruning with the snapshot still active must keep everything it can
   // observe: the scan stays byte-for-byte stable.
-  mvcc->Prune();
+  Prune();
   EXPECT_EQ(Scan(snap, 0, 100), (std::vector<int64_t>{1, 2, 3, 4}));
   ASSERT_OK(db_->Commit(snap));
 
   // Unpinned: everything is below the horizon, chains collapse entirely
   // (a missing record means "ancient", which answers correctly for all
   // committed history).
-  const size_t pruned = mvcc->Prune();
+  const size_t pruned = Prune();
   EXPECT_GT(pruned, 0u);
   EXPECT_EQ(mvcc->StoreSize(), 0u);
   for (const Rid& rid : rids) EXPECT_EQ(mvcc->ChainLength(rid.Pack()), 0u);
@@ -129,17 +130,25 @@ TEST_F(MvccGcTest, LeafGcDefersToActiveSnapshots) {
   ASSERT_OK(db_->Commit(after));
 }
 
+// The transaction table is the one snapshot registry: node retirement
+// and version GC read it. An open snapshot pins the horizon at its own
+// stamp; with none open the horizon passes the durable LSN. The GC side of
+// the deferral is NodeDeletionTest.OpenSnapshotDefersRetirement.
 TEST_F(MvccGcTest, NodeRetirementDefersWhileSnapshotsActive) {
-  MvccManager* mvcc = db_->mvcc();
-  ASSERT_NE(mvcc, nullptr);
-  EXPECT_TRUE(mvcc->CanRetireNodes());
+  TransactionManager* txns = db_->txns();
+  EXPECT_FALSE(txns->HasActiveSnapshots());
+  EXPECT_EQ(txns->SnapshotHorizon(), db_->log()->durable_lsn() + 1);
 
   Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
-  EXPECT_FALSE(mvcc->CanRetireNodes());
-  EXPECT_GT(db_->metrics()->GetCounter("mvcc.node_retire_deferred")->value(),
-            0u);
+  EXPECT_TRUE(txns->HasActiveSnapshots());
+  EXPECT_EQ(snap->snapshot_lsn(), db_->log()->durable_lsn());
+  Transaction* w = db_->Begin();
+  MustInsert(w, 1);
+  ASSERT_OK(db_->Commit(w));
+  EXPECT_EQ(txns->SnapshotHorizon(), snap->snapshot_lsn());
   ASSERT_OK(db_->Commit(snap));
-  EXPECT_TRUE(mvcc->CanRetireNodes());
+  EXPECT_FALSE(txns->HasActiveSnapshots());
+  EXPECT_EQ(txns->SnapshotHorizon(), db_->log()->durable_lsn() + 1);
 }
 
 TEST_F(MvccGcTest, SavepointRollbackUnstampsVersions) {
@@ -202,8 +211,52 @@ TEST_F(MvccGcTest, CommitDropsVersionsNoSnapshotCanSee) {
   for (int64_t k = 11; k <= 20; k++) want.push_back(k);
   EXPECT_EQ(Scan(snap, 0, 100), want);
   ASSERT_OK(db_->Commit(snap));
-  EXPECT_EQ(mvcc->Prune(), 2u);
+  EXPECT_EQ(Prune(), 2u);
   EXPECT_EQ(mvcc->StoreSize(), 0u);
+}
+
+// A commit whose force fails is outcome-ambiguous, and its caller rolls
+// it back (as Session::HandleCommit does). Its versions were stamped inside
+// the append of its Commit record, and a later flush makes that record
+// durable: rollback must retract the stamped records with the pages, or a
+// snapshot hides the row the rollback restored. Two faults open the
+// window: a failed log sync, and an error right after the Commit record's
+// append.
+TEST_F(MvccGcTest, RolledBackFailedCommitKeepsSnapshotsRight) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  for (int64_t fault = 0; fault < 2; fault++) {
+    const int64_t kept = 10 * fault + 1;
+    Transaction* setup = db_->Begin();
+    const Rid rid = MustInsert(setup, kept);
+    ASSERT_OK(db_->Commit(setup));
+
+    Transaction* w = db_->Begin();
+    ASSERT_OK(db_->DeleteRecord(w, gist_, BtreeExtension::MakeKey(kept), rid));
+    MustInsert(w, kept + 1);
+    FaultInjector::Global().Reset();
+    if (fault == 0) {
+      FaultInjector::Global().FailNextSyncs(1);
+    } else {
+      // The writer's next append is its Commit record.
+      FaultInjector::Global().ArmCrashPoint("txn.after_log_append");
+    }
+    EXPECT_FALSE(db_->Commit(w).ok());
+    FaultInjector::Global().Reset();
+    ASSERT_TRUE(db_->txns()->IsActive(w->id()));
+    ASSERT_OK(db_->Abort(w));
+    ASSERT_OK(db_->log()->FlushAll());
+
+    std::vector<int64_t> want;
+    for (int64_t k = 1; k <= kept; k += 10) want.push_back(k);
+    Transaction* rc = db_->Begin(IsolationLevel::kReadCommitted);
+    EXPECT_EQ(Scan(rc, 0, 100), want);
+    ASSERT_OK(db_->Commit(rc));
+    Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
+    EXPECT_EQ(Scan(snap, 0, 100), want) << "fault " << fault;
+    ASSERT_OK(db_->Commit(snap));
+  }
 }
 
 // --- MvccManager race regressions (store-level, no database) ---------------
@@ -215,72 +268,21 @@ TEST_F(MvccGcTest, CommitDropsVersionsNoSnapshotCanSee) {
 // snapshot sees an insert that committed after it began.
 TEST(MvccVisibilityTest, PendingDeleteDoesNotExposeUncommittedInsert) {
   MvccManager mvcc;
-  mvcc.AdvanceDurable(50);
-  const Lsn snap = mvcc.BeginSnapshot(/*txn_id=*/100);
-  ASSERT_EQ(snap, 50u);
+  const Lsn snap = 50;
 
   // Writer 2 inserts rid 7 and commits at LSN 80 (> snap).
-  mvcc.NoteInsert(7, /*txn=*/2);
-  mvcc.BeginStamping(2);
-  mvcc.StampCommit(2, /*commit_lsn=*/80);
+  Transaction w2(/*id=*/2, IsolationLevel::kRepeatableRead);
+  mvcc.NoteInsert(7, &w2);
+  mvcc.StampCommit(&w2, /*commit_lsn=*/80);
   // Writer 3 delete-marks it; its stamp is still pending.
-  mvcc.NoteDelete(7, /*txn=*/3);
+  Transaction w3(/*id=*/3, IsolationLevel::kRepeatableRead);
+  mvcc.NoteDelete(7, &w3);
 
   EXPECT_FALSE(mvcc.Visible(7, kInvalidTxnId, snap));
 
-  // A snapshot begun after the insert's commit durably landed sees the
-  // entry despite the pending delete mark.
-  mvcc.AdvanceDurable(90);
-  const Lsn snap2 = mvcc.BeginSnapshot(/*txn_id=*/101);
-  EXPECT_TRUE(mvcc.Visible(7, kInvalidTxnId, snap2));
-}
-
-// The flusher's durable fan-out must not publish a snapshot stamp covering
-// a commit whose versions are still being stamped: AdvanceDurable drains
-// stamping epochs opened before it (the group-commit batch may contain
-// their Commit records even though the committing threads have not reached
-// their own Flush call yet).
-TEST(MvccStampingEpochTest, DurableFanOutWaitsForOpenEpochs) {
-  MvccManager mvcc;
-  mvcc.NoteInsert(9, /*txn=*/1);
-  mvcc.BeginStamping(1);
-
-  std::atomic<bool> advanced{false};
-  std::thread flusher([&] {
-    mvcc.AdvanceDurable(100);
-    advanced.store(true);
-  });
-  // Give a broken implementation time to race past the open epoch.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(advanced.load());
-  EXPECT_EQ(mvcc.SnapshotStamp(), kInvalidLsn);
-
-  mvcc.StampCommit(1, /*commit_lsn=*/100);
-  flusher.join();
-  EXPECT_TRUE(advanced.load());
-  EXPECT_EQ(mvcc.SnapshotStamp(), 100u);
-  // The stamp a snapshot gets now covers a fully stamped version.
-  EXPECT_TRUE(mvcc.Visible(9, kInvalidTxnId, mvcc.BeginSnapshot(100)));
-}
-
-TEST(MvccStampingEpochTest, CancelStampingReleasesTheFanOut) {
-  MvccManager mvcc;
-  mvcc.BeginStamping(1);
-  std::thread flusher([&] { mvcc.AdvanceDurable(10); });
-  mvcc.CancelStamping(1);  // append failed: no commit to wait for
-  flusher.join();
-  EXPECT_EQ(mvcc.SnapshotStamp(), 10u);
-}
-
-// Commits with no pending versions (read-only RR transactions, pure
-// predicate work) still open and close an epoch; the fan-out must not hang
-// on them.
-TEST(MvccStampingEpochTest, StampCommitWithoutVersionsClosesTheEpoch) {
-  MvccManager mvcc;
-  mvcc.BeginStamping(4);
-  mvcc.StampCommit(4, 20);
-  mvcc.AdvanceDurable(20);  // would deadlock if the epoch stayed open
-  EXPECT_EQ(mvcc.SnapshotStamp(), 20u);
+  // A snapshot stamped after the insert's commit sees the entry despite
+  // the pending delete mark.
+  EXPECT_TRUE(mvcc.Visible(7, kInvalidTxnId, /*snapshot=*/90));
 }
 
 }  // namespace

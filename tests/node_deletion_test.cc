@@ -190,5 +190,35 @@ TEST_F(NodeDeletionTest, ActiveDeleterMarksBlockGc) {
   EXPECT_EQ(removed2, 20u);
 }
 
+// Snapshot readers stack node pointers without signaling locks, so an open
+// snapshot defers node retirement wholesale (DESIGN.md section 14.4). Its
+// entries still go: their deletes committed before the snapshot began.
+TEST_F(NodeDeletionTest, OpenSnapshotDefersRetirement) {
+  FillAndDeleteAll(200);
+  obs::Counter* deferred =
+      db_->metrics()->GetCounter("mvcc.node_retire_deferred");
+  const uint64_t deferred_before = deferred->value();
+  Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
+  ASSERT_TRUE(snap->is_snapshot());
+
+  Transaction* t1 = db_->Begin();
+  uint64_t removed = 0, deleted = 0, removed2 = 0, deleted2 = 0;
+  ASSERT_OK(gist_->GarbageCollect(t1, &removed, &deleted));
+  ASSERT_OK(gist_->GarbageCollect(t1, &removed2, &deleted2));
+  ASSERT_OK(db_->Commit(t1));
+  EXPECT_EQ(removed + removed2, 200u);
+  EXPECT_EQ(deleted + deleted2, 0u);
+  EXPECT_GT(deferred->value(), deferred_before);
+  ASSERT_OK(db_->Commit(snap));
+
+  Transaction* t2 = db_->Begin();
+  uint64_t r3 = 0, d3 = 0, r4 = 0, d4 = 0;
+  ASSERT_OK(gist_->GarbageCollect(t2, &r3, &d3));
+  ASSERT_OK(gist_->GarbageCollect(t2, &r4, &d4));
+  ASSERT_OK(db_->Commit(t2));
+  EXPECT_GT(d3 + d4, 5u);
+  ASSERT_OK(gist_->CheckInvariants());
+}
+
 }  // namespace
 }  // namespace gistcr

@@ -106,11 +106,11 @@ TEST_F(ServerDisconnectTest, DisconnectEndsOpenSnapshotReader) {
     Client a = MakeClient();
     ASSERT_OK(a.Begin(IsolationLevel::kSnapshot).status());
     ASSERT_OK(a.Search(1, BtreeExtension::MakeRange(0, 19)).status());
-    EXPECT_TRUE(db_->mvcc()->HasActiveSnapshots());
+    EXPECT_TRUE(db_->txns()->HasActiveSnapshots());
     a.Close();
   }
   WaitForAbortReap();
-  EXPECT_FALSE(db_->mvcc()->HasActiveSnapshots());
+  EXPECT_FALSE(db_->txns()->HasActiveSnapshots());
 }
 
 TEST_F(ServerDisconnectTest, DisconnectCounterAndGaugeTrack) {

@@ -93,15 +93,6 @@ Rules
       each carrying file:line evidence. `--dot FILE` writes the merged
       graph for visual inspection.
 
-  stamping-epoch-unclosed
-      A call to mvcc->BeginStamping opens a commit-stamping epoch that
-      must be closed by StampCommit or CancelStamping on *every* path
-      out of the enclosing scope (DESIGN.md section 14.6: an open epoch
-      blocks snapshot-stamp publication forever). Flags any return —
-      including the hidden returns in GISTCR_RETURN_IF_ERROR /
-      GISTCR_ASSIGN_OR_RETURN — and any scope exit while an epoch is
-      open.
-
   wal-append-after-unlatch
       A redo-logged page mutation must append its WAL record while the
       page latch is still held: the append assigns the LSN stamped into
@@ -181,7 +172,6 @@ RULES = (
     "predicate-attach-on-snapshot-path",
     "lock-rank-inversion",
     "lock-order",
-    "stamping-epoch-unclosed",
     "wal-append-after-unlatch",
     "redo-appends-wal",
     "env-override",
@@ -366,15 +356,12 @@ CALL_SUMMARIES = (
     (re.compile(r"\bpred\w*(?:\(\))?\s*(?:\.|->)\s*Attach\w*\s*\("),
      ("preds.mu",)),
     (re.compile(r"\bmvcc\w*(?:\(\))?\s*(?:\.|->)\s*"
-                r"(?:BeginSnapshot|EndSnapshot)\s*\("), ("mvcc.snap.mu",)),
-    (re.compile(r"\bmvcc\w*(?:\(\))?\s*(?:\.|->)\s*"
-                r"(?:BeginStamping|StampCommit|CancelStamping)\s*\("),
-     ("mvcc.stamping.mu", "mvcc.shard.mu")),
-    (re.compile(r"\bmvcc\w*(?:\(\))?\s*(?:\.|->)\s*"
-                r"(?:Visible|Note\w+|OnAbort|Sweep)\s*\("),
+                r"(?:Visible|Note\w+|StampCommit|Undo(?:Insert|Delete)|"
+                r"SafeToReclaim|Prune\w*)\s*\("),
      ("mvcc.shard.mu",)),
     (re.compile(r"\btxns?\w*(?:\(\))?\s*(?:\.|->)\s*"
-                r"(?:IsActive|ActiveTxns)\s*\("), ("txn.mu",)),
+                r"(?:IsActive|ActiveTxns|HasActiveSnapshots|SnapshotHorizon)"
+                r"\s*\("), ("txn.mu",)),
 )
 
 MUTEX_SCOPE_EXPR_RE = re.compile(
@@ -831,7 +818,7 @@ SERIALIZE_RE = re.compile(
 # snapshot read path (distinctly named Snapshot* family, e.g.
 # FilterLeafSnapshot) and the calls banned inside it.
 # The signature regex anchors at line start so receiver-qualified *calls*
-# (`mvcc->BeginSnapshot(...)`) never match.
+# (`gist->FilterLeafSnapshot(...)`) never match.
 SNAPSHOT_SIG_RE = re.compile(
     r"^\s*[\w:<>,*&\s]*?\b(?:\w+::)?(\w*Snapshot\w*)\s*\(")
 
@@ -870,15 +857,6 @@ SYNC_CALL_RE = re.compile(
     r"\b(?:::\s*)?f(?:data)?sync\s*\(|\bfallocate\s*\("
     r"|\bp(?:read|write)(?:v|64)?\s*\("
     r"|(?:\.|->)\s*Sync\s*\(")
-
-# stamping-epoch-unclosed: epoch opens on a receiver-qualified
-# BeginStamping call (the definition in mvcc_manager.cc is unqualified and
-# must not count) and closes on any StampCommit/CancelStamping.
-STAMPING_OPEN_RE = re.compile(r"(?:\.|->)\s*BeginStamping\s*\(")
-STAMPING_CLOSE_RE = re.compile(r"\b(?:StampCommit|CancelStamping)\s*\(")
-RETURN_STMT_RE = re.compile(
-    r"^\s*(?:GISTCR_RETURN_IF_ERROR|GISTCR_ASSIGN_OR_RETURN)\b"
-    r"|\breturn\b")
 
 # wal-append-after-unlatch: record types tracked through the standard
 # `rec.type = LogRecordType::k...;` setup idiom; txn-lifecycle records are
@@ -959,7 +937,6 @@ class FileLinter:
         guard_decl_depth = {}  # PageGuard var -> declaration depth
         mutex_holds = {}  # scoped-lock var -> [decl_depth, currently_held]
         prev_code = ""  # last non-blank stripped line (statement context)
-        stamping_open = None  # (open line, open depth) of a live epoch
         release_floors = []  # decl depths of guards released in this scope
         rec_types = {}  # LogRecord var -> (type name, tracking depth)
 
@@ -1061,20 +1038,6 @@ class FileLinter:
             for m in MUTEX_SCOPE_DECL_RE.finditer(line):
                 mutex_holds[m.group(1)] = [depth, True]
 
-            # stamping-epoch-unclosed: closes processed before the return
-            # check so `CancelStamping(...); return st;` sequences pass.
-            if stamping_open is not None and STAMPING_CLOSE_RE.search(line):
-                stamping_open = None
-            if stamping_open is not None and RETURN_STMT_RE.search(line):
-                report(
-                    "stamping-epoch-unclosed",
-                    "return while the stamping epoch opened on line "
-                    f"{stamping_open[0]} is still open; every path must "
-                    "run StampCommit or CancelStamping first",
-                )
-            if STAMPING_OPEN_RE.search(line):
-                stamping_open = (lineno, depth)
-
             # wal-append-after-unlatch: a page-mutation record appended
             # with no latch held after some latch was released.
             for m in REC_TYPE_RE.finditer(line):
@@ -1123,12 +1086,6 @@ class FileLinter:
             mutex_holds = {
                 v: s for v, s in mutex_holds.items() if s[0] <= depth
             }
-            if stamping_open is not None and depth < stamping_open[1]:
-                report("stamping-epoch-unclosed",
-                       "scope exits with the stamping epoch opened on "
-                       f"line {stamping_open[0]} still open",
-                       _lineno=stamping_open[0])
-                stamping_open = None
             release_floors = [f for f in release_floors if f <= depth]
             rec_types = {
                 v: t for v, t in rec_types.items() if t[1] <= depth
@@ -1137,7 +1094,6 @@ class FileLinter:
                 latches = []
                 guard_decl_depth = {}
                 mutex_holds = {}
-                stamping_open = None
                 release_floors = []
                 rec_types = {}
             if line.strip():
