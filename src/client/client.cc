@@ -75,7 +75,7 @@ Status Client::ReadFrame(Frame* out) {
   }
 }
 
-Status Client::StatusFromErrorFrame(const Frame& f) {
+Status Client::StatusFromErrorFrame(const Frame& f, ErrorCode* code_out) {
   ErrorCode code;
   bool txn_aborted;
   std::string msg;
@@ -83,7 +83,17 @@ Status Client::StatusFromErrorFrame(const Frame& f) {
     return Status::Corruption("undecodable error frame");
   }
   if (txn_aborted) txn_open_ = false;
+  if (code_out != nullptr) *code_out = code;
   return net::StatusFromError(code, msg);
+}
+
+Status Client::EndTxnReply(const Frame& reply) {
+  ErrorCode code = ErrorCode::kInternal;
+  const Status st =
+      reply.opcode == Opcode::kError ? StatusFromErrorFrame(reply, &code)
+                                     : Status::OK();
+  if (code != ErrorCode::kTimeout) txn_open_ = false;
+  return st;
 }
 
 namespace {
@@ -185,18 +195,14 @@ Status Client::Commit() {
   Frame reply;
   GISTCR_RETURN_IF_ERROR(
       Call(Opcode::kCommit, 0, Slice(), &reply, nullptr, false));
-  if (reply.opcode == Opcode::kError) return StatusFromErrorFrame(reply);
-  txn_open_ = false;
-  return Status::OK();
+  return EndTxnReply(reply);
 }
 
 Status Client::Abort() {
   Frame reply;
   GISTCR_RETURN_IF_ERROR(
       Call(Opcode::kAbort, 0, Slice(), &reply, nullptr, false));
-  if (reply.opcode == Opcode::kError) return StatusFromErrorFrame(reply);
-  txn_open_ = false;
-  return Status::OK();
+  return EndTxnReply(reply);
 }
 
 namespace {

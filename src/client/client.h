@@ -114,7 +114,15 @@ class Client {
   Status Call(net::Opcode op, uint8_t flags, Slice payload,
               net::Frame* terminal, std::vector<RemoteResult>* results,
               bool with_records);
-  Status StatusFromErrorFrame(const net::Frame& f);
+  /// Also hands the decoded code to \p code_out when set.
+  Status StatusFromErrorFrame(const net::Frame& f,
+                              net::ErrorCode* code_out = nullptr);
+  /// Settles a COMMIT or ABORT reply. The session drops its transaction
+  /// before it runs either request, so the reply ends the client's too,
+  /// an error included: a failed commit is in doubt on the server, never
+  /// still open. A queue timeout, sent without running the request, is
+  /// the one error that leaves it open.
+  Status EndTxnReply(const net::Frame& reply);
   void OnTransportError();
 
   ClientOptions opts_;

@@ -75,12 +75,12 @@ class MvccManager {
   /// touches memory only (see the class comment).
   void StampCommit(Transaction* txn, Lsn commit_lsn);
 
-  /// Undo-site hooks: retract \p txn's version record for \p rid, stamped
-  /// or not, in step with the page undo. Only the owner ever stamps its
-  /// records, and a commit whose force failed has stamped them before its
-  /// rollback runs. Abort and partial rollback to a savepoint both run
-  /// through them; no-ops when the record is absent (restart undo: the
-  /// losers have no records).
+  /// Undo-site hooks: retract \p txn's version record for \p rid in step
+  /// with the page undo. The record is unstamped: only the owner stamps
+  /// its records, inside its Commit record's append, and nothing rolls a
+  /// transaction back after that append. Abort and partial rollback to a
+  /// savepoint both run through them; no-ops when the record is absent
+  /// (restart undo: the losers have no records).
   void UndoInsert(uint64_t rid, TxnId txn);
   void UndoDelete(uint64_t rid, TxnId txn);
 

@@ -160,12 +160,11 @@ Status Session::HandleCommit(const net::Frame& req, Database* db) {
   Transaction* txn = txn_;
   txn_ = nullptr;
   if (obs::OpContext* op = obs::CurrentOp()) op->txn_id = txn->id();
-  Status st = db->Commit(txn);
+  const Status st = db->Commit(txn);
   if (!st.ok()) {
-    // A failed commit must not leak a lock-holding zombie: roll it back
-    // and tell the client the transaction is gone either way.
-    if (db->txns()->IsActive(txn->id())) (void)db->Abort(txn);
-    txn_aborted_flag_ = true;
+    // In doubt, never rolled back: the durable log decides the outcome at
+    // the next open (DESIGN.md section 9). The session's transaction ends
+    // here either way, and the client closes its own on this reply.
     return SendError(req.request_id, net::ErrorCodeFromStatus(st),
                      st.ToString());
   }

@@ -113,20 +113,25 @@ Status TransactionManager::Commit(Transaction* txn) {
   const uint64_t t0 = obs::NowNanos();
   LogRecord commit;
   commit.type = LogRecordType::kCommit;
-  // Stamp this transaction's versions with the commit LSN inside the
-  // Commit record's append, under wal.mu: the flusher cuts its batches
-  // under that mutex, so no durable LSN, and with it no snapshot stamp,
-  // covers the record before its versions are stamped (DESIGN.md section
-  // 14.2).
-  GISTCR_RETURN_IF_ERROR(AppendTxnLog(
-      txn, &commit, [this, txn](Lsn lsn) { mvcc_->StampCommit(txn, lsn); }));
+  // Inside the Commit record's append, under wal.mu: stamp this
+  // transaction's versions with the commit LSN — the flusher cuts its
+  // batches under that mutex, so no durable LSN, and with it no snapshot
+  // stamp, covers the record before its versions are stamped (DESIGN.md
+  // section 14.2) — and leave kActive. From the append on, the durable
+  // log decides the outcome and nothing rolls the transaction back: a
+  // failed force below leaves it in doubt, holding its locks and its
+  // table entry until the next Open decides it.
+  GISTCR_RETURN_IF_ERROR(
+      AppendTxnLog(txn, &commit, [this, txn](Lsn lsn) {
+        mvcc_->StampCommit(txn, lsn);
+        txn->set_state(TxnState::kCommitted);
+      }));
   // Commit appended but not forced: recovery must treat the txn as a loser
   // unless the record happens to be durable already.
   GISTCR_CRASHPOINT("txn.commit.before_log_force");
   GISTCR_RETURN_IF_ERROR(log_->Flush(commit.lsn));  // force at commit
   // Commit durable; End record and lock release still pending.
   GISTCR_CRASHPOINT("txn.commit.after_log_force");
-  txn->set_state(TxnState::kCommitted);
   ReleaseAllFor(txn);
   // The durable LSN covers this commit now: its version records go unless
   // an open snapshot can still see them (DESIGN.md section 14.4).
@@ -135,7 +140,9 @@ Status TransactionManager::Commit(Transaction* txn) {
   }
   LogRecord end;
   end.type = LogRecordType::kEnd;
-  GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &end));
+  // The force decided the outcome; a restart without the End record
+  // finds the same winner, so its append's status changes nothing.
+  (void)AppendTxnLog(txn, &end);
   m_commit_ns_->Record(obs::NowNanos() - t0);
   m_commits_->Add(1);
   EraseLogged(txn);
@@ -200,7 +207,9 @@ Status TransactionManager::Abort(Transaction* txn) {
   ReleaseAllFor(txn);
   LogRecord end;
   end.type = LogRecordType::kEnd;
-  GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &end));
+  // Every update is compensated; a restart without the End record undoes
+  // nothing more, so its append's status changes nothing.
+  (void)AppendTxnLog(txn, &end);
   m_aborts_->Add(1);
   EraseLogged(txn);
   return Status::OK();
@@ -248,7 +257,6 @@ Lsn TransactionManager::OldestActiveFirstLsnLocked() {
   Lsn oldest = kInvalidLsn;
   for (auto& [id, txn] : table_) {
     (void)id;
-    if (txn->state() != TxnState::kActive) continue;
     const Lsn f = txn->first_lsn();
     if (f == kInvalidLsn) continue;
     if (oldest == kInvalidLsn || f < oldest) oldest = f;

@@ -69,7 +69,11 @@ class TransactionManager {
 
   /// Commit: log Commit, force the log, release predicates and locks, log
   /// End. A transaction that logged nothing only releases its locks and
-  /// predicates: no record, no force.
+  /// predicates: no record, no force. Once the Commit record is appended
+  /// the transaction is no longer active and is never rolled back: if the
+  /// force fails, Commit returns the error and the transaction stays in
+  /// doubt, in the table with its locks and predicates, until the next
+  /// Open decides it from the durable log.
   Status Commit(Transaction* txn);
 
   /// Abort: log Abort, undo the backchain writing CLRs (logical undo for
@@ -96,13 +100,15 @@ class TransactionManager {
   Lsn NtaBegin(Transaction* txn) const { return txn->last_lsn(); }
   Status NtaEnd(Transaction* txn, Lsn begin_lsn);
 
-  /// True while \p txn_id is in the table and active. Unknown ids are
-  /// treated as terminated (their effects were resolved by recovery).
+  /// True while \p txn_id is in the table and active: its Commit record
+  /// not appended, its rollback not finished. Unknown ids are treated as
+  /// terminated (their effects were resolved by recovery).
   bool IsActive(TxnId txn_id);
 
-  /// first_lsn of the oldest active transaction that has logged, or
-  /// kInvalidLsn if none: one bound of a checkpoint's redo floor and of
-  /// log reclaim. Transactions that logged nothing do not hold it down.
+  /// first_lsn of the oldest transaction in the table that has logged,
+  /// in-doubt and ending ones included, or kInvalidLsn if none: one bound
+  /// of a checkpoint's redo floor and of log reclaim. Transactions that
+  /// logged nothing do not hold it down.
   Lsn OldestActiveFirstLsn();
 
   /// Mohan's Commit_LSN (paper section 7.1, footnote 11): every update
@@ -160,8 +166,8 @@ class TransactionManager {
   /// Erases a logged transaction that has ended (its Commit forced, or
   /// its updates undone) and, in the same critical section, refreshes the
   /// Commit_LSN: the log end, read first, lowered to the first LSN of
-  /// every transaction still active. Any value computed so stays valid:
-  /// later records land at or above that log end, and an active
+  /// every transaction still in the table. Any value computed so stays
+  /// valid: later records land at or above that log end, and a listed
   /// transaction's updates at or above its first LSN.
   void EraseLogged(Transaction* txn);
 

@@ -91,6 +91,7 @@ Status LogManager::Open(const std::string& path) {
   fd_.store(fd, std::memory_order_release);
   path_ = path;
   requested_lsn_ = kInvalidLsn;
+  stop_status_ = Status::OK();
   SetEndLocked(static_cast<Lsn>(size));
   flusher_stop_ = false;
   flusher_thread_ = std::thread([this] { FlusherLoop(); });
@@ -109,10 +110,11 @@ void LogManager::Close() {
   const int fd = fd_.load(std::memory_order_relaxed);
   if (fd < 0) return;
   // Best-effort drain: shutdown cannot do anything with a flush failure,
-  // and recovery tolerates a truncated tail. The flusher has exited, so
-  // any in-flight batch has already landed or been spliced back.
+  // and recovery tolerates a truncated tail. A stopped log writes nothing:
+  // its tail is what a crash loses. The flusher has exited, so no batch is
+  // in flight.
   GISTCR_DCHECK(!flush_in_flight_);
-  if (!buffer_.empty()) {
+  if (stop_status_.ok() && !buffer_.empty()) {
     const BatchIo io = CutBatchLocked();
     l.Unlock();
     uint64_t io_ns = 0;
@@ -120,6 +122,10 @@ void LogManager::Close() {
     l.Lock();
     FinishBatchLocked(io, st);
   }
+  buffer_.clear();
+  flushing_.clear();
+  pending_records_ = 0;
+  pending_commits_ = 0;
   ::close(fd);
   fd_.store(-1, std::memory_order_release);
 }
@@ -142,6 +148,7 @@ Status LogManager::Append(LogRecord* rec,
 
   MutexLock l(mu_);
   GISTCR_CHECK(fd_.load(std::memory_order_relaxed) >= 0);
+  if (!stop_status_.ok()) return stop_status_;
   rec->lsn = next_lsn_.load(std::memory_order_relaxed);
   buffer_.append(scratch);
   next_lsn_.store(rec->lsn + scratch.size(), std::memory_order_release);
@@ -162,13 +169,7 @@ Status LogManager::Append(LogRecord* rec,
 }
 
 bool LogManager::WantsFlushLocked() const {
-  // Hold off while a DiscardTail is waiting for the in-flight batch: on a
-  // busy log the flusher would otherwise re-cut a new batch the instant it
-  // publishes the old one (it keeps mu_ across publish -> re-check -> cut),
-  // so flush_in_flight_ is true at every moment the discard holds the
-  // mutex and its wait livelocks.
-  if (discard_waiters_ > 0) return false;
-  if (buffer_.empty()) return false;
+  if (!stop_status_.ok() || buffer_.empty()) return false;
   if (buffer_.size() >= kFlushAheadBytes) return true;
   if (requested_lsn_ == kInvalidLsn) return false;
   const Lsn durable = durable_lsn_.load(std::memory_order_acquire);
@@ -272,19 +273,8 @@ void LogManager::FinishBatchLocked(const BatchIo& io, const Status& st) {
     durable_end_.store(io.base + io.size, std::memory_order_release);
     flushing_.clear();
     durable_lsn_.store(io.last, std::memory_order_release);
-  } else {
-    // Splice the batch back in front of the newer tail so a later flush
-    // request retries it; fan the error out to every blocked waiter and
-    // drop the outstanding request so a persistent error does not spin
-    // the flusher (the next Flush call re-arms it).
-    flushing_.append(buffer_);
-    buffer_ = std::move(flushing_);
-    flushing_.clear();
-    pending_records_ += inflight_records_;
-    pending_commits_ += inflight_commits_;
-    requested_lsn_ = kInvalidLsn;
-    last_error_ = st;
-    error_gen_++;
+  } else if (stop_status_.ok()) {
+    stop_status_ = st;
   }
   inflight_records_ = 0;
   inflight_commits_ = 0;
@@ -292,7 +282,7 @@ void LogManager::FinishBatchLocked(const BatchIo& io, const Status& st) {
 }
 
 Status LogManager::Flush(Lsn lsn) {
-  Lsn target = lsn == kInvalidLsn ? last_lsn() : lsn;
+  const Lsn target = lsn == kInvalidLsn ? last_lsn() : lsn;
   if (target == kInvalidLsn) return Status::OK();  // nothing ever appended
   if (durable_lsn_.load(std::memory_order_acquire) >= target) {
     return Status::OK();
@@ -301,31 +291,14 @@ Status LogManager::Flush(Lsn lsn) {
   const uint64_t t0 = obs::NowNanos();
   MutexLock l(mu_);
   GISTCR_CHECK(fd_.load(std::memory_order_relaxed) >= 0);
-  {
-    // DiscardTail may have dropped the records we were asked about; never
-    // wait for an LSN that no longer exists. A caller naming a specific
-    // record gets the same answer a parked waiter gets from the discard's
-    // error fan-out: the record is gone and can never become durable.
-    // Returning OK here would falsely promise durability for a dropped
-    // commit. Only the flush-everything form (lsn == kInvalidLsn) clamps:
-    // it asked for "whatever is there", and what's there is the durable
-    // prefix.
-    const Lsn last = last_lsn_.load(std::memory_order_acquire);
-    if (last == kInvalidLsn || target > last) {
-      if (lsn != kInvalidLsn) {
-        return Status::Aborted("wal: tail discarded before flush");
-      }
-      if (last == kInvalidLsn) return Status::OK();
-      target = last;
-    }
-  }
+  // No record lies past the log end, so no batch would ever cover it.
+  if (target > last_lsn()) return Status::InvalidArgument("wal: past end");
   if (requested_lsn_ == kInvalidLsn || target > requested_lsn_) {
     requested_lsn_ = target;
   }
   work_cv_.NotifyOne();
-  const uint64_t my_gen = error_gen_;
   while (durable_lsn_.load(std::memory_order_acquire) < target) {
-    if (error_gen_ != my_gen) return last_error_;
+    if (!stop_status_.ok()) return stop_status_;
     if (flusher_stop_) return Status::IOError("wal: log closing");
     durable_cv_.Wait(mu_);
   }
@@ -563,30 +536,17 @@ StatusOr<uint64_t> LogManager::ReclaimBefore(Lsn lsn) {
 
 void LogManager::DiscardTail() {
   MutexLock l(mu_);
-  // A batch the flusher already handed to the kernel may still land — a
-  // power cut can persist a write that was in flight. Let it settle so the
-  // durable prefix is well-defined, then drop everything after it.
-  // discard_waiters_ keeps the flusher from cutting the next batch while
-  // we wait (WantsFlushLocked), otherwise continuous committers keep
-  // flush_in_flight_ true forever and this wait livelocks.
-  discard_waiters_++;
+  // Stop first: the flusher then cuts no new batch, so the wait below ends.
+  // A batch it already handed to the kernel may still land — a power cut
+  // can persist a write that was in flight — and settles the durable
+  // prefix; everything after it is dropped.
+  if (stop_status_.ok()) stop_status_ = Status::Aborted("wal: tail discarded");
   while (flush_in_flight_) durable_cv_.Wait(mu_);
-  discard_waiters_--;
   buffer_.clear();
+  flushing_.clear();
   pending_records_ = 0;
   pending_commits_ = 0;
-  next_lsn_.store(durable_end_.load(std::memory_order_relaxed),
-                  std::memory_order_release);
-  last_lsn_.store(durable_lsn_.load(std::memory_order_acquire),
-                  std::memory_order_release);
-  if (requested_lsn_ != kInvalidLsn) {
-    // Waiters whose records were just discarded can never be satisfied;
-    // fail them out exactly like a flush error.
-    requested_lsn_ = kInvalidLsn;
-    last_error_ = Status::Aborted("wal: tail discarded before flush");
-    error_gen_++;
-    durable_cv_.NotifyAll();
-  }
+  durable_cv_.NotifyAll();
 }
 
 }  // namespace gistcr

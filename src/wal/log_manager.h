@@ -32,15 +32,22 @@ namespace gistcr {
 ///    releases the mutex, pwrites + fdatasyncs the batch, then re-takes the
 ///    mutex to advance durable_lsn() and broadcast to waiters. One fsync
 ///    retires every record (and so every commit) appended before it — true
-///    group commit. A flush failure fans out to *every* waiter blocked at
-///    that moment and leaves the batch in the tail buffer for retry.
+///    group commit.
 ///  - **Readers** (restart's analysis and replay, rollback): records below
 ///    the durable end are read from the file without the mutex (Scan,
 ///    ReadRecord); only the in-memory tail is read under it.
 ///
 /// Flush(lsn) is the waiter side of the handshake: it records the request,
 /// wakes the flusher, and blocks until durable_lsn() covers the target or
-/// the covering flush attempt fails.
+/// the log stops.
+///
+/// **Fail-stop.** The first failed pwrite or fdatasync, or a DiscardTail,
+/// stops the log until the next Open: Append and every Flush past
+/// durable_lsn() return that first status, the flusher cuts no batch, and
+/// Close writes nothing. Nothing is retried: what the file holds at the
+/// next Open (a failed batch whose pwrite landed included) is the log,
+/// and the restart decides every transaction from it alone (DESIGN.md
+/// section 11.1).
 class LogManager {
  public:
   LogManager();
@@ -57,12 +64,14 @@ class LogManager {
   /// tail off with CutTail.
   Status Open(const std::string& path);
 
-  /// Stops the flusher (draining the tail buffer best-effort) and closes
-  /// the file. Idempotent; Open may be called again afterwards.
+  /// Stops the flusher, drains the tail buffer best-effort unless the log
+  /// has stopped, and closes the file. Idempotent; Open may be called
+  /// again afterwards.
   void Close();
 
   /// Appends \p rec, assigning rec->lsn. Does not flush; the record
-  /// becomes durable when a later Flush covers its LSN.
+  /// becomes durable when a later Flush covers its LSN. Returns the
+  /// log's stop status, appending nothing, once the log has stopped.
   ///
   /// \p on_lsn, when set, runs with the new LSN before the mutex is
   /// released, so it happens before any flush batch that can contain the
@@ -75,8 +84,10 @@ class LogManager {
 
   /// Blocks until the log is durable up to and including \p lsn
   /// (kInvalidLsn: everything appended so far). Many concurrent callers
-  /// are retired by one fdatasync; an I/O failure during the covering
-  /// flush attempt is returned to every caller blocked on it.
+  /// are retired by one fdatasync. A target durable_lsn() already covers
+  /// is OK even on a stopped log; any other returns the stop status once
+  /// the log stops. InvalidArgument for a target past last_lsn(), which
+  /// no record can cover.
   Status Flush(Lsn lsn);
   Status FlushAll() { return Flush(kInvalidLsn); }
 
@@ -143,10 +154,12 @@ class LogManager {
   /// Total bytes appended so far (for benchmarks measuring log volume).
   uint64_t TotalBytes() const;
 
-  /// Simulates a crash: drops the unflushed tail buffer. Records with LSN
-  /// beyond durable_lsn() are lost, exactly as after a power failure. A
-  /// flush already in flight is allowed to land first (a power cut may or
-  /// may not persist a write the kernel already accepted).
+  /// Simulates a crash: stops the log (Aborted) and drops the unflushed
+  /// tail buffer. Records with LSN beyond durable_lsn() are lost, exactly
+  /// as after a power failure. A flush already in flight is allowed to
+  /// land first (a power cut may or may not persist a write the kernel
+  /// already accepted). Nothing is appended again until Close and Open,
+  /// which resume at the durable end.
   void DiscardTail();
 
   /// When disabled, flushes write to the OS but skip fdatasync. Benchmarks
@@ -210,17 +223,15 @@ class LogManager {
   /// injected sync faults; *\p io_ns gets the write+sync time.
   Status WriteBatch(const BatchIo& io, bool flusher, uint64_t* io_ns);
 
-  /// Publishes a written batch as durable, or after a failed write splices
-  /// it back in front of the newer tail for retry and fans \p st out to
-  /// every waiter; wakes the waiters either way.
+  /// Publishes a written batch as durable, or after a failed write stops
+  /// the log with \p st (the batch stays in flushing_, readable, and is
+  /// never retried); wakes the waiters either way.
   void FinishBatchLocked(const BatchIo& io, const Status& st)
       GISTCR_REQUIRES(mu_);
 
   /// True when the flusher has work: someone requested durability beyond
   /// durable_lsn(), or the tail buffer outgrew the flush-ahead cap.
-  /// Always false while a DiscardTail is waiting, so the flusher parks
-  /// instead of cutting batch after batch (which would starve the
-  /// discard's wait for the in-flight one to land).
+  /// Always false once the log has stopped.
   bool WantsFlushLocked() const GISTCR_REQUIRES(mu_);
 
   /// Locates \p lsn in flushing_ or buffer_ and decodes it. NotFound past
@@ -258,10 +269,10 @@ class LogManager {
   /// Unflushed tail past flushing_; first byte is at LSN
   /// durable_end_ + flushing_.size().
   std::string buffer_ GISTCR_GUARDED_BY(mu_);
-  /// Batch the flusher is currently writing (empty when idle); starts at
-  /// LSN durable_end_. Readable under mu_ while the flusher's I/O is in
-  /// flight — the flusher only reads it outside the mutex and only
-  /// mutates it (clear / splice back) with the mutex held.
+  /// Batch the flusher is currently writing (empty when idle), or the
+  /// batch whose write failed; starts at LSN durable_end_. Readable under
+  /// mu_ while the flusher's I/O is in flight — the flusher only reads it
+  /// outside the mutex and only clears it with the mutex held.
   std::string flushing_ GISTCR_GUARDED_BY(mu_);
   /// Highest LSN any Flush call asked to make durable.
   Lsn requested_lsn_ GISTCR_GUARDED_BY(mu_) = kInvalidLsn;
@@ -272,18 +283,13 @@ class LogManager {
   uint64_t inflight_records_ GISTCR_GUARDED_BY(mu_) = 0;
   uint64_t inflight_commits_ GISTCR_GUARDED_BY(mu_) = 0;
   bool flush_in_flight_ GISTCR_GUARDED_BY(mu_) = false;
-  /// Count of DiscardTail calls waiting for the in-flight flush to land.
-  /// While nonzero the flusher cuts no new batches (see WantsFlushLocked).
-  uint64_t discard_waiters_ GISTCR_GUARDED_BY(mu_) = 0;
-  /// Error fan-out: every failed flush attempt bumps the generation and
-  /// stores its status; waiters that observed an older generation return
-  /// the error instead of re-sleeping.
-  uint64_t error_gen_ GISTCR_GUARDED_BY(mu_) = 0;
   /// Write+fsync duration of the most recent successful batch; Flush
   /// waiters use it to split their wait into fsync vs. queueing shares
   /// when attributing request stages (DESIGN.md section 12).
   uint64_t last_flush_ns_ GISTCR_GUARDED_BY(mu_) = 0;
-  Status last_error_ GISTCR_GUARDED_BY(mu_);
+  /// Not OK once the log has stopped (the class comment's fail-stop): the
+  /// first failed batch write or DiscardTail sets it, Open clears it.
+  Status stop_status_ GISTCR_GUARDED_BY(mu_);
   bool flusher_stop_ GISTCR_GUARDED_BY(mu_) = false;
 
   std::thread flusher_thread_;  ///< set in Open, joined in Close

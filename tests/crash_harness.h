@@ -22,6 +22,12 @@
 /// The WAL oracle is sound because the workload keys are unique and never
 /// reinserted, and the child never uses savepoint rollback — so a committed
 /// transaction's record set is order-insensitive and CLR-free.
+///
+/// Error-path cells arm the point in kStatus mode instead: the operation
+/// that hits it returns IOError, the workload handles that as the engine's
+/// callers do and runs to its end, and the child exits without a shutdown
+/// (exit 42 once the point fired). The parent then recovers twice and
+/// compares both recoveries with each other and with the oracle.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -57,6 +63,9 @@ struct TortureOptions {
   /// Keys inserted (committed) before the crash point is armed. Use with a
   /// small pool to make the armed phase eviction-heavy.
   int preload_keys = 0;
+  /// kExit: the point kills the child. kStatus: the point fails one
+  /// operation and the workload carries on (an error-path cell).
+  FaultInjector::CrashAction action = FaultInjector::CrashAction::kExit;
 };
 
 [[noreturn]] inline void ChildDie(const char* what, const Status& st) {
@@ -72,8 +81,9 @@ struct TortureOptions {
   } while (0)
 
 /// Child body: build, arm, torture. Never returns — exits 42 when the
-/// armed point fires, 0 when the workload drains without firing, 3 on an
-/// unexpected error.
+/// armed point fires (in kStatus mode, at the workload's end after it
+/// fired), 0 when the workload drains without firing, 3 on an unexpected
+/// error (in kExit mode, any error).
 [[noreturn]] inline void RunTortureChild(const std::string& path,
                                          const std::string& point, int skip,
                                          const TortureOptions& opt) {
@@ -110,8 +120,18 @@ struct TortureOptions {
 
   // Setup is done: everything after this line can die at the armed point.
   FaultInjector::Global().Reset();
-  FaultInjector::Global().ArmCrashPoint(point, skip,
-                                        FaultInjector::CrashAction::kExit);
+  FaultInjector::Global().ArmCrashPoint(point, skip, opt.action);
+  // In kStatus mode an error ends the transaction as the engine's callers
+  // end it (Session::InTxn): roll it back if it is still active. A commit
+  // whose Commit record was appended is not, and stays in doubt until
+  // restart decides it. Either way its locks may outlive it (a stopped log
+  // fails the rollback too), so the caller drops its keys from `live`.
+  auto on_error = [&](const char* what, const Status& st, Transaction* txn) {
+    if (opt.action != FaultInjector::CrashAction::kStatus) ChildDie(what, st);
+    if (txn != nullptr && db->txns()->IsActive(txn->id())) {
+      (void)db->Abort(txn);
+    }
+  };
 
   for (int t = 0; t < opt.txns; t++) {
     if (t == opt.txns / 3) {
@@ -123,57 +143,71 @@ struct TortureOptions {
       for (const auto& [k, rid] : live) {
         if (i++ % 3 != 2) doomed.push_back(k);
       }
+      Status st;
       for (int64_t k : doomed) {
-        GISTCR_CHILD_OK("mass delete",
-                        db->DeleteRecord(txn, gist, BtreeExtension::MakeKey(k),
-                                         Rid::Unpack(live[k])));
+        st = db->DeleteRecord(txn, gist, BtreeExtension::MakeKey(k),
+                              Rid::Unpack(live[k]));
+        if (!st.ok()) break;
       }
-      GISTCR_CHILD_OK("mass delete commit", db->Commit(txn));
+      if (st.ok()) st = db->Commit(txn);
+      if (!st.ok()) on_error("mass delete", st, txn);
       for (int64_t k : doomed) live.erase(k);
     }
     if (t == opt.txns / 3 || t == 2 * opt.txns / 3) {
       Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
       uint64_t removed = 0, nodes = 0;
-      GISTCR_CHILD_OK("gc", gist->GarbageCollect(txn, &removed, &nodes));
-      GISTCR_CHILD_OK("gc commit", db->Commit(txn));
+      Status st = gist->GarbageCollect(txn, &removed, &nodes);
+      if (st.ok()) st = db->Commit(txn);
+      if (!st.ok()) on_error("gc", st, txn);
     }
     if (t == opt.txns / 2) {
-      GISTCR_CHILD_OK("checkpoint", db->Checkpoint());
+      const Status st = db->Checkpoint();
+      if (!st.ok()) on_error("checkpoint", st, nullptr);
     }
 
     Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
     std::vector<std::pair<int64_t, uint64_t>> added;
     std::set<int64_t> removed;
+    Status st;
+    const char* what = "commit";
     const int ops = 2 + static_cast<int>(rng.Uniform(5));
-    for (int i = 0; i < ops; i++) {
+    for (int i = 0; i < ops && st.ok(); i++) {
       const bool do_delete =
           !live.empty() && removed.size() < live.size() && rng.Uniform(3) == 0;
       if (do_delete) {
         auto it = live.begin();
         std::advance(it, static_cast<long>(rng.Uniform(live.size())));
         if (removed.count(it->first) != 0) continue;
-        GISTCR_CHILD_OK(
-            "delete", db->DeleteRecord(txn, gist,
-                                       BtreeExtension::MakeKey(it->first),
-                                       Rid::Unpack(it->second)));
         removed.insert(it->first);
+        what = "delete";
+        st = db->DeleteRecord(txn, gist, BtreeExtension::MakeKey(it->first),
+                              Rid::Unpack(it->second));
       } else {
         const int64_t k = next_key++;
         auto rid_or = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
                                        "v" + std::to_string(k));
-        if (!rid_or.ok()) ChildDie("insert", rid_or.status());
-        added.emplace_back(k, rid_or.value().Pack());
+        what = "insert";
+        st = rid_or.status();
+        if (st.ok()) added.emplace_back(k, rid_or.value().Pack());
       }
     }
-    if (rng.Uniform(6) == 0) {
-      GISTCR_CHILD_OK("abort", db->Abort(txn));
-    } else {
-      GISTCR_CHILD_OK("commit", db->Commit(txn));
+    const bool abort = st.ok() && rng.Uniform(6) == 0;
+    if (st.ok()) {
+      what = abort ? "abort" : "commit";
+      st = abort ? db->Abort(txn) : db->Commit(txn);
+    }
+    if (!st.ok()) {
+      on_error(what, st, txn);
+      for (int64_t k : removed) live.erase(k);
+    } else if (!abort) {
       for (const auto& [k, rid] : added) live[k] = rid;
       for (int64_t k : removed) live.erase(k);
     }
   }
-  std::_Exit(0);  // the armed point never fired
+  // Still armed: the point never fired. kStatus mode exits here without a
+  // shutdown, a crash that loses the log tail and every dirty page.
+  std::_Exit(FaultInjector::Global().armed() ? 0
+                                             : FaultInjector::kCrashExitCode);
 }
 
 /// True iff \p point is a registered crash-point name. Tests that arm a

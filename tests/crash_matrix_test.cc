@@ -105,6 +105,74 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
+// Error-path matrix, log column: a log write or sync fails in-process
+// (kStatus) and the workload handles the error as the engine's callers
+// do, runs to its end, and exits without a shutdown. The failed batch
+// stops the log: the commit it carried stays in doubt, every later update
+// fails, and restart decides each transaction from the durable log. Both
+// recoveries must agree with each other and with the WAL oracle.
+// ---------------------------------------------------------------------
+
+struct ErrorCell {
+  const char* point;
+  int skip;  ///< Fail the (skip+1)-th log batch the flusher writes.
+};
+
+std::vector<ErrorCell> LogErrorCells() {
+#if GISTCR_LONG_TESTS
+  const std::vector<int> skips = {0, 1, 3, 8, 20, 40, 80};
+#else
+  const std::vector<int> skips = {0, 8};
+#endif
+  std::vector<ErrorCell> cells;
+  for (const char* point : {"wal.before_fsync", "wal.after_fsync"}) {
+    for (int skip : skips) cells.push_back({point, skip});
+  }
+  return cells;
+}
+
+class ErrorPathMatrixTest : public ::testing::TestWithParam<ErrorCell> {};
+
+TEST_P(ErrorPathMatrixTest, HandleRecoverTwiceVerify) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const ErrorCell& cell = GetParam();
+  const std::string path = TestPath("errpath");
+  RemoveDbFiles(path);
+
+  TortureOptions opt;
+  opt.txns = kWorkloadTxns;
+  opt.action = FaultInjector::CrashAction::kStatus;
+  ASSERT_EQ(ForkTorture(path, cell.point, cell.skip, opt),
+            FaultInjector::kCrashExitCode)
+      << cell.point << " did not fire, or the workload failed";
+
+  crash::Oracle oracle;
+  ASSERT_OK(crash::ComputeOracle(path, &oracle));
+  const std::vector<IndexEntry> first =
+      crash::RecoverDump(path, opt.max_entries);
+  if (HasFatalFailure()) return;
+  const std::vector<IndexEntry> second =
+      crash::RecoverDump(path, opt.max_entries);
+  if (HasFatalFailure()) return;
+  crash::ExpectSameEntries(first, second);
+  EXPECT_EQ(crash::LiveKeys(first), oracle.visible);
+  RemoveDbFiles(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LogFaults, ErrorPathMatrixTest, ::testing::ValuesIn(LogErrorCells()),
+    [](const ::testing::TestParamInfo<ErrorCell>& info) {
+      std::string name = info.param.point;
+      name += "_skip" + std::to_string(info.param.skip);
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
+
+// ---------------------------------------------------------------------
 // Crash inside a snapshot read (DESIGN.md section 14): the child dies at
 // "search.mvcc_visibility" — a snapshot reader mid leaf visit, beside a
 // writer with transactions in flight — and recovery must come back to a

@@ -215,26 +215,30 @@ TEST_F(MvccGcTest, CommitDropsVersionsNoSnapshotCanSee) {
   EXPECT_EQ(mvcc->StoreSize(), 0u);
 }
 
-// A commit whose force fails is outcome-ambiguous, and its caller rolls
-// it back (as Session::HandleCommit does). Its versions were stamped inside
-// the append of its Commit record, and a later flush makes that record
-// durable: rollback must retract the stamped records with the pages, or a
-// snapshot hides the row the rollback restored. Two faults open the
-// window: a failed log sync, and an error right after the Commit record's
-// append.
-TEST_F(MvccGcTest, RolledBackFailedCommitKeepsSnapshotsRight) {
+// A commit whose force fails, or that errs right after its Commit
+// record's append, is in doubt and never rolled back: it stops being
+// active at the append, and a snapshot begun meanwhile sees the state
+// before it, since no durable LSN covers its stamp. After a reopen the
+// durable log decides it, and the read-committed and snapshot scans agree
+// with that log. Covers both faults: the failed sync stops the log, the
+// error after the append leaves it running.
+TEST_F(MvccGcTest, FailedCommitKeepsSnapshotsRight) {
   if (!kFaultInjectionCompiled) {
     GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
   }
+  std::vector<int64_t> live;  // committed keys, in order
   for (int64_t fault = 0; fault < 2; fault++) {
     const int64_t kept = 10 * fault + 1;
     Transaction* setup = db_->Begin();
     const Rid rid = MustInsert(setup, kept);
     ASSERT_OK(db_->Commit(setup));
+    live.push_back(kept);
 
     Transaction* w = db_->Begin();
+    const TxnId wid = w->id();
     ASSERT_OK(db_->DeleteRecord(w, gist_, BtreeExtension::MakeKey(kept), rid));
     MustInsert(w, kept + 1);
+    const uint64_t aborts = db_->metrics()->GetCounter("txn.aborts")->value();
     FaultInjector::Global().Reset();
     if (fault == 0) {
       FaultInjector::Global().FailNextSyncs(1);
@@ -244,17 +248,32 @@ TEST_F(MvccGcTest, RolledBackFailedCommitKeepsSnapshotsRight) {
     }
     EXPECT_FALSE(db_->Commit(w).ok());
     FaultInjector::Global().Reset();
-    ASSERT_TRUE(db_->txns()->IsActive(w->id()));
-    ASSERT_OK(db_->Abort(w));
-    ASSERT_OK(db_->log()->FlushAll());
-
-    std::vector<int64_t> want;
-    for (int64_t k = 1; k <= kept; k += 10) want.push_back(k);
-    Transaction* rc = db_->Begin(IsolationLevel::kReadCommitted);
-    EXPECT_EQ(Scan(rc, 0, 100), want);
-    ASSERT_OK(db_->Commit(rc));
+    EXPECT_FALSE(db_->txns()->IsActive(wid)) << "fault " << fault;
+    EXPECT_EQ(db_->metrics()->GetCounter("txn.aborts")->value(), aborts);
     Transaction* snap = db_->Begin(IsolationLevel::kSnapshot);
-    EXPECT_EQ(Scan(snap, 0, 100), want) << "fault " << fault;
+    EXPECT_EQ(Scan(snap, 0, 100), live) << "fault " << fault;
+    ASSERT_OK(db_->Commit(snap));
+
+    // Shut down with the writer in doubt, and let the log decide it.
+    db_.reset();
+    if (LogHoldsCommit(path_ + ".wal", wid)) live.back() = kept + 1;
+    DatabaseOptions opts;
+    opts.path = path_;
+    opts.buffer_pool_pages = 512;
+    auto db_or = Database::Open(opts);
+    ASSERT_OK(db_or.status());
+    db_ = db_or.MoveValue();
+    ASSERT_OK(db_->WaitForRecovery());
+    GistOptions gopts;
+    gopts.max_entries = 8;
+    ASSERT_OK(db_->OpenIndex(1, &ext_, gopts));
+    gist_ = db_->GetIndex(1).value();
+
+    Transaction* rc = db_->Begin(IsolationLevel::kReadCommitted);
+    EXPECT_EQ(Scan(rc, 0, 100), live) << "fault " << fault;
+    ASSERT_OK(db_->Commit(rc));
+    snap = db_->Begin(IsolationLevel::kSnapshot);
+    EXPECT_EQ(Scan(snap, 0, 100), live) << "fault " << fault;
     ASSERT_OK(db_->Commit(snap));
   }
 }

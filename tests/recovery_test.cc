@@ -4,6 +4,7 @@
 #include <set>
 
 #include "access/btree_extension.h"
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -38,6 +39,10 @@ class RecoveryTest : public ::testing::Test {
   void CrashAndRecover() {
     db_->SimulateCrash();
     db_.reset();
+    Reopen();
+  }
+
+  void Reopen() {
     auto db_or = Database::Open(opts_);
     ASSERT_OK(db_or.status());
     db_ = db_or.MoveValue();
@@ -241,6 +246,49 @@ TEST_F(RecoveryTest, AbortedTransactionStaysAbortedAfterCrash) {
   // Crash again with no new work: recovery is idempotent.
   CrashAndRecover();
   EXPECT_EQ(ScanAll(), (std::vector<int64_t>{1}));
+}
+
+// A commit whose force fails is decided by the durable log, never by a
+// rollback. The caller handles the error as the server's session does —
+// roll back if still active — and then a flush lands: at the Abort
+// record's append or at one of the next two (a flushing hook), or later
+// (a plain FlushAll). After a crash, Open succeeds and the row is there
+// exactly when its Commit record is durable. Were the transaction still
+// active and rolled back, the retried batch would make its Commit and
+// Abort durable together: a flush at the first three appends leaves a log
+// restart refuses (a loser whose backchain starts below the redo floor),
+// and a later one brings back a row its caller was told was rolled back.
+TEST_F(RecoveryTest, FailedCommitIsDecidedByTheDurableLog) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  std::vector<int64_t> live;
+  // -1: a plain FlushAll; 0..2: the hook's skip count.
+  for (int flush_at = -1; flush_at <= 2; flush_at++) {
+    const int64_t key = 100 + flush_at;
+    FaultInjector::Global().Reset();
+    Transaction* w = db_->Begin();
+    const TxnId wid = w->id();
+    MustInsert(w, key);
+    FaultInjector::Global().FailNextSyncs(1);
+    EXPECT_FALSE(db_->Commit(w).ok());
+    if (flush_at >= 0) {
+      FaultInjector::Global().ArmCrashPointHook(
+          "txn.after_log_append", [this] { (void)db_->log()->FlushAll(); },
+          flush_at);
+    }
+    EXPECT_FALSE(db_->txns()->IsActive(wid)) << "flush_at " << flush_at;
+    if (db_->txns()->IsActive(wid)) (void)db_->Abort(w);
+    if (flush_at < 0) (void)db_->log()->FlushAll();
+    FaultInjector::Global().Reset();
+    db_->SimulateCrash();
+    db_.reset();
+    if (LogHoldsCommit(path_ + ".wal", wid)) live.push_back(key);
+    Reopen();
+    if (HasFatalFailure()) return;
+    ASSERT_OK(gist_->CheckInvariants());
+    EXPECT_EQ(ScanAll(), live) << "flush_at " << flush_at;
+  }
 }
 
 TEST_F(RecoveryTest, CheckpointBoundsRedoAndPreservesState) {

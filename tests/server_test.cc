@@ -13,6 +13,7 @@
 #include "client/client.h"
 #include "db/database.h"
 #include "obs/op_context.h"
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 
 namespace gistcr {
@@ -143,6 +144,76 @@ TEST_F(ServerTest, TxnStateErrors) {
   ASSERT_OK(c.Begin().status());
   auto again = c.Begin();
   EXPECT_FALSE(again.ok());  // nested BEGIN rejected
+  ASSERT_OK(c.Abort());
+}
+
+// A COMMIT whose log force fails is in doubt, not rolled back: the client
+// closes its transaction on the error reply as the session closed its
+// own, nothing aborts it (the disconnect neither), and the durable log
+// decides it at the next open. The failed batch's pwrite landed, so the
+// row is there.
+TEST_F(ServerTest, FailedCommitIsClosedButNotRolledBack) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  FaultInjector::Global().Reset();
+  obs::Counter* disconnect_aborts =
+      db_->metrics()->GetCounter("server.disconnect_aborts");
+  const uint64_t aborts_before = disconnect_aborts->value();
+  {
+    Client c = MakeClient();
+    ASSERT_OK(c.Begin().status());
+    ASSERT_OK(c.Insert(1, BtreeExtension::MakeKey(42), "answer").status());
+    FaultInjector::Global().FailNextSyncs(1);
+    const Status st = c.Commit();
+    FaultInjector::Global().Reset();
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    EXPECT_FALSE(c.txn_open());
+    ASSERT_OK(c.Begin().status());  // the session has none open either
+    ASSERT_OK(c.Abort());
+  }
+  // The failed sync stopped the log, so the final checkpoint fails.
+  EXPECT_FALSE(server_->Shutdown().ok());
+  server_.reset();
+  EXPECT_EQ(disconnect_aborts->value(), aborts_before);
+  db_.reset();
+
+  auto db_or = Database::Open(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  ASSERT_OK(db_->WaitForRecovery());
+  ASSERT_OK(db_->OpenIndex(1, &bt_));
+  Transaction* txn = db_->Begin();
+  std::vector<SearchResult> results;
+  ASSERT_OK(db_->GetIndex(1).value()->Search(
+      txn, BtreeExtension::MakeRange(42, 42), &results));
+  EXPECT_EQ(results.size(), 1u);
+  ASSERT_OK(db_->Commit(txn));
+}
+
+// An ABORT that fails (an error right after its Abort record's append)
+// ends the client's transaction as it ended the session's: the next
+// request runs as an auto-commit another client sees at once, and BEGIN
+// opens a new transaction.
+TEST_F(ServerTest, FailedAbortClosesTheClientTransaction) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  FaultInjector::Global().Reset();
+  Client c = MakeClient();
+  Client other = MakeClient();
+  ASSERT_OK(c.Begin().status());
+  ASSERT_OK(c.Insert(1, BtreeExtension::MakeKey(1), "one").status());
+  FaultInjector::Global().ArmCrashPoint("txn.after_log_append");
+  const Status st = c.Abort();
+  FaultInjector::Global().Reset();
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_FALSE(c.txn_open());
+  ASSERT_OK(c.Insert(1, BtreeExtension::MakeKey(2), "two").status());
+  auto hit = other.Search(1, BtreeExtension::MakeRange(2, 2));
+  ASSERT_OK(hit.status());
+  EXPECT_EQ(hit.value().size(), 1u);
+  ASSERT_OK(c.Begin().status());
   ASSERT_OK(c.Abort());
 }
 

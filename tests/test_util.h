@@ -33,6 +33,24 @@ inline void RemoveDbFiles(const std::string& path) {
   std::remove((path + ".flight").c_str());
 }
 
+/// The durable log's verdict on \p txn: true when the log file at
+/// \p wal_path holds its Commit record. Call with no Database open on
+/// the file (after SimulateCrash and the Database's destruction, say).
+inline bool LogHoldsCommit(const std::string& wal_path, TxnId txn) {
+  LogManager log;
+  bool committed = false;
+  Status st = log.Open(wal_path);
+  if (st.ok()) {
+    st = log.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+      committed |= rec.type == LogRecordType::kCommit && rec.txn_id == txn;
+      return true;
+    });
+  }
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  log.Close();
+  return committed;
+}
+
 #define ASSERT_OK(expr)                                 \
   do {                                                  \
     ::gistcr::Status _st = (expr);                      \

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 #include "txn/transaction_manager.h"
 
@@ -182,6 +183,39 @@ TEST_F(TxnTest, CommitLsnStaysAtOrBelowEveryActiveFirstLsn) {
   AppendUpdate(d);
   EXPECT_GE(d->first_lsn(), txns_->CommitLsn());
   ASSERT_OK(txns_->Commit(d));
+}
+
+// The force decides a commit, and the last CLR an abort: an error from
+// the End record's append changes neither the caller's answer nor the
+// table, and the Commit_LSN passes the ended transaction.
+TEST_F(TxnTest, EndAppendErrorLeavesTheOutcomeDecided) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  FaultInjector::Global().Reset();
+  Transaction* c = txns_->Begin();
+  const TxnId cid = c->id();
+  AppendUpdate(c);
+  const Lsn cfirst = c->first_lsn();
+  // The Commit record is the point's first hit, the End record its second.
+  FaultInjector::Global().ArmCrashPoint("txn.after_log_append", 1);
+  EXPECT_OK(txns_->Commit(c));
+  EXPECT_FALSE(FaultInjector::Global().armed()) << "the End append never ran";
+  EXPECT_FALSE(txns_->IsActive(cid));
+  EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);  // left the table
+  EXPECT_GT(txns_->CommitLsn(), cfirst);
+
+  Transaction* a = txns_->Begin();
+  const TxnId aid = a->id();
+  AppendUpdate(a);
+  // Abort, the update's CLR, then End.
+  FaultInjector::Global().ArmCrashPoint("txn.after_log_append", 2);
+  EXPECT_OK(txns_->Abort(a));
+  EXPECT_FALSE(FaultInjector::Global().armed()) << "the End append never ran";
+  EXPECT_FALSE(txns_->IsActive(aid));
+  EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
+  EXPECT_EQ(txns_->CommitLsn(), log_.next_lsn());
+  FaultInjector::Global().Reset();
 }
 
 TEST_F(TxnTest, FirstRecordStartsTheChain) {

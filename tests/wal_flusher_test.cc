@@ -1,11 +1,13 @@
 // Group-commit semantics of the dedicated WAL flusher (DESIGN.md section
-// 11): durable_lsn monotonicity under concurrent committers, flush-error
-// fan-out to every blocked waiter, and DiscardTail racing the flusher.
+// 11): durable_lsn monotonicity under concurrent committers, a flush error
+// reaching every blocked waiter and stopping the log, and DiscardTail
+// racing the flusher.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -45,6 +47,31 @@ class WalFlusherTest : public ::testing::Test {
     rec.payload = "c";
     EXPECT_OK(log_.Append(&rec));
     return rec.lsn;
+  }
+
+  /// The log stopped with \p first: an append and a flush past the
+  /// durable LSN both return it.
+  void ExpectStopped(const Status& first) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    EXPECT_EQ(log_.Append(&rec).ToString(), first.ToString());
+    EXPECT_EQ(log_.FlushAll().ToString(), first.ToString());
+  }
+
+  /// Closes and reopens the log: each of \p lsns reads back as a Commit
+  /// record (its pwrite landed before the failed sync), and appends resume
+  /// right after the last of them.
+  void ReopenAndCheck(const std::vector<Lsn>& lsns) {
+    log_.Close();
+    ASSERT_OK(log_.Open(path_));
+    LogRecord rec;
+    for (Lsn lsn : lsns) {
+      ASSERT_OK(log_.ReadRecord(lsn, &rec));
+      EXPECT_EQ(rec.type, LogRecordType::kCommit);
+    }
+    const Lsn next = AppendCommit(99);
+    EXPECT_EQ(next, lsns.back() + rec.SerializedSize());
+    EXPECT_OK(log_.Flush(next));
   }
 
   std::string path_;
@@ -97,10 +124,9 @@ TEST_F(WalFlusherTest, DurableLsnMonotoneUnderConcurrentCommitters) {
 }
 
 // The deterministic half of the error contract: a lone waiter blocked on
-// a failing attempt MUST observe the error. With no second Flush caller
-// around, nothing can re-arm the dropped request after the failure, so
-// durable_lsn can never advance and the waiter's only way out of the
-// wait loop is the error-generation bump.
+// a failing attempt MUST observe the error, and the log stops with it:
+// nothing retries the batch, later appends and flushes return the same
+// error, and only a reopen resumes, at the durable end.
 TEST_F(WalFlusherTest, FlushErrorReachesTheBlockedWaiter) {
   if constexpr (!kFaultInjectionCompiled) {
     GTEST_SKIP() << "fault injection not compiled in";
@@ -108,26 +134,15 @@ TEST_F(WalFlusherTest, FlushErrorReachesTheBlockedWaiter) {
   const Lsn lsn = AppendCommit(1);
   FaultInjector::Global().FailNextSyncs(1);
   const Status st = log_.Flush(lsn);
-  EXPECT_TRUE(st.IsIOError()) << st.ToString();
-  EXPECT_GE(reg_.GetCounter("wal.flusher.errors")->value(), 1u);
-
-  // The failed batch was spliced back: a later flush retries it, and the
-  // record is intact.
-  ASSERT_OK(log_.FlushAll());
-  EXPECT_EQ(log_.durable_lsn(), log_.last_lsn());
-  LogRecord rec;
-  ASSERT_OK(log_.ReadRecord(lsn, &rec));
-  EXPECT_EQ(rec.type, LogRecordType::kCommit);
+  ASSERT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(reg_.GetCounter("wal.flusher.errors")->value(), 1u);
+  ExpectStopped(st);
+  ReopenAndCheck({lsn});
 }
 
-// The racy half: with many waiters, a failing fsync fans out to everyone
-// parked on the attempt — but a waiter that arrives *after* the failure
-// re-arms the request, and its successful retry may legitimately rescue
-// a pre-failure waiter before that waiter wakes (its records ARE durable
-// then, so OK is the truthful answer). The invariant that holds under
-// every interleaving: each waiter returns exactly once, an error is
-// always IOError, an OK always means the waiter's LSN was durable by
-// then, and the flusher recorded the injected failure.
+// The fan-out: every waiter parked on the failing attempt returns. An OK
+// is truthful (the waiter's LSN is durable); an error is the one IOError
+// that stopped the log, which later appends and flushes return too.
 TEST_F(WalFlusherTest, FlushErrorFansOutToBlockedWaiters) {
   if constexpr (!kFaultInjectionCompiled) {
     GTEST_SKIP() << "fault injection not compiled in";
@@ -138,111 +153,93 @@ TEST_F(WalFlusherTest, FlushErrorFansOutToBlockedWaiters) {
     lsns.push_back(AppendCommit(static_cast<TxnId>(i + 1)));
   }
   FaultInjector::Global().FailNextSyncs(1);
-  std::atomic<int> errors{0};
-  std::atomic<int> oks{0};
+  std::vector<Status> results(kWaiters);
   std::vector<std::thread> waiters;
   for (int i = 0; i < kWaiters; i++) {
     waiters.emplace_back([&, i] {
-      const Status st = log_.Flush(lsns[i]);
-      if (st.ok()) {
+      results[i] = log_.Flush(lsns[i]);
+      if (results[i].ok()) {
         EXPECT_GE(log_.durable_lsn(), lsns[i]);
-        oks.fetch_add(1);
-      } else {
-        EXPECT_TRUE(st.IsIOError()) << st.ToString();
-        errors.fetch_add(1);
       }
     });
   }
   for (auto& t : waiters) t.join();
-  EXPECT_EQ(errors.load() + oks.load(), kWaiters);
-  EXPECT_GE(reg_.GetCounter("wal.flusher.errors")->value(), 1u);
-
-  // The failed batch was spliced back: a later flush retries it, and the
-  // records are intact.
-  ASSERT_OK(log_.FlushAll());
-  EXPECT_EQ(log_.durable_lsn(), log_.last_lsn());
-  LogRecord rec;
-  ASSERT_OK(log_.ReadRecord(lsns.front(), &rec));
-  EXPECT_EQ(rec.type, LogRecordType::kCommit);
-  ASSERT_OK(log_.ReadRecord(lsns.back(), &rec));
-  EXPECT_EQ(rec.type, LogRecordType::kCommit);
+  Status first;
+  for (const Status& st : results) {
+    if (st.ok()) continue;
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    if (first.ok()) first = st;
+    EXPECT_EQ(st.ToString(), first.ToString());
+  }
+  ASSERT_FALSE(first.ok()) << "the failed batch held every waiter's record";
+  EXPECT_EQ(reg_.GetCounter("wal.flusher.errors")->value(), 1u);
+  ExpectStopped(first);
+  ReopenAndCheck(lsns);
 }
 
-// DiscardTail (the crash simulation) racing appenders and the flusher:
-// no hang, no torn state. A Flush caller either committed before the
-// discard (OK) or had its records dropped (Aborted, like a flush error).
+// DiscardTail (the crash simulation) racing appenders and the flusher,
+// one discard per round over many rounds on a reopened log: the discard
+// never hangs, each writer runs until the stopped log refuses it
+// (Aborted), and every OK from Flush is truthful — after the reopen its
+// LSN holds that writer's record, since no LSN is handed out twice.
 TEST_F(WalFlusherTest, DiscardTailRacesFlusher) {
   constexpr int kWriters = 4;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> discarded{0};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; t++) {
-    writers.emplace_back([&, t] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const Lsn lsn = AppendCommit(static_cast<TxnId>(t + 1));
-        const Status st = log_.Flush(lsn);
-        if (st.ok()) {
-          // LSNs are byte offsets and DiscardTail rewinds next_lsn_, so a
-          // discard between our append and this flush can drop our record
-          // and hand its LSN to a competitor's append; once that batch
-          // syncs, Flush truthfully reports the LSN durable — with the
-          // other writer's record behind it. (Real crashes leave no
-          // surviving waiters, so only this simulation can observe it.)
-          // Authenticate the OK: the durable bytes are ours only if they
-          // carry our txn id; otherwise we were a discard victim.
+  constexpr int kRounds = 20;
+  uint64_t committed = 0;
+  for (int round = 0; round < kRounds; round++) {
+    std::atomic<uint64_t> outcomes{0};
+    std::vector<std::vector<Lsn>> oks(kWriters);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; t++) {
+      writers.emplace_back([&, t] {
+        for (;;) {
           LogRecord rec;
-          if (log_.ReadRecord(lsn, &rec).ok() &&
-              rec.txn_id == static_cast<TxnId>(t + 1)) {
-            committed.fetch_add(1);
-          } else {
-            discarded.fetch_add(1);
+          rec.type = LogRecordType::kCommit;
+          rec.txn_id = static_cast<TxnId>(t + 1);
+          rec.payload = "c";
+          Status st = log_.Append(&rec);
+          if (st.ok()) st = log_.Flush(rec.lsn);
+          outcomes.fetch_add(1);
+          if (!st.ok()) {
+            EXPECT_TRUE(st.IsAborted()) << st.ToString();
+            return;
           }
-        } else {
-          EXPECT_TRUE(st.IsAborted()) << st.ToString();
-          discarded.fetch_add(1);
+          oks[t].push_back(rec.lsn);
         }
-      }
-    });
-  }
-  // Pace the discards off observed flush outcomes rather than wall-clock
-  // sleeps: each discard waits (bounded) until at least one more Flush
-  // call resolved, so every iteration races live traffic even when a
-  // sanitizer or a loaded scheduler stalls the writers.
-  const auto outcomes = [&] { return committed.load() + discarded.load(); };
-  for (int i = 0; i < 50; i++) {
-    const uint64_t before = outcomes();
+      });
+    }
+    // Discard once some Flush has resolved (bounded wait), so the discard
+    // races live traffic even when a sanitizer stalls the writers.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (outcomes() == before &&
+    while (outcomes.load() == 0 &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
     log_.DiscardTail();
-  }
-  // With the discards done the writers run unopposed, so a commit must
-  // land; wait for it instead of hoping one slipped through the races.
-  const auto commit_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (committed.load() == 0 &&
-         std::chrono::steady_clock::now() < commit_deadline) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : writers) t.join();
-  EXPECT_GT(committed.load(), 0u);
+    for (auto& t : writers) t.join();
 
-  // Quiesced: one final discard leaves the volatile tail empty and the
-  // log well-formed — every record at or below durable_lsn is readable.
-  log_.DiscardTail();
-  EXPECT_EQ(log_.last_lsn(), log_.durable_lsn());
-  uint64_t scanned = 0;
-  ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
-    EXPECT_EQ(rec.type, LogRecordType::kCommit);
-    scanned++;
-    return true;
-  }));
-  EXPECT_GE(scanned, committed.load());
+    log_.Close();
+    ASSERT_OK(log_.Open(path_));
+    std::map<Lsn, TxnId> durable;
+    Lsn end = LogManager::kFirstLsn;
+    ASSERT_OK(log_.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+      EXPECT_EQ(rec.type, LogRecordType::kCommit);
+      durable[rec.lsn] = rec.txn_id;
+      end = rec.lsn + rec.SerializedSize();
+      return true;
+    }));
+    EXPECT_EQ(log_.next_lsn(), end) << "round " << round;
+    for (int t = 0; t < kWriters; t++) {
+      for (Lsn lsn : oks[t]) {
+        const auto it = durable.find(lsn);
+        ASSERT_NE(it, durable.end()) << "round " << round << " lsn " << lsn;
+        EXPECT_EQ(it->second, static_cast<TxnId>(t + 1));
+      }
+      committed += oks[t].size();
+    }
+  }
+  EXPECT_GT(committed, 0u);
 }
 
 // Unforced appends stay volatile: the flusher must not eagerly sync

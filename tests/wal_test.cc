@@ -212,11 +212,18 @@ TEST_F(LogManagerTest, DiscardTailLosesUnflushedRecords) {
     return true;
   }));
   EXPECT_EQ(count, 1);
-  // New appends continue from the durable end.
+  // The crash stopped the log: nothing is appended or forced until it is
+  // reopened, and then appends resume at the durable end.
   LogRecord c;
   c.type = LogRecordType::kBegin;
+  EXPECT_TRUE(log_.Append(&c).IsAborted());
+  EXPECT_TRUE(log_.FlushAll().IsAborted());
+  EXPECT_OK(log_.Flush(a.lsn));  // already durable
+  log_.Close();
+  ASSERT_OK(log_.Open(path_));
   ASSERT_OK(log_.Append(&c));
   EXPECT_EQ(c.lsn, b.lsn);
+  ASSERT_OK(log_.Flush(c.lsn));
 }
 
 TEST_F(LogManagerTest, ReopenContinuesLsnSequence) {
