@@ -70,9 +70,12 @@ int main(int argc, char** argv) {
                                    Rect::Point(poi.x, poi.y)),
                                poi.name)
                   .status();
-          if (ist.ok() && db->Commit(txn).ok()) break;
-          (void)db->Abort(txn);
-          if (!ist.IsDeadlock() && !ist.IsBusy() && !ist.ok()) {
+          if (ist.ok()) ist = db->Commit(txn);
+          if (ist.ok()) break;
+          // A failed Commit leaves the transaction in doubt, not active:
+          // only an active one may roll back.
+          if (db->txns()->IsActive(txn->id())) (void)db->Abort(txn);
+          if (!ist.IsDeadlock() && !ist.IsBusy()) {
             std::fprintf(stderr, "insert: %s\n", ist.ToString().c_str());
             return;
           }

@@ -117,11 +117,9 @@ class Client {
   /// Also hands the decoded code to \p code_out when set.
   Status StatusFromErrorFrame(const net::Frame& f,
                               net::ErrorCode* code_out = nullptr);
-  /// Settles a COMMIT or ABORT reply. The session drops its transaction
-  /// before it runs either request, so the reply ends the client's too,
-  /// an error included: a failed commit is in doubt on the server, never
-  /// still open. A queue timeout, sent without running the request, is
-  /// the one error that leaves it open.
+  /// Settles a COMMIT or ABORT reply: the session dropped its transaction
+  /// before running either, so an error ends the client's too (a failed
+  /// commit is in doubt, not open), unless the queue timed the request out.
   Status EndTxnReply(const net::Frame& reply);
   void OnTransportError();
 

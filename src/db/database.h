@@ -91,6 +91,8 @@ class Database {
 
   Transaction* Begin(IsolationLevel iso = IsolationLevel::kRepeatableRead);
   Status Commit(Transaction* txn);
+  /// Only an active transaction (txns()->IsActive) may abort: one whose
+  /// Commit returned an error is in doubt, and aborting it fails a check.
   Status Abort(Transaction* txn);
 
   /// Inserts a data record and indexes it: Gist::CheckKey, heap insert,

@@ -159,8 +159,8 @@ StatusOr<Frame*> BufferPool::FetchInternal(PageId page_id, bool fresh) {
           }
         }
         if (st.ok()) st = disk_->WritePage(old_pid, victim->data_);
+        if (st.ok()) victim->ClearDirty();
       }
-      victim->ClearDirty();
       if (st.ok()) {
         if (fresh) {
           std::memset(victim->data_, 0, kPageSize);
@@ -171,11 +171,15 @@ StatusOr<Frame*> BufferPool::FetchInternal(PageId page_id, bool fresh) {
     }
 
     l.Lock();
-    if (was_dirty && old_pid != kInvalidPageId) s.table.erase(old_pid);
     victim->state_ = Frame::State::kReady;
+    // A failed WAL force or write (a stopped log refuses every force past
+    // its durable end) leaves the victim dirty: it goes back to old_pid,
+    // table entry and all, so no fetch reads the older disk image instead.
+    const bool kept = victim->dirty();
+    if (was_dirty && !kept) s.table.erase(old_pid);
     if (!st.ok()) {
       s.table.erase(page_id);
-      victim->page_id_ = kInvalidPageId;
+      victim->page_id_ = kept ? old_pid : kInvalidPageId;
       victim->pin_count_ = 0;
       s.cv.NotifyAll();
       return st;

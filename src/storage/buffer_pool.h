@@ -118,7 +118,8 @@ class BufferPool {
   void AttachMetrics(obs::MetricsRegistry* reg);
 
   /// Pins the page, reading it from disk on a miss. The returned frame stays
-  /// valid until Unpin.
+  /// valid until Unpin. A miss whose dirty victim cannot be written out
+  /// (its WAL force or write fails) returns that error; the victim stays.
   StatusOr<Frame*> Fetch(PageId page_id);
 
   /// Pins a frame for a freshly allocated page without reading disk. The

@@ -69,17 +69,16 @@ class TransactionManager {
 
   /// Commit: log Commit, force the log, release predicates and locks, log
   /// End. A transaction that logged nothing only releases its locks and
-  /// predicates: no record, no force. Once the Commit record is appended
-  /// the transaction is no longer active and is never rolled back: if the
-  /// force fails, Commit returns the error and the transaction stays in
-  /// doubt, in the table with its locks and predicates, until the next
-  /// Open decides it from the durable log.
+  /// predicates: no record, no force. From the Commit append on, nothing
+  /// rolls the transaction back: a failed force leaves it in doubt, in the
+  /// table with its locks, until the next Open decides it from the log.
   Status Commit(Transaction* txn);
 
   /// Abort: log Abort, undo the backchain writing CLRs (logical undo for
   /// leaf-entry records; NTAs are skipped via their NTA-End undo_next),
   /// log End, release predicates and locks. A transaction that logged
-  /// nothing only releases.
+  /// nothing only releases. Only an active transaction may abort: one
+  /// whose Commit returned an error is in doubt, not active.
   Status Abort(Transaction* txn);
 
   /// Establishes / rolls back to a savepoint (partial rollback; the txn

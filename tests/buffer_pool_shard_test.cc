@@ -132,6 +132,60 @@ TEST_F(BufferPoolShardTest, FlushAllToleratesConcurrentEviction) {
   ASSERT_OK(pool_->FlushAll());
 }
 
+// Evictions whose WAL force fails every other time, against fetchers that
+// update the pages they pin: a failed eviction keeps its victim resident
+// and dirty, so every update survives, in the pool or on disk, and the
+// fetch that tried it returns the log's error (or NoSpace, when every
+// frame is pinned or busy).
+TEST_F(BufferPoolShardTest, FailedEvictionsLoseNoUpdates) {
+  constexpr PageId kPages = 16;
+  constexpr int kThreads = 4;
+  std::atomic<bool> log_ok{false};
+  std::atomic<uint64_t> forces{0};
+  MakePool(8, 1, [&](Lsn) {
+    return log_ok || forces.fetch_add(1) % 2 == 1
+               ? Status::OK()
+               : Status::IOError("log stopped");
+  });
+  std::atomic<uint64_t> applied{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < 2000; i++) {
+        const PageId pid = static_cast<PageId>(rng.UniformRange(1, kPages));
+        auto f = pool_->Fetch(pid);
+        if (!f.ok()) {
+          EXPECT_TRUE(f.status().IsIOError() || f.status().IsNoSpace())
+              << f.status().ToString();
+          continue;
+        }
+        PageGuard g(pool_.get(), f.value());
+        g.WLatch();
+        uint64_t n;
+        std::memcpy(&n, g.frame()->data() + kPageSize / 2, sizeof(n));
+        n++;
+        std::memcpy(g.frame()->data() + kPageSize / 2, &n, sizeof(n));
+        g.frame()->MarkDirty(1);
+        applied.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(forces.load(), 1u);
+  log_ok = true;
+  uint64_t total = 0;
+  for (PageId p = 1; p <= kPages; p++) {
+    auto f = pool_->Fetch(p);
+    ASSERT_OK(f.status());
+    uint64_t n;
+    std::memcpy(&n, f.value()->data() + kPageSize / 2, sizeof(n));
+    total += n;
+    pool_->Unpin(f.value());
+  }
+  EXPECT_EQ(total, applied.load());
+}
+
 // The deterministic core of the same contract: flushing a page that is
 // not resident (e.g. already evicted) is an OK no-op.
 TEST_F(BufferPoolShardTest, FlushPageOnEvictedPageIsOkNoop) {

@@ -256,7 +256,7 @@ TEST_F(MvccGcTest, FailedCommitKeepsSnapshotsRight) {
 
     // Shut down with the writer in doubt, and let the log decide it.
     db_.reset();
-    if (LogHoldsCommit(path_ + ".wal", wid)) live.back() = kept + 1;
+    if (LogHoldsCommit(path_, wid)) live.back() = kept + 1;
     DatabaseOptions opts;
     opts.path = path_;
     opts.buffer_pool_pages = 512;

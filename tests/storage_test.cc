@@ -131,6 +131,46 @@ TEST_F(BufferPoolTest, WalRuleInvokedBeforeDirtyWriteback) {
   EXPECT_EQ(flushed.load(), 42u);
 }
 
+// An eviction whose WAL force fails writes nothing and drops nothing: the
+// victim stays resident, dirty and under its own page id, so the next
+// fetch sees its changes rather than the older disk image, and a later
+// eviction (once the log takes the force) writes them out.
+TEST_F(BufferPoolTest, FailedEvictionKeepsTheDirtyPage) {
+  std::atomic<bool> log_ok{false};
+  MakePool(1, [&](Lsn) {
+    return log_ok ? Status::OK() : Status::IOError("log stopped");
+  });
+  {
+    auto f = pool_->NewPage(1);
+    ASSERT_OK(f.status());
+    f.value()->data()[100] = 'x';
+    PageView(f.value()->data()).set_page_lsn(42);
+    f.value()->MarkDirty(42);
+    pool_->Unpin(f.value());
+  }
+  for (int i = 0; i < 2; i++) {
+    EXPECT_TRUE(pool_->Fetch(2).status().IsIOError());
+    EXPECT_TRUE(pool_->NewPage(3).status().IsIOError());
+  }
+  const auto dpt = pool_->DirtyPageTable();
+  ASSERT_EQ(dpt.size(), 1u);
+  EXPECT_EQ(dpt[0], (std::pair<PageId, Lsn>{1, 42}));
+  {
+    auto f = pool_->Fetch(1);
+    ASSERT_OK(f.status());
+    EXPECT_EQ(f.value()->data()[100], 'x');
+    pool_->Unpin(f.value());
+  }
+  log_ok = true;
+  auto f = pool_->Fetch(2);
+  ASSERT_OK(f.status());
+  pool_->Unpin(f.value());
+  EXPECT_TRUE(pool_->DirtyPageTable().empty());
+  char buf[kPageSize];
+  ASSERT_OK(disk_.ReadPage(1, buf));
+  EXPECT_EQ(buf[100], 'x');
+}
+
 TEST_F(BufferPoolTest, AllFramesPinnedYieldsNoSpace) {
   MakePool(2);
   auto a = pool_->Fetch(1);

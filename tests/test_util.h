@@ -33,15 +33,24 @@ inline void RemoveDbFiles(const std::string& path) {
   std::remove((path + ".flight").c_str());
 }
 
-/// The durable log's verdict on \p txn: true when the log file at
-/// \p wal_path holds its Commit record. Call with no Database open on
-/// the file (after SimulateCrash and the Database's destruction, say).
-inline bool LogHoldsCommit(const std::string& wal_path, TxnId txn) {
+/// The durable log's verdict on \p txn: true when the log of the database
+/// at \p path holds its Commit record. The scan starts at the master
+/// checkpoint when there is one, since a checkpoint may reclaim the log
+/// below it, so ask only about a transaction that began after the last
+/// checkpoint. Call with no Database open on the files (after
+/// SimulateCrash and the Database's destruction, say).
+inline bool LogHoldsCommit(const std::string& path, TxnId txn) {
+  Lsn from = kInvalidLsn;
+  if (FILE* f = std::fopen((path + ".ckpt").c_str(), "r")) {
+    unsigned long long master = 0;
+    if (std::fscanf(f, "%llu", &master) == 1) from = master;
+    std::fclose(f);
+  }
   LogManager log;
   bool committed = false;
-  Status st = log.Open(wal_path);
+  Status st = log.Open(path + ".wal");
   if (st.ok()) {
-    st = log.Scan(kInvalidLsn, kInvalidLsn, [&](const LogRecord& rec) {
+    st = log.Scan(from, kInvalidLsn, [&](const LogRecord& rec) {
       committed |= rec.type == LogRecordType::kCommit && rec.txn_id == txn;
       return true;
     });
