@@ -74,7 +74,7 @@ class Database {
 
   /// Opens an existing database with instant restart (DESIGN.md section
   /// 16): returns right after log analysis, while pages are redone on
-  /// first touch or by a background drainer and losers undo as ordinary
+  /// first touch or by background drainers and losers undo as ordinary
   /// aborts beside new work. Call WaitForRecovery for a drained database.
   static StatusOr<std::unique_ptr<Database>> Open(
       const DatabaseOptions& opts);

@@ -63,9 +63,9 @@ Status RecoveryGate::EnsureRecovered(PageId pid, bool inline_caller) {
       break;
     }
   }
-  // Claimed. Replay without the gate mutex: the plan may fetch other
-  // pending pages (rightlink chases, bitmap pages), recursing through the
-  // gate for them.
+  // Claimed. Replay without the gate mutex: other replayers claim other
+  // pages meanwhile, and the replay's own fetch of pid re-enters the gate
+  // (the owner check above).
   Status st =
       inline_caller
           ? FaultInjector::Global().CheckCrashPoint("instant.inline_redo")
@@ -78,7 +78,7 @@ Status RecoveryGate::EnsureRecovered(PageId pid, bool inline_caller) {
       if (st.ok()) {
         pages_.erase(it);
       } else {
-        // Leave the page pending: the next touch (or the drainer) retries.
+        // Leave the page pending: the next touch (or drain) retries.
         it->second.state = PageRecoveryState::kNeedsRedo;
         it->second.owner = std::thread::id();
       }

@@ -24,17 +24,21 @@ namespace gistcr {
 /// mutates that page, in log order. The buffer pool consults the gate on
 /// every Fetch, so the first thread to touch a pending page replays its
 /// plan inline — bounded work, one page — before the caller sees the
-/// frame; a background drainer walks the remaining pages in recLSN order.
-/// Each page moves through PageRecoveryState (storage/page.h):
-/// kNeedsRedo -> kRedoing -> kClean (erased from the table).
+/// frame; background drainers, one per hardware thread, take the remaining
+/// pages in recLSN order. Each page moves through PageRecoveryState
+/// (storage/page.h): kNeedsRedo -> kRedoing -> kClean (erased from the
+/// table).
 ///
-/// Deadlock freedom: the gate mutex is never held across replay, and a
-/// thread that *waits* for a page holds latches only on pages that are
-/// already clean (every latched page was fetched through the gate), while
-/// the replaying thread latches only the page it claimed — so no wait
-/// cycle through the gate can close. A replayer re-entering the gate for
-/// its own page (redo appliers fetch the page they are redoing) returns
-/// immediately via the owner check.
+/// Deadlock freedom, for any number of replayers (inline fetchers and
+/// drainers alike): the gate mutex is never held across replay; a replayer
+/// fetches and X-latches only the page it claimed (redo appliers never
+/// fetch another page), so it never waits in the gate; and a thread that
+/// *waits* for a page holds latches only on pages that are already clean
+/// (every latched page was fetched through the gate), none of which a
+/// replayer needs. Every wait points from a waiter to a replayer that
+/// waits on no one, so no wait cycle through the gate can close. A
+/// replayer re-entering the gate for its own page (the fetch of the page
+/// it is redoing) returns immediately via the owner check.
 class RecoveryGate {
  public:
   /// Replays one page's plan. Runs without the gate mutex held.
@@ -63,7 +67,7 @@ class RecoveryGate {
   /// Ensures \p pid is recovered: returns immediately for clean pages,
   /// replays the plan if this thread claims the page, waits for the owner
   /// otherwise. \p inline_caller distinguishes fetch-path redo from the
-  /// background drainer for metrics and crash-point purposes.
+  /// background drainers for metrics and crash-point purposes.
   Status EnsureRecovered(PageId pid, bool inline_caller);
 
   /// NewPage path: \p pid is being re-created from scratch, so its redo
@@ -73,7 +77,7 @@ class RecoveryGate {
   void CancelPage(PageId pid);
 
   /// Still-pending pages in recLSN (first planned LSN) order, for the
-  /// background drainer.
+  /// background drainers.
   std::vector<PageId> PendingInOrder();
 
   /// Smallest recLSN (first planned LSN) over still-pending pages, or

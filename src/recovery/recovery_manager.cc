@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <system_error>
+#include <thread>
 #include <unordered_map>
 
 #include "db/data_store.h"
@@ -461,14 +463,42 @@ Status RecoveryManager::RunInstantBackground(const std::atomic<bool>& stop) {
   m_undo_ns_->Record(obs::NowNanos() - phase_t0);
 
   // --- Drain: replay still-pending pages oldest-recLSN first, so the
-  // log-reclaim floor rises steadily even if nothing touches them.
+  // log-reclaim floor rises steadily even if nothing touches them. Redo is
+  // page-oriented and an applier touches only the page it was handed, so
+  // one drainer per hardware thread takes pages off the shared list; the
+  // gate lets each page replay once, whoever claims it (section 16.3).
   phase_t0 = obs::NowNanos();
-  for (PageId pid : gate_.PendingInOrder()) {
-    if (stop.load(std::memory_order_acquire)) {
-      return Status::Aborted("recovery interrupted");
+  const std::vector<PageId> order = gate_.PendingInOrder();
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  Status drain_st;  // written once, by the drainer that sets `failed`
+  auto drain = [&] {
+    while (!stop.load(std::memory_order_acquire) && !failed.load()) {
+      const size_t i = cursor++;
+      if (i >= order.size()) return;
+      Status s = gate_.EnsureRecovered(order[i], /*inline_caller=*/false);
+      if (!s.ok()) {
+        if (!failed.exchange(true)) drain_st = s;
+        return;
+      }
     }
-    GISTCR_RETURN_IF_ERROR(
-        gate_.EnsureRecovered(pid, /*inline_caller=*/false));
+  };
+  const size_t drainers = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), order.size());
+  std::vector<std::thread> helpers;
+  for (size_t i = 1; i < drainers; i++) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: fewer drainers share the list
+    }
+  }
+  drain();
+  for (std::thread& t : helpers) t.join();
+  if (!drain_st.ok()) return drain_st;  // stay armed: the pages stay pending
+  // A drainer that saw `stop` quit before claiming its next page.
+  if (cursor.load() < order.size()) {
+    return Status::Aborted("recovery interrupted");
   }
   m_redo_ns_->Record(obs::NowNanos() - phase_t0);
 

@@ -34,7 +34,7 @@ namespace gistcr {
 /// rolls back any nested top action a loser left open, then the database
 /// opens. Redo happens per page — inline on first touch
 /// via the buffer-pool recovery hook, or from RunInstantBackground's
-/// drainer in recLSN order — and loser undo runs as ordinary aborting
+/// drainers in recLSN order — and loser undo runs as ordinary aborting
 /// transactions through the normal lock/latch protocol, concurrent with
 /// new work.
 class RecoveryManager : public UndoApplier {
@@ -65,9 +65,14 @@ class RecoveryManager : public UndoApplier {
   Status StartInstant(Lsn checkpoint_lsn);
 
   /// Instant restart, phase two (background thread): undoes the losers as
-  /// ordinary aborting transactions, drains the remaining pending pages in
-  /// recLSN order, then disarms the hook and the gate. \p stop is polled
-  /// between steps (shutdown / simulated crash).
+  /// ordinary aborting transactions, then drains the remaining pending
+  /// pages in recLSN order with one drainer per hardware thread (this
+  /// thread and up to hardware_concurrency() - 1 helpers, none when nothing
+  /// is pending), then disarms the hook and the gate. \p stop is polled
+  /// before each loser and each page (shutdown / simulated crash). Returns
+  /// the first error a replay hit, else Aborted if \p stop cut the drain
+  /// short; either way the gate stays armed. Every helper is joined before
+  /// it returns.
   Status RunInstantBackground(const std::atomic<bool>& stop);
 
   /// True while the gate is armed (pages may still need redo).
@@ -136,7 +141,7 @@ class RecoveryManager : public UndoApplier {
 
   /// Restart counters (recovery.*): they settle only once
   /// RunInstantBackground has finished, since inline redo on user threads
-  /// races the background drainer.
+  /// races the background drainers.
   obs::Counter* m_analyzed_ = nullptr;
   obs::Counter* m_redone_ = nullptr;
   obs::Counter* m_losers_ = nullptr;

@@ -24,7 +24,12 @@
 ///      database opens, so no new work lands on a page its undo takes away;
 ///   7. heap records need no heap tail to recover: a loser's grown pages
 ///      and a grow cut off before its NTA-End leave committed records
-///      readable through their rids and new inserts working.
+///      readable through their rids and new inserts working;
+///   8. one drainer per hardware thread changes nothing a page ends up as:
+///      inline replay and the drainers write byte-identical data files,
+///      writers and checkpoints racing the drainers lose nothing across a
+///      crash, and a replay error on one drainer leaves the rest of the
+///      pages pending for an inline fetch or a second drain.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -51,6 +56,7 @@
 #include "storage/fault_injector.h"
 #include "tests/crash_harness.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "wal/log_payloads.h"
 
 namespace gistcr {
@@ -325,6 +331,31 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair("instant.undo", 0)),
     [](const ::testing::TestParamInfo<std::pair<const char*, int>>& info) {
       std::string name = info.param.first;
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
+
+// Kills while several drainers are mid-replay: RunDurableLoserBuilder's
+// image drains about 90 pages in the background, one hit per page claimed.
+std::vector<std::pair<const char*, int>> DrainerKillCells() {
+#if GISTCR_LONG_TESTS
+  const std::vector<int> skips = {1, 3, 7, 15, 25, 40, 60};
+#else
+  const std::vector<int> skips = {7, 40};
+#endif
+  std::vector<std::pair<const char*, int>> cells;
+  for (int skip : skips) cells.emplace_back("instant.bg_drain", skip);
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DrainerKills, InstantRestartCrashTest,
+    ::testing::ValuesIn(DrainerKillCells()),
+    [](const ::testing::TestParamInfo<std::pair<const char*, int>>& info) {
+      std::string name = info.param.first;
+      name += "_skip" + std::to_string(info.param.second);
       for (char& c : name) {
         if (c == '.') c = '_';
       }
@@ -1374,6 +1405,422 @@ TEST(InstantRestartHeapTest, CrashInsideGrowFreesItsPage) {
   ASSERT_OK(rec_or.status());
   EXPECT_EQ(rec_or.value(), HeapRecord(100));
   db.reset();
+  RemoveDbFiles(path);
+}
+
+// ---------------------------------------------------------------------
+// 8. Many drainers.
+// ---------------------------------------------------------------------
+
+constexpr uint16_t kWideMaxEntries = 8;
+constexpr int64_t kWideKeys = 2400;  // committed keys 0, 10, ..., 23990
+
+/// A 160-byte heap record for \p k: about fifty fill a heap page.
+std::string WideRecord(int64_t k) {
+  std::string r = "w" + std::to_string(k) + ":";
+  r.resize(160, static_cast<char>('a' + k % 26));
+  return r;
+}
+
+/// Crash image with several hundred pending pages. 2400 keys commit in
+/// shuffled order, so leaves and internal nodes split all over the tree,
+/// each with a heap record; a seventh of them are then deleted. Last, a
+/// loser's inserts finish one split's nested top action and stop another
+/// before its NTA-End. Only what CreateIndex flushed reaches the data file,
+/// so every page the log touches is pending at restart.
+void BuildWideImage(const std::string& path) {
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  auto db_or = Database::Create(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  GistOptions gopts;
+  gopts.max_entries = kWideMaxEntries;
+  ASSERT_OK(db->CreateIndex(1, &ext, gopts));
+  Gist* gist = db->GetIndex(1).value();
+
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < kWideKeys; i++) keys.push_back(i * 10);
+  Random rng(28);
+  for (size_t i = keys.size() - 1; i > 0; i--) {
+    std::swap(keys[i], keys[rng.Uniform(i + 1)]);
+  }
+  std::map<int64_t, Rid> rids;
+  for (size_t i = 0; i < keys.size(); i += 24) {
+    Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+    for (size_t j = i; j < std::min(i + 24, keys.size()); j++) {
+      auto rid_or = db->InsertRecord(txn, gist,
+                                     BtreeExtension::MakeKey(keys[j]),
+                                     WideRecord(keys[j]));
+      ASSERT_OK(rid_or.status());
+      rids[keys[j]] = rid_or.value();
+    }
+    ASSERT_OK(db->Commit(txn));
+  }
+  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  for (const auto& [k, rid] : rids) {
+    if ((k / 10) % 7 == 3) {
+      ASSERT_OK(db->DeleteRecord(txn, gist, BtreeExtension::MakeKey(k), rid));
+    }
+  }
+  ASSERT_OK(db->Commit(txn));
+
+  // The loser inserts between committed keys until one split has finished,
+  // then until a split stops short of its NTA-End.
+  obs::Counter* splits = db->metrics()->GetCounter("gist.splits");
+  Transaction* loser = db->Begin(IsolationLevel::kReadCommitted);
+  int64_t k = 12005;
+  const uint64_t splits_before = splits->value();
+  while (splits->value() == splits_before) {
+    ASSERT_LT(k, kWideKeys * 10);
+    ASSERT_OK(db->InsertRecord(loser, gist, BtreeExtension::MakeKey(k),
+                               WideRecord(k))
+                  .status());
+    k += 10;
+  }
+  gist->test_hooks().before_split_nta_end = [] {
+    return Status::IOError("crash before NTA-End");
+  };
+  Status st;
+  for (; st.ok(); k += 10) {
+    ASSERT_LT(k, kWideKeys * 10);
+    st = db->InsertRecord(loser, gist, BtreeExtension::MakeKey(k),
+                          WideRecord(k))
+             .status();
+  }
+  gist->test_hooks().before_split_nta_end = nullptr;
+  ASSERT_TRUE(st.IsIOError()) << st.ToString();
+  ASSERT_OK(db->log()->FlushAll());
+  db->SimulateCrash();
+}
+
+/// Copies a crash image's files (the master pointer when there is one).
+void CopyImage(const std::string& from, const std::string& to) {
+  RemoveDbFiles(to);
+  for (const std::string suffix : {".db", ".wal", ".ckpt"}) {
+    if (suffix == ".ckpt" && access((from + suffix).c_str(), F_OK) != 0) {
+      continue;
+    }
+    CopyFile(from + suffix, to + suffix);
+  }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::string out;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return out;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+/// Index 1's invariants hold and a full read-committed search finds
+/// exactly \p expect (key -> packed rid).
+void ExpectWideTree(Database* db, const std::map<int64_t, uint64_t>& expect) {
+  static BtreeExtension ext;
+  GistOptions gopts;
+  gopts.max_entries = kWideMaxEntries;
+  auto gist_or = db->GetIndex(1);
+  if (!gist_or.ok()) {
+    ASSERT_OK(db->OpenIndex(1, &ext, gopts));
+    gist_or = db->GetIndex(1);
+  }
+  ASSERT_OK(gist_or.status());
+  Gist* gist = gist_or.value();
+  ASSERT_OK(gist->CheckInvariants());
+  Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 1 << 24),
+                         &results));
+  ASSERT_OK(db->Commit(txn));
+  std::map<int64_t, uint64_t> found;
+  for (const SearchResult& r : results) {
+    const int64_t k = BtreeExtension::Lo(r.key);
+    EXPECT_EQ(found.count(k), 0u) << "duplicate visible key " << k;
+    found[k] = r.rid.Pack();
+  }
+  EXPECT_EQ(found, expect);
+}
+
+uint64_t CounterValue(Database* db, const char* name) {
+  return db->metrics()->GetCounter(name)->value();
+}
+
+// Inline replay and the drainers are two paths to one page image. The same
+// crash image is recovered twice: once with a thread that fetches every
+// page id in ascending order while the background thread waits before the
+// loser's undo, so each replay is inline and one at a time, and once
+// drained, so the drainers replay every page the undo does not touch. Both
+// trees equal the WAL oracle, and after FlushAll the data files are
+// identical byte for byte.
+TEST(InstantRestartTest, InlineAndDrainerReplaysWriteIdenticalFiles) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("wide_parity");
+  RemoveDbFiles(path);
+  BuildWideImage(path);
+  if (HasFatalFailure()) return;
+  crash::Oracle oracle;
+  ASSERT_OK(crash::ComputeOracle(path, &oracle));
+  const std::string inline_copy = path + "_inline";
+  const std::string drained_copy = path + "_drained";
+  CopyImage(path, inline_copy);
+  CopyImage(path, drained_copy);
+
+  {
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ArmCrashPointHook("instant.undo", [&] {
+      parked.set_value();
+      released.wait();
+    });
+    DatabaseOptions dopts;
+    dopts.path = inline_copy;
+    auto db_or = Database::Open(dopts);
+    if (!db_or.ok()) FaultInjector::Global().Reset();
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    const bool was_parked = parked.get_future().wait_for(
+                                std::chrono::seconds(30)) ==
+                            std::future_status::ready;
+    const size_t pending_at_open = db->recovery()->PendingPageCount();
+    Status st;
+    for (PageId pid = 0; was_parked && st.ok() &&
+                         db->recovery()->PendingPageCount() > 0 &&
+                         pid < (1u << 16);
+         pid++) {
+      auto frame_or = db->pool()->Fetch(pid);
+      st = frame_or.status();
+      if (st.ok()) db->pool()->Unpin(frame_or.value());
+    }
+    const size_t pending_after = db->recovery()->PendingPageCount();
+    release.set_value();
+    FaultInjector::Global().Reset();
+    ASSERT_TRUE(was_parked);
+    ASSERT_OK(st);
+    EXPECT_GE(pending_at_open, 300u);
+    EXPECT_EQ(pending_after, 0u);
+    ASSERT_OK(db->WaitForRecovery());
+    EXPECT_EQ(CounterValue(db.get(), "recovery.background_redos"), 0u);
+    EXPECT_GE(CounterValue(db.get(), "recovery.inline_redos"), 300u);
+    ExpectWideTree(db.get(), oracle.visible);
+    ASSERT_OK(db->FlushAll());
+    db->SimulateCrash();
+  }
+  {
+    DatabaseOptions dopts;
+    dopts.path = drained_copy;
+    auto db_or = Database::Open(dopts);
+    ASSERT_OK(db_or.status());
+    auto db = db_or.MoveValue();
+    ASSERT_OK(db->WaitForRecovery());
+    const uint64_t inline_redos =
+        CounterValue(db.get(), "recovery.inline_redos");
+    const uint64_t background_redos =
+        CounterValue(db.get(), "recovery.background_redos");
+    EXPECT_GE(inline_redos + background_redos, 300u);
+    EXPECT_GT(background_redos, inline_redos);
+    ExpectWideTree(db.get(), oracle.visible);
+    ASSERT_OK(db->FlushAll());
+    db->SimulateCrash();
+  }
+
+  const std::string a = ReadWholeFile(inline_copy + ".db");
+  const std::string b = ReadWholeFile(drained_copy + ".db");
+  ASSERT_EQ(a.size(), b.size());
+  size_t differing = 0;
+  size_t first = a.size();
+  for (size_t off = 0; off < a.size(); off += kPageSize) {
+    if (a.compare(off, kPageSize, b, off, kPageSize) != 0) {
+      differing++;
+      first = std::min(first, off / kPageSize);
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "first differing page " << first;
+  RemoveDbFiles(inline_copy);
+  RemoveDbFiles(drained_copy);
+  RemoveDbFiles(path);
+}
+
+// Inline replays, rightlink chases into pending pages and checkpoints race
+// the drainers. From the moment the database opens, three threads insert
+// between the committed keys, delete committed keys and search windows
+// across the whole key range, and a fourth takes checkpoints, whose redo
+// floors must count the pages still pending (DESIGN.md section 16.2). The
+// drained tree holds the WAL oracle plus what the threads acknowledged, and
+// so does a restart from a crash right after.
+TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
+  const std::string path = TestPath("wide_race");
+  RemoveDbFiles(path);
+  BuildWideImage(path);
+  if (HasFatalFailure()) return;
+  crash::Oracle oracle;
+  ASSERT_OK(crash::ComputeOracle(path, &oracle));
+  constexpr int kWriters = 3;
+  // Each writer deletes its own third of the committed keys, in an order
+  // spread over the key range.
+  std::vector<std::vector<std::pair<int64_t, uint64_t>>> victims(kWriters);
+  for (const auto& [k, rid] : oracle.visible) {
+    victims[(k / 10) % kWriters].emplace_back(k, rid);
+  }
+  for (auto& v : victims) {
+    Random rng(v.size());
+    for (size_t i = v.size() - 1; i > 0; i--) {
+      std::swap(v[i], v[rng.Uniform(i + 1)]);
+    }
+  }
+
+  static BtreeExtension ext;
+  DatabaseOptions dopts;
+  dopts.path = path;
+  GistOptions gopts;
+  gopts.max_entries = kWideMaxEntries;
+  auto db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  ASSERT_OK(db->OpenIndex(1, &ext, gopts));
+  Gist* gist = db->GetIndex(1).value();
+
+  struct Acked {
+    std::map<int64_t, uint64_t> inserted;
+    std::vector<int64_t> deleted;
+  };
+  std::vector<Acked> acked(kWriters);
+  std::atomic<bool> drained{false};
+  auto writer = [&](int w) {
+    Random rng(100 + w);
+    // Slots i * 7919 mod kWideKeys are distinct for i < kWideKeys, so no
+    // writer inserts a key twice.
+    for (int64_t i = 0; i < kWideKeys && (!drained.load() || i < 30); i++) {
+      Transaction* reader = db->Begin(IsolationLevel::kReadCommitted);
+      const int64_t lo = static_cast<int64_t>(rng.Uniform(kWideKeys * 10));
+      std::vector<SearchResult> results;
+      Status st = gist->Search(reader, BtreeExtension::MakeRange(lo, lo + 400),
+                               &results);
+      EXPECT_OK(st);
+      EXPECT_OK(db->Commit(reader));
+      if (!st.ok()) return;
+
+      Transaction* txn = db->Begin(IsolationLevel::kReadCommitted);
+      const int64_t k = (i * 7919 % kWideKeys) * 10 + w + 1;
+      auto rid_or = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
+                                     WideRecord(k));
+      st = rid_or.status();
+      const size_t vi = static_cast<size_t>(i);
+      const bool del = st.ok() && vi < victims[w].size();
+      if (del) {
+        const auto& [vk, vrid] = victims[w][vi];
+        st = db->DeleteRecord(txn, gist, BtreeExtension::MakeKey(vk),
+                              Rid::Unpack(vrid));
+      }
+      if (st.ok()) st = db->Commit(txn);
+      EXPECT_OK(st);
+      if (!st.ok()) {
+        if (db->txns()->IsActive(txn->id())) (void)db->Abort(txn);
+        return;
+      }
+      acked[w].inserted[k] = rid_or.value().Pack();
+      if (del) acked[w].deleted.push_back(victims[w][vi].first);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) threads.emplace_back(writer, w);
+  int checkpoints = 0;
+  threads.emplace_back([&] {
+    while (!drained.load()) {
+      EXPECT_OK(db->Checkpoint());
+      checkpoints++;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const Status recovered = db->WaitForRecovery();
+  drained = true;
+  for (std::thread& t : threads) t.join();
+  ASSERT_OK(recovered);
+  EXPECT_GT(checkpoints, 0);
+
+  std::map<int64_t, uint64_t> expect = oracle.visible;
+  for (const Acked& a : acked) {
+    for (const auto& [k, rid] : a.inserted) expect[k] = rid;
+    for (int64_t k : a.deleted) expect.erase(k);
+  }
+  ExpectWideTree(db.get(), expect);
+  db->SimulateCrash();
+  db.reset();
+
+  db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  db = db_or.MoveValue();
+  ASSERT_OK(db->WaitForRecovery());
+  ExpectWideTree(db.get(), expect);
+  db->SimulateCrash();
+  db.reset();
+  RemoveDbFiles(path);
+}
+
+// A replay error on one drainer ends the drain for all of them. The point
+// fires past the first page of every drainer, so several are mid-replay.
+// WaitForRecovery reports that error and never a helper's stop; the pages
+// nobody replayed stay pending behind the armed gate; an inline fetch still
+// replays one; and a second background pass drains the rest.
+TEST(InstantRestartTest, DrainerErrorLeavesTheRestPending) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  const std::string path = TestPath("wide_drain_error");
+  RemoveDbFiles(path);
+  BuildWideImage(path);
+  if (HasFatalFailure()) return;
+  crash::Oracle oracle;
+  ASSERT_OK(crash::ComputeOracle(path, &oracle));
+
+  const int skip =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) + 8;
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPoint("instant.bg_drain", skip);
+  DatabaseOptions dopts;
+  dopts.path = path;
+  auto db_or = Database::Open(dopts);
+  ASSERT_OK(db_or.status());
+  auto db = db_or.MoveValue();
+  const Status drain_st = db->WaitForRecovery();
+  FaultInjector::Global().Reset();
+  EXPECT_TRUE(drain_st.IsIOError()) << drain_st.ToString();
+  EXPECT_NE(drain_st.ToString().find("instant.bg_drain"), std::string::npos)
+      << drain_st.ToString();
+  EXPECT_TRUE(db->recovery()->InstantActive());
+  EXPECT_GE(CounterValue(db.get(), "recovery.background_redos"),
+            static_cast<uint64_t>(skip));
+  const size_t pending = db->recovery()->PendingPageCount();
+  ASSERT_GT(pending, 0u);
+
+  const uint64_t inline_before = CounterValue(db.get(), "recovery.inline_redos");
+  size_t now = pending;
+  for (PageId pid = 0; now == pending && pid < (1u << 16); pid++) {
+    auto frame_or = db->pool()->Fetch(pid);
+    ASSERT_OK(frame_or.status());
+    db->pool()->Unpin(frame_or.value());
+    now = db->recovery()->PendingPageCount();
+  }
+  EXPECT_EQ(now, pending - 1);
+  EXPECT_EQ(CounterValue(db.get(), "recovery.inline_redos"), inline_before + 1);
+
+  const std::atomic<bool> no_stop{false};
+  ASSERT_OK(db->recovery()->RunInstantBackground(no_stop));
+  EXPECT_EQ(db->recovery()->PendingPageCount(), 0u);
+  EXPECT_FALSE(db->recovery()->InstantActive());
+  ExpectWideTree(db.get(), oracle.visible);
+  db->SimulateCrash();
+  db.reset();
+  EXPECT_EQ(crash::LiveKeys(RecoverDump(path, kWideMaxEntries)),
+            oracle.visible);
   RemoveDbFiles(path);
 }
 
