@@ -1495,17 +1495,6 @@ void BuildWideImage(const std::string& path) {
   db->SimulateCrash();
 }
 
-/// Copies a crash image's files (the master pointer when there is one).
-void CopyImage(const std::string& from, const std::string& to) {
-  RemoveDbFiles(to);
-  for (const std::string suffix : {".db", ".wal", ".ckpt"}) {
-    if (suffix == ".ckpt" && access((from + suffix).c_str(), F_OK) != 0) {
-      continue;
-    }
-    CopyFile(from + suffix, to + suffix);
-  }
-}
-
 std::string ReadWholeFile(const std::string& path) {
   std::string out;
   FILE* f = std::fopen(path.c_str(), "rb");
@@ -1569,8 +1558,11 @@ TEST(InstantRestartTest, InlineAndDrainerReplaysWriteIdenticalFiles) {
   ASSERT_OK(crash::ComputeOracle(path, &oracle));
   const std::string inline_copy = path + "_inline";
   const std::string drained_copy = path + "_drained";
-  CopyImage(path, inline_copy);
-  CopyImage(path, drained_copy);
+  for (const std::string& copy : {inline_copy, drained_copy}) {
+    RemoveDbFiles(copy);
+    CopyFile(path + ".db", copy + ".db");
+    CopyFile(path + ".wal", copy + ".wal");
+  }
 
   {
     std::promise<void> parked;
