@@ -82,7 +82,9 @@ GistContext Database::MakeContext() {
 Status Database::InitCommon() {
   // A floor on the frame count: concurrent structure modifications pin up
   // to ~2*height+4 frames each; starving them mid-modification is not a
-  // recoverable condition (rollback itself needs frames).
+  // recoverable condition (rollback itself needs frames). Restart's
+  // drainers pin one frame each and at most a sixteenth of a shard in all
+  // (RecoveryManager::RunInstantBackground): four at this floor.
   if (opts_.buffer_pool_pages < 64) {
     return Status::InvalidArgument("buffer_pool_pages must be >= 64");
   }

@@ -483,8 +483,13 @@ Status RecoveryManager::RunInstantBackground(const std::atomic<bool>& stop) {
       }
     }
   };
-  const size_t drainers = std::min<size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), order.size());
+  // Each drainer keeps one frame pinned while it replays. The drain may pin
+  // at most a sixteenth of one shard, so the structure modifications running
+  // beside it keep the frames the pool's floor sized for them: four
+  // drainers at the 64-frame floor (Database::InitCommon).
+  const size_t drainers = std::min(
+      {std::max<size_t>(1, std::thread::hardware_concurrency()), order.size(),
+       std::max<size_t>(1, pool_->num_frames() / pool_->num_shards() / 16)});
   std::vector<std::thread> helpers;
   for (size_t i = 1; i < drainers; i++) {
     try {

@@ -68,7 +68,9 @@ class RecoveryManager : public UndoApplier {
   /// ordinary aborting transactions, then drains the remaining pending
   /// pages in recLSN order with one drainer per hardware thread (this
   /// thread and up to hardware_concurrency() - 1 helpers, none when nothing
-  /// is pending), then disarms the hook and the gate. \p stop is polled
+  /// is pending, and no more drainers than a sixteenth of one buffer-pool
+  /// shard's frames, since each pins one), then disarms the hook and the
+  /// gate. \p stop is polled
   /// before each loser and each page (shutdown / simulated crash). Returns
   /// the first error a replay hit, else Aborted if \p stop cut the drain
   /// short; either way the gate stays armed. Every helper is joined before

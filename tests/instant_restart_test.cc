@@ -1642,17 +1642,19 @@ TEST(InstantRestartTest, InlineAndDrainerReplaysWriteIdenticalFiles) {
 }
 
 // Inline replays, rightlink chases into pending pages and checkpoints race
-// the drainers. From the moment the database opens, three threads insert
-// between the committed keys, delete committed keys and search windows
-// across the whole key range, and a fourth takes checkpoints, whose redo
-// floors must count the pages still pending (DESIGN.md section 16.2). The
-// drained tree holds the WAL oracle plus what the threads acknowledged, and
-// so does a restart from a crash right after.
-TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
+// the drainers, on a pool of \p pool_pages frames. From the moment the
+// database opens, three threads insert between the committed keys, delete
+// committed keys and search windows across the whole key range, and a
+// fourth takes checkpoints, whose redo floors must count the pages still
+// pending (DESIGN.md section 16.2). The first drainer to claim a page holds
+// it until a checkpoint has been taken with pages pending, so the two
+// overlap on every run. The drained tree holds the WAL oracle plus what the
+// threads acknowledged, and so does a restart from a crash right after.
+void RaceTheDrainers(size_t pool_pages) {
   const std::string path = TestPath("wide_race");
   RemoveDbFiles(path);
   BuildWideImage(path);
-  if (HasFatalFailure()) return;
+  if (::testing::Test::HasFatalFailure()) return;
   crash::Oracle oracle;
   ASSERT_OK(crash::ComputeOracle(path, &oracle));
   constexpr int kWriters = 3;
@@ -1669,12 +1671,20 @@ TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
     }
   }
 
+  std::promise<void> overlapped;
+  std::shared_future<void> overlap = overlapped.get_future().share();
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().ArmCrashPointHook("instant.bg_drain", [overlap] {
+    overlap.wait_for(std::chrono::seconds(30));
+  });
   static BtreeExtension ext;
   DatabaseOptions dopts;
   dopts.path = path;
+  dopts.buffer_pool_pages = pool_pages;
   GistOptions gopts;
   gopts.max_entries = kWideMaxEntries;
   auto db_or = Database::Open(dopts);
+  if (!db_or.ok()) FaultInjector::Global().Reset();
   ASSERT_OK(db_or.status());
   auto db = db_or.MoveValue();
   ASSERT_OK(db->OpenIndex(1, &ext, gopts));
@@ -1724,19 +1734,24 @@ TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
   };
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; w++) threads.emplace_back(writer, w);
-  int checkpoints = 0;
+  // Checkpoints taken while some page was still pending.
+  int overlapping = 0;
   threads.emplace_back([&] {
     while (!drained.load()) {
+      const bool pending = db->recovery()->PendingPageCount() > 0;
       EXPECT_OK(db->Checkpoint());
-      checkpoints++;
+      if (pending && overlapping++ == 0) overlapped.set_value();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
   const Status recovered = db->WaitForRecovery();
   drained = true;
   for (std::thread& t : threads) t.join();
+  FaultInjector::Global().Reset();
   ASSERT_OK(recovered);
-  EXPECT_GT(checkpoints, 0);
+  EXPECT_GE(overlapping, 1);
+  EXPECT_GT(CounterValue(db.get(), "recovery.inline_redos"), 0u);
+  EXPECT_GT(CounterValue(db.get(), "recovery.background_redos"), 0u);
 
   std::map<int64_t, uint64_t> expect = oracle.visible;
   for (const Acked& a : acked) {
@@ -1755,6 +1770,22 @@ TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
   db->SimulateCrash();
   db.reset();
   RemoveDbFiles(path);
+}
+
+TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainers) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  RaceTheDrainers(DatabaseOptions().buffer_pool_pages);
+}
+
+// The same race in the smallest pool a database accepts: one shard of 64
+// frames, of which the drainers may pin four.
+TEST(InstantRestartTest, WritersAndCheckpointsRaceTheDrainersInTheFloorPool) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  RaceTheDrainers(64);
 }
 
 // A replay error on one drainer ends the drain for all of them. The point
